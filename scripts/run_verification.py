@@ -3,8 +3,10 @@
 
 Runs the full check battery (oracle equivalence, geometricity, operator
 criteria, round trips, structure relations) and prints a summary; exits
-nonzero if any check fails.  Failing instances are printed in the covering
-file format so they can be replayed with `covlat verify <file>`.
+nonzero if any check fails or no check ran.  Instances that trip a guard
+(the brute-force oracle budget) are skipped and counted in the summary.
+Failing instances are printed in the covering file format so they can be
+replayed with `covlat verify <file>`.
 """
 
 import argparse
@@ -33,7 +35,7 @@ def main() -> int:
     print(
         f"{status}: {result.checks_run} checks over {args.count} instances "
         f"(seed {args.seed}, n <= {args.max_n}) in {elapsed:.1f}s, "
-        f"{len(result.failures)} failures"
+        f"{len(result.failures)} failures, {result.skipped} instances skipped by a guard"
     )
     return 0 if result.passed else 1
 

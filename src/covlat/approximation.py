@@ -22,6 +22,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import CriterionNotSatisfied, InternalConsistencyError, ValidationError
+from .lattice import closure_from_rank
 from .universe import Covering, ElementSet, Partition, Universe, bits_of
 
 
@@ -221,51 +222,35 @@ def _masks_by_size(universe: Universe, max_size: int) -> Iterator[int]:
 
 
 def _search_witness(table: NeighborhoodTable, kind: UpperOperator) -> AxiomWitness:
-    """Find the first idempotence or exchange violation, subsets in size order.
+    """Find the first idempotence violation on at most two elements, subsets
+    in size order, else an exchange violation at the empty set.
 
-    A violating covering always yields a singleton idempotence witness (sh,
-    vh) or an exchange witness over the empty set (xh), so the bounded scan
-    below is exhaustive in practice; a full sweep backs it up on small
-    universes.
+    Called only when the singleton images do not form a partition, and then
+    one of the two scans always finds a witness:
+
+    * sh and vh preserve unions, and "y in image({x})" is reflexive and
+      symmetric.  If image(image({x})) = image({x}) for every x, then
+      y in image({x}) gives image({y}) within image({x}) and, by symmetry,
+      the reverse, so the images are the classes of an equivalence: a
+      partition.  A failing sh or vh therefore fails idempotence on a
+      singleton.
+    * For xh, "x in N(y)" means N(x) lies within N(y), a preorder, and it
+      is symmetric exactly when the N(y) form a partition.  Exchange at the
+      empty set asks for that symmetry (y in xh({x}) forces x in xh({y})),
+      so a failing xh always has an exchange witness at the empty set.
     """
     universe = table.covering.universe
-
-    def idempotence_scan(limit: int) -> AxiomWitness | None:
-        for mask in _masks_by_size(universe, limit):
-            x = ElementSet(universe, mask)
-            once = table.apply(kind, x)
-            if table.apply(kind, once) != once:
-                return AxiomWitness("idempotence", x)
-        return None
-
-    def exchange_scan(limit: int) -> AxiomWitness | None:
-        for mask in _masks_by_size(universe, limit):
-            x_set = ElementSet(universe, mask)
-            image = table.apply(kind, x_set)
-            for x in range(universe.n):
-                grown = table.apply(kind, x_set.with_index(x))
-                for y in bits_of(grown.mask & ~image.mask):
-                    if not table.apply(kind, x_set.with_index(y)).has_index(x):
-                        return AxiomWitness(
-                            "exchange",
-                            x_set,
-                            universe.labels[x],
-                            universe.labels[y],
-                        )
-        return None
-
-    witness = idempotence_scan(min(universe.n, 2))
-    if witness is None:
-        witness = exchange_scan(min(universe.n, 1))
-    if witness is None and universe.n <= 12:
-        witness = idempotence_scan(universe.n)
-        if witness is None:
-            witness = exchange_scan(universe.n)
-    if witness is None:
-        raise InternalConsistencyError(
-            "criterion failed but no axiom violation was found"
-        )
-    return witness
+    for mask in _masks_by_size(universe, 2):
+        x = ElementSet(universe, mask)
+        once = table.apply(kind, x)
+        if table.apply(kind, once) != once:
+            return AxiomWitness("idempotence", x)
+    empty = universe.empty()
+    for x in range(universe.n):
+        for y in bits_of(table.apply(kind, universe.singleton(x)).mask):
+            if not table.apply(kind, universe.singleton(y)).has_index(x):
+                return AxiomWitness("exchange", empty, universe.labels[x], universe.labels[y])
+    raise InternalConsistencyError("criterion failed but no axiom violation was found")
 
 
 def closure_operator_verdict(covering: Covering, kind: UpperOperator) -> ClosureVerdict:
@@ -333,13 +318,7 @@ class PartitionMatroid:
         return sum(1 for cls in self.classes if cls.mask & x.mask)
 
     def closure(self, x: ElementSet) -> ElementSet:
-        self._check(x)
-        r = self.rank(x)
-        mask = x.mask
-        for e in bits_of(self.universe.full_mask & ~x.mask):
-            if self.rank(x.with_index(e)) == r:
-                mask |= 1 << e
-        return ElementSet(self.universe, mask)
+        return closure_from_rank(self, x)
 
     def base_count(self) -> int:
         """Bases pick one element per class, so the count is the product of

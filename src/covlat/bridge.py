@@ -10,14 +10,11 @@ induced rank has the closed form min over members Y of f(Y) + |X - Y|.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from .errors import InternalConsistencyError, ValidationError
-from .lattice import FlatLattice, MatroidOracle, enumerate_lattice
+from .lattice import FlatLattice, MatroidOracle, closure_from_rank, enumerate_lattice
 from .universe import ElementSet, Universe, bits_of
-
-_SUBMODULARITY_SAMPLE = 4000
 
 
 class SubmodularSystem:
@@ -46,26 +43,29 @@ class SubmodularSystem:
         self._validate_closure_and_submodularity()
 
     def _validate_closure_and_submodularity(self) -> None:
+        """Check every pair.  The join of a pair is the first member, in
+        size order, containing its union: the lowest set bit of the AND of
+        the per-element bitsets of the members containing each element."""
         masks = {s.mask for s in self.sets}
-        pairs: list[tuple[ElementSet, ElementSet]] = [
-            (x, y) for i, x in enumerate(self.sets) for y in self.sets[i + 1 :]
-        ]
-        if len(pairs) > _SUBMODULARITY_SAMPLE:
-            rng = random.Random(0)
-            pairs = rng.sample(pairs, _SUBMODULARITY_SAMPLE)
-        for x, y in pairs:
-            meet = x.mask & y.mask
-            if meet not in masks:
-                raise ValidationError(f"not intersection-closed: {x!r} n {y!r} missing")
-            join = self._smallest_over(x.mask | y.mask)
-            if self._values[join] + self._values[meet] > self._values[x.mask] + self._values[y.mask]:
-                raise ValidationError(f"not submodular on ({x!r}, {y!r})")
-
-    def _smallest_over(self, mask: int) -> int:
-        for s in self.sets:
-            if mask & ~s.mask == 0:
-                return s.mask
-        raise InternalConsistencyError("no member contains the union")
+        f = self._values
+        containing = [0] * self.universe.n
+        for k, s in enumerate(self.sets):
+            for e in bits_of(s.mask):
+                containing[e] |= 1 << k
+        for i, x in enumerate(self.sets):
+            above_x = (1 << len(self.sets)) - 1
+            for e in bits_of(x.mask):
+                above_x &= containing[e]
+            for y in self.sets[i + 1 :]:
+                meet = x.mask & y.mask
+                if meet not in masks:
+                    raise ValidationError(f"not intersection-closed: {x!r} n {y!r} missing")
+                above = above_x
+                for e in bits_of(y.mask & ~x.mask):
+                    above &= containing[e]
+                join = self.sets[(above & -above).bit_length() - 1].mask
+                if f[join] + f[meet] > f[x.mask] + f[y.mask]:
+                    raise ValidationError(f"not submodular on ({x!r}, {y!r})")
 
     def f(self, member: ElementSet) -> int:
         try:
@@ -112,12 +112,7 @@ class LatticeInducedMatroid:
         return len(current)
 
     def closure(self, x: ElementSet) -> ElementSet:
-        r = self.rank(x)
-        mask = x.mask
-        for e in bits_of(self.universe.full_mask & ~x.mask):
-            if self.rank(x.with_index(e)) == r:
-                mask |= 1 << e
-        return ElementSet(self.universe, mask)
+        return closure_from_rank(self, x)
 
 
 def matroid_from_lattice(system: SubmodularSystem) -> LatticeInducedMatroid:

@@ -175,16 +175,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _operator_kind(value: str) -> UpperOperator:
-    return UpperOperator(value)
-
-
-def _matroid_for_kind(covering: Covering, kind: str):
-    if kind == "transversal":
-        return TransversalMatroid(covering)
-    return induced_partition_matroid(covering, _operator_kind(kind))
-
-
 def cmd_matroid(args: argparse.Namespace) -> int:
     family = _read_family(args.file)
     universe = family.universe
@@ -211,7 +201,7 @@ def cmd_matroid(args: argparse.Namespace) -> int:
             report["b_part"] = list(decomposition.b_part.labels())
     else:
         covering = as_covering(family)
-        matroid = induced_partition_matroid(covering, _operator_kind(args.kind))
+        matroid = induced_partition_matroid(covering, UpperOperator(args.kind))
         stats = matroid.stats()
         report = {
             "kind": args.kind,
@@ -251,7 +241,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     if args.kind == "transversal":
         matroid = TransversalMatroid(family)
     else:
-        matroid = _matroid_for_kind(as_covering(family), args.kind)
+        matroid = induced_partition_matroid(as_covering(family), UpperOperator(args.kind))
     lattice = enumerate_lattice(matroid, args.max_lattice_size)
     if args.format == "dot":
         print(lattice.to_dot(), end="")
@@ -279,7 +269,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
     covering = _read_covering(args.file)
     table = neighborhood_table(covering)
     subset = covering.universe.subset(args.set.split())
-    image = table.apply(_operator_kind(args.operator), subset)
+    image = table.apply(UpperOperator(args.operator), subset)
     print("{" + " ".join(image.labels()) + "}")
     return 0
 
@@ -321,7 +311,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(failure.line())
         print(
             f"{'PASS' if campaign.passed else 'FAIL'} random campaign: "
-            f"{campaign.checks_run} checks, {len(campaign.failures)} failures"
+            f"{campaign.checks_run} checks, {len(campaign.failures)} failures, "
+            f"{campaign.skipped} instances skipped by a guard"
         )
         return 0 if campaign.passed else CHECK_FAILED
     if args.file is None:

@@ -48,6 +48,16 @@ class MatroidOracle(Protocol):
     def closure(self, x: ElementSet) -> ElementSet: ...
 
 
+def closure_from_rank(matroid: MatroidOracle, x: ElementSet) -> ElementSet:
+    """x plus every element whose addition leaves the rank of x unchanged."""
+    r = matroid.rank(x)
+    mask = x.mask
+    for e in bits_of(matroid.universe.full_mask & ~x.mask):
+        if matroid.rank(x.with_index(e)) == r:
+            mask |= 1 << e
+    return ElementSet(matroid.universe, mask)
+
+
 @dataclass(frozen=True)
 class GeometricityCheck:
     ok: bool
@@ -247,10 +257,10 @@ class FlatLattice:
 def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> FlatLattice:
     """Enumerate all flats of a matroid oracle by upward cover generation.
 
-    The covers of a flat F are the minimal sets among the closures of
-    one-element extensions of F.  Heights are asserted equal to ranks;
-    a mismatch means the oracle is not a matroid and raises
-    ``InternalConsistencyError``.
+    The covers of a flat F are exactly the closures of its one-element
+    extensions: in a matroid every cl(F + e) with e outside F covers F.
+    Heights are asserted equal to ranks; a mismatch means the oracle is not
+    a matroid and raises ``InternalConsistencyError``.
     """
     limit = default_max_flats() if max_flats is None else max_flats
     universe = matroid.universe
@@ -267,10 +277,7 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
         for e in bits_of(universe.full_mask & ~flat.mask):
             grown = matroid.closure(flat.with_index(e))
             candidates[grown.mask] = grown
-        masks = list(candidates)
         for mask, cover in candidates.items():
-            if any(other != mask and other & mask == other for other in masks):
-                continue
             if mask not in discovered:
                 if len(discovered) >= limit:
                     raise GuardExceeded(

@@ -24,7 +24,7 @@ from .approximation import (
 from .lattice import enumerate_lattice
 from .reduction import exclusion, immured_block_indices, reducible_block_indices, reduct
 from .transversal import TransversalMatroid
-from .universe import Covering, ElementSet, SetFamily, as_covering, is_partition
+from .universe import Covering, SetFamily, Universe, as_covering, is_partition
 
 ENUM_GUARD_N = 14
 
@@ -75,14 +75,8 @@ class RelationReport:
         return {"claims": [r.to_dict() for r in self.records]}
 
 
-def _subset_containment(
-    universe_n: int,
-    smaller,
-    larger,
-    make_set,
-) -> tuple[bool, str | None]:
-    for mask in range(1 << universe_n):
-        x = make_set(mask)
+def _subset_containment(universe: Universe, smaller, larger) -> tuple[bool, str | None]:
+    for x in universe.subsets():
         if smaller(x) and not larger(x):
             return False, f"{x!r} separates the families"
     return True, None
@@ -104,10 +98,6 @@ def check_containments(covering: Covering, guard_n: int = ENUM_GUARD_N) -> Relat
     sh_verdict = closure_operator_verdict(covering, UpperOperator.SH)
     xh_verdict = closure_operator_verdict(covering, UpperOperator.XH)
     table = neighborhood_table(covering)
-
-    def make_set(mask: int) -> ElementSet:
-        return ElementSet(universe, mask)
-
     guard_note = f"universe size {n} exceeds enumeration guard {guard_n}"
     sh_gate = "block-union operator is a closure operator"
     xh_gate = "neighborhood-hit operator is a closure operator"
@@ -123,7 +113,7 @@ def check_containments(covering: Covering, guard_n: int = ENUM_GUARD_N) -> Relat
     else:
         sh_matroid = induced_partition_matroid(covering, UpperOperator.SH)
         holds, witness = _subset_containment(
-            n, sh_matroid.is_independent, transversal.is_independent, make_set
+            universe, sh_matroid.is_independent, transversal.is_independent
         )
         report.verdict("sh-independents-within-transversal", holds, witness)
         sh_lattice = enumerate_lattice(sh_matroid)
@@ -146,8 +136,7 @@ def check_containments(covering: Covering, guard_n: int = ENUM_GUARD_N) -> Relat
         report.skipped("xh-vh-operators-coincide", guard_note)
     else:
         witness = None
-        for mask in range(1 << n):
-            x = make_set(mask)
+        for x in universe.subsets():
             if table.xh(x) != table.vh(x):
                 witness = f"operators differ on {x!r}"
                 break
@@ -164,7 +153,7 @@ def check_containments(covering: Covering, guard_n: int = ENUM_GUARD_N) -> Relat
         sh_matroid = induced_partition_matroid(covering, UpperOperator.SH)
         xh_matroid = induced_partition_matroid(covering, UpperOperator.XH)
         holds, witness = _subset_containment(
-            n, sh_matroid.is_independent, xh_matroid.is_independent, make_set
+            universe, sh_matroid.is_independent, xh_matroid.is_independent
         )
         report.verdict("sh-independents-within-xh", holds, witness)
         sh_lattice = enumerate_lattice(sh_matroid)
@@ -182,8 +171,7 @@ def check_containments(covering: Covering, guard_n: int = ENUM_GUARD_N) -> Relat
             for kind in (UpperOperator.SH, UpperOperator.XH, UpperOperator.VH)
         ]
         witness = None
-        for mask in range(1 << n):
-            x = make_set(mask)
+        for x in universe.subsets():
             verdicts = {m.is_independent(x) for m in matroids}
             if len(verdicts) > 1:
                 witness = f"families disagree on {x!r}"
@@ -226,9 +214,7 @@ def check_deletion_monotonicity(
         report.skipped("deletion-shrinks-independents", guard_note)
         report.skipped("deletion-shrinks-flats", guard_note)
         return report
-    holds, witness = _subset_containment(
-        n, smaller.is_independent, whole.is_independent, lambda m: ElementSet(universe, m)
-    )
+    holds, witness = _subset_containment(universe, smaller.is_independent, whole.is_independent)
     report.verdict("deletion-shrinks-independents", holds, witness, note)
     holds, witness = _flats_closed_in(enumerate_lattice(smaller).flats, whole.closure)
     report.verdict("deletion-shrinks-flats", holds, witness, note)
@@ -252,7 +238,7 @@ def check_reduct_exclusion_containments(
     for mode, reduced in (("reduct", reduct(covering)), ("exclusion", exclusion(covering))):
         smaller = TransversalMatroid(reduced)
         holds, witness = _subset_containment(
-            n, smaller.is_independent, whole.is_independent, lambda m: ElementSet(universe, m)
+            universe, smaller.is_independent, whole.is_independent
         )
         report.verdict(f"{mode}-independents-within-original", holds, witness)
         holds, witness = _flats_closed_in(enumerate_lattice(smaller).flats, whole.closure)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GuardExceeded, InternalConsistencyError, ValidationError
+from .lattice import closure_from_rank
 from .universe import Covering, ElementSet, SetFamily, bits_of
 
 ENUMERATION_GUARD = 20
@@ -72,19 +73,11 @@ class TransversalMatroid:
     def closure(self, x: ElementSet) -> ElementSet:
         """Elements whose addition leaves the rank of x unchanged."""
         self._check(x)
-        r = self.rank(x)
-        mask = x.mask
-        for e in bits_of(self.universe.full_mask & ~x.mask):
-            if self.rank(x.with_index(e)) == r:
-                mask |= 1 << e
-        return ElementSet(self.universe, mask)
+        return closure_from_rank(self, x)
 
     def closure_of_empty(self) -> ElementSet:
         """Empty iff the family is a covering; otherwise the set of loops."""
         return self.closure(self.universe.empty())
-
-    def loops(self) -> ElementSet:
-        return self.closure_of_empty()
 
     def bases(self, guard: int = ENUMERATION_GUARD) -> tuple[ElementSet, ...]:
         """All maximal independent sets; each has cardinality rank(E)."""
@@ -131,7 +124,7 @@ class TransversalMatroid:
 
     def parallel_classes(self) -> tuple[ElementSet, tuple[ElementSet, ...]]:
         """Loops plus the nontrivial parallel classes (size >= 2) of non-loops."""
-        loops = self.loops()
+        loops = self.closure_of_empty()
         classes: list[ElementSet] = []
         assigned = loops.mask
         for e in bits_of(self.universe.full_mask & ~loops.mask):

@@ -102,6 +102,11 @@ class Universe:
             mask |= 1 << self.index(label)
         return ElementSet(self, mask)
 
+    def subsets(self) -> Iterator["ElementSet"]:
+        """All 2^n subsets, in mask order."""
+        for mask in range(1 << self.n):
+            yield ElementSet(self, mask)
+
 
 class ElementSet:
     """Immutable subset of a universe backed by an integer bitmask.
@@ -189,11 +194,6 @@ class ElementSet:
 
     def __repr__(self) -> str:
         return "{" + " ".join(self.labels()) + "}"
-
-
-def format_set(s: ElementSet) -> str:
-    """Canonical text rendering of a set: labels in universe order."""
-    return repr(s)
 
 
 class SetFamily:
@@ -310,16 +310,6 @@ class Covering(SetFamily):
             raise ValidationError("uncovered elements: " + " ".join(missing.labels()))
         self.dropped_duplicates = dropped_duplicates
 
-    def without_block(self, i: int) -> SetFamily:
-        """Delete block ``i``; the result may no longer cover the universe."""
-        if not 0 <= i < self.m:
-            raise ValidationError(f"no block with index {i}")
-        if self.m < 2:
-            raise ValidationError("cannot delete the only block")
-        blocks = self.blocks[:i] + self.blocks[i + 1 :]
-        names = self.names[:i] + self.names[i + 1 :]
-        return SetFamily(self.universe, blocks, names)
-
 
 class Partition(Covering):
     """Covering with pairwise disjoint blocks."""
@@ -388,22 +378,22 @@ def _parse_json_family(text: str) -> SetFamily:
         raise ParseError("'blocks' must be an array of arrays of strings")
     try:
         universe = Universe(labels)
-        built = [_build_block(universe, members, i + 1) for i, members in enumerate(blocks)]
+        built = [_build_block(universe, b, f"block {i + 1}") for i, b in enumerate(blocks)]
         return SetFamily(universe, built)
     except ValidationError as exc:
         raise ParseError(str(exc)) from None
 
 
-def _build_block(universe: Universe, tokens: Sequence[str], position: int) -> ElementSet:
+def _build_block(universe: Universe, tokens: Sequence[str], where: str) -> ElementSet:
     if not tokens:
-        raise ParseError(f"block {position} is empty")
+        raise ParseError(f"{where}: empty block")
     mask = 0
     for token in tokens:
         if token not in universe:
-            raise ParseError(f"block {position}: element {token!r} not in universe")
+            raise ParseError(f"{where}: element {token!r} not in universe")
         bit = 1 << universe.index(token)
         if mask & bit:
-            raise ParseError(f"block {position}: element {token!r} repeated")
+            raise ParseError(f"{where}: element {token!r} repeated in block")
         mask |= bit
     return ElementSet(universe, mask)
 
@@ -454,23 +444,8 @@ def parse_family(text: str) -> SetFamily:
         raise ParseError("no universe line")
     if not raw_blocks:
         raise ParseError("no block lines")
-
-    blocks: list[ElementSet] = []
-    names: list[str | None] = []
-    for lineno, name, tokens in raw_blocks:
-        if not tokens:
-            raise ParseError(f"line {lineno}: empty block")
-        mask = 0
-        for token in tokens:
-            if token not in universe:
-                raise ParseError(f"line {lineno}: element {token!r} not in universe")
-            bit = 1 << universe.index(token)
-            if mask & bit:
-                raise ParseError(f"line {lineno}: element {token!r} repeated in block")
-            mask |= bit
-        blocks.append(ElementSet(universe, mask))
-        names.append(name)
-    return SetFamily(universe, blocks, names)
+    blocks = [_build_block(universe, tokens, f"line {lineno}") for lineno, _, tokens in raw_blocks]
+    return SetFamily(universe, blocks, [name for _, name, _ in raw_blocks])
 
 
 def serialize_family(family: SetFamily) -> str:

@@ -37,9 +37,9 @@ from .generators import (
 )
 from .lattice import enumerate_lattice, is_modular_element, is_modular_pair, modular_pair_by_heights
 from .oracle import DEFAULT_BUDGET, BruteForce, OracleBudget, brute_operator_axioms
-from .relations import check_reduction_preservation, full_relation_report
+from .relations import full_relation_report
 from .transversal import TransversalMatroid, ab_decomposition
-from .universe import Covering, ElementSet, Partition, SetFamily, as_partition, is_partition
+from .universe import Covering, Partition, SetFamily, Universe, as_partition, is_partition
 
 ALL_OPERATORS = (UpperOperator.SH, UpperOperator.XH, UpperOperator.VH)
 
@@ -56,10 +56,11 @@ class CheckResult:
         return f"{status} {self.name}{suffix}"
 
 
-def _all_subsets(family: SetFamily):
-    universe = family.universe
-    for mask in range(1 << universe.n):
-        yield ElementSet(universe, mask)
+def _agree_on_subsets(name: str, universe: Universe, mine, theirs) -> CheckResult:
+    """Pass iff ``mine`` and ``theirs`` agree on every subset; a failure
+    names the first subset, in mask order, where they differ."""
+    bad = next((x for x in universe.subsets() if mine(x) != theirs(x)), None)
+    return CheckResult(name, bad is None, "" if bad is None else f"differs on {bad!r}")
 
 
 def verify_oracle_equivalence(
@@ -68,16 +69,14 @@ def verify_oracle_equivalence(
     """Independence, rank, closure and flats against the brute-force oracle."""
     oracle = BruteForce(family, budget)
     matroid = TransversalMatroid(family)
-    results = []
-    for name, mine, theirs in (
-        ("independence agrees with oracle", matroid.is_independent, oracle.independent),
-        ("rank agrees with oracle", matroid.rank, oracle.rank),
-        ("closure agrees with oracle", matroid.closure, oracle.closure),
-    ):
-        bad = next((x for x in _all_subsets(family) if mine(x) != theirs(x)), None)
-        results.append(
-            CheckResult(name, bad is None, "" if bad is None else f"differs on {bad!r}")
+    results = [
+        _agree_on_subsets(name, family.universe, mine, theirs)
+        for name, mine, theirs in (
+            ("independence agrees with oracle", matroid.is_independent, oracle.independent),
+            ("rank agrees with oracle", matroid.rank, oracle.rank),
+            ("closure agrees with oracle", matroid.closure, oracle.closure),
         )
+    ]
     lattice_flats = tuple(f.mask for f in enumerate_lattice(matroid).flats)
     oracle_flats = tuple(f.mask for f in oracle.flats())
     results.append(
@@ -175,20 +174,14 @@ def verify_induced_matroids(
         if not closure_operator_verdict(covering, kind).is_closure:
             continue
         matroid = induced_partition_matroid(covering, kind)
-        bad = None
-        for x in _all_subsets(covering):
-            definitional = all(
-                not table.apply(kind, x.without_index(e)).has_index(e)
-                for e in x.indices()
-            )
-            if definitional != matroid.is_independent(x):
-                bad = x
-                break
         results.append(
-            CheckResult(
+            _agree_on_subsets(
                 f"{kind.value} matroid matches the definitional independence",
-                bad is None,
-                "" if bad is None else f"differs on {bad!r}",
+                universe,
+                lambda x: all(
+                    not table.apply(kind, x.without_index(e)).has_index(e) for e in x.indices()
+                ),
+                matroid.is_independent,
             )
         )
         lattice = enumerate_lattice(matroid)
@@ -216,19 +209,12 @@ def verify_induced_matroids(
     if is_partition(covering):
         partition = as_partition(covering)
         matroid = induced_partition_matroid(covering, UpperOperator.SH)
-        bad = next(
-            (
-                x
-                for x in _all_subsets(covering)
-                if matroid.closure(x) != partition_upper(partition, x)
-            ),
-            None,
-        )
         results.append(
-            CheckResult(
+            _agree_on_subsets(
                 "partition matroid closure equals the upper approximation",
-                bad is None,
-                "" if bad is None else f"differs on {bad!r}",
+                universe,
+                matroid.closure,
+                lambda x: partition_upper(partition, x),
             )
         )
     return results
@@ -299,53 +285,35 @@ def verify_round_trip(family: SetFamily) -> list[CheckResult]:
     so it only applies when the family covers the universe; the flat-bound
     independence criterion holds for every matroid and is always checked.
     """
+    universe = family.universe
     matroid = TransversalMatroid(family)
     lattice = enumerate_lattice(matroid)
     results = []
     if family.covers_universe():
         system = SubmodularSystem.from_flat_lattice(lattice)
         rebuilt = matroid_from_lattice(system)
-        bad = next(
-            (
-                x
-                for x in _all_subsets(family)
-                if rebuilt.is_independent(x) != matroid.is_independent(x)
-            ),
-            None,
-        )
         name = "matroid from lattice has the original independent sets"
         if isinstance(family, Partition) or (
             isinstance(family, Covering) and is_partition(family)
         ):
             name += " (partition)"
         results.append(
-            CheckResult(name, bad is None, "" if bad is None else f"differs on {bad!r}")
-        )
-        bad = next(
-            (x for x in _all_subsets(family) if induced_rank(system, x) != matroid.rank(x)),
-            None,
+            _agree_on_subsets(name, universe, rebuilt.is_independent, matroid.is_independent)
         )
         results.append(
-            CheckResult(
+            _agree_on_subsets(
                 "induced rank equals the original rank",
-                bad is None,
-                "" if bad is None else f"differs on {bad!r}",
+                universe,
+                lambda x: induced_rank(system, x),
+                matroid.rank,
             )
         )
-    bad = next(
-        (
-            x
-            for x in _all_subsets(family)
-            if independent_iff_flat_bound(matroid, x, lattice.flats)
-            != matroid.is_independent(x)
-        ),
-        None,
-    )
     results.append(
-        CheckResult(
+        _agree_on_subsets(
             "flat bound criterion matches independence",
-            bad is None,
-            "" if bad is None else f"differs on {bad!r}",
+            universe,
+            lambda x: independent_iff_flat_bound(matroid, x, lattice.flats),
+            matroid.is_independent,
         )
     )
     return results
@@ -380,10 +348,12 @@ def verify_covering(covering: Covering, budget: OracleBudget = DEFAULT_BUDGET) -
 class CampaignResult:
     checks_run: int
     failures: list[CheckResult]
+    skipped: int
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No check failed, and at least one check ran."""
+        return self.checks_run > 0 and not self.failures
 
 
 def verify_random(
@@ -396,10 +366,12 @@ def verify_random(
     """Seeded random campaign over families, coverings and partitions.
 
     Any failing check is reported with the serialized instance so the run
-    can be replayed.
+    can be replayed.  An instance that trips a guard (typically the oracle
+    budget) is skipped and counted in ``CampaignResult.skipped``.
     """
     rng = random.Random(seed)
     checks_run = 0
+    skipped = 0
     failures: list[CheckResult] = []
 
     def run(instance: SetFamily, results: list[CheckResult]) -> None:
@@ -434,11 +406,6 @@ def verify_random(
                     else partition_with_union_block(rng, max_n)
                 )
                 run(covering, verify_covering(covering, budget))
-                run(covering, [
-                    CheckResult(f"preservation: {r.claim}", bool(r.holds), r.witness or "")
-                    for r in check_reduction_preservation(covering).records
-                    if r.applicable and r.holds is not None
-                ])
         except GuardExceeded:
-            continue
-    return CampaignResult(checks_run, failures)
+            skipped += 1
+    return CampaignResult(checks_run, failures, skipped)

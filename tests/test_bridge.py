@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 
@@ -180,4 +182,23 @@ class TestSystemValidation:
         sets = [universe.empty(), a, b, universe.full()]
         values = {0: 0, a.mask: 1, b.mask: 1, universe.full_mask: 3}
         with pytest.raises(ValidationError, match="submodular"):
+            SubmodularSystem(universe, sets, values)
+
+    def test_every_pair_is_checked_on_large_systems(self):
+        # 112 sets (6216 pairs): the empty set, all sets of one or two of 14
+        # elements, three triples, X, Y and the universe, valued 0, |S| up to
+        # 2, then 3.  X n Y is the only missing intersection, and every other
+        # pair is intersection-closed and submodular; a 4000-pair sample
+        # drawn with seed 0 misses exactly this pair.
+        universe = Universe(f"e{i}" for i in range(14))
+        values = {0: 0, universe.full_mask: 3}
+        for i in range(14):
+            values[1 << i] = 1
+        for i, j in combinations(range(14), 2):
+            values[1 << i | 1 << j] = 2
+        for labels in ("e0 e1 e3", "e0 e1 e4", "e0 e1 e5", "e0 e1 e2 e3", "e0 e1 e2 e4"):
+            values[universe.subset(labels.split()).mask] = 3
+        sets = [universe.set_from_mask(mask) for mask in values]
+        assert len(sets) == 112
+        with pytest.raises(ValidationError, match=r"\{e0 e1 e2 e3\} n \{e0 e1 e2 e4\}"):
             SubmodularSystem(universe, sets, values)

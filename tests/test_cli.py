@@ -232,6 +232,13 @@ class TestVerify:
         assert main(["verify", "--random", "24", "--seed", "42", "--max-n", "5"]) == 0
         out = capsys.readouterr().out
         assert "PASS random campaign" in out
+        assert "0 instances skipped by a guard" in out
+
+    def test_campaign_that_checked_nothing_fails(self, capsys):
+        # at seed 0 all eight instances exceed the 7-element oracle budget
+        assert main(["verify", "--random", "8", "--seed", "0", "--max-n", "30"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL random campaign: 0 checks, 0 failures, 8 instances skipped")
 
     def test_verify_without_arguments(self, capsys):
         assert main(["verify"]) == 2

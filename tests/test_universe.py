@@ -68,8 +68,14 @@ class TestParsing:
             parse_family("{not json")
         with pytest.raises(ParseError):
             parse_family(json.dumps({"universe": ["1"]}))
-        with pytest.raises(ParseError):
-            parse_family(json.dumps({"universe": ["1"], "blocks": [[]]}))
+        # block errors carry the text format's wording after a "block N" prefix
+        for blocks, message in (
+            ([[]], "block 1: empty block"),
+            ([["1"], ["2"]], "block 2: element '2' not in universe"),
+            ([["1", "1"]], "block 1: element '1' repeated in block"),
+        ):
+            with pytest.raises(ParseError, match=f"^{message}$"):
+                parse_family(json.dumps({"universe": ["1"], "blocks": blocks}))
 
     @given(families())
     def test_serialize_round_trip(self, family):

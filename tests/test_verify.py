@@ -1,0 +1,35 @@
+import random
+
+from covlat.generators import (
+    partition_with_nested_block,
+    partition_with_union_block,
+    random_covering,
+    random_family,
+    random_partition,
+)
+from covlat.relations import check_reduction_preservation
+from covlat.verify import verify_covering, verify_family, verify_random
+
+
+def test_checks_run_counts_every_suite_once():
+    # verify_random draws instance i as a family, covering, partition, then a
+    # partition with a nested (i % 8 == 3) or union block; replay its draws.
+    rng = random.Random(1)
+    instances = [
+        random_family(rng, 5, 4),
+        random_covering(rng, 5, 4),
+        random_partition(rng, 5),
+        partition_with_nested_block(rng, 5)[0],
+        random_family(rng, 5, 4),
+        random_covering(rng, 5, 4),
+        random_partition(rng, 5),
+        partition_with_union_block(rng, 5)[0],
+    ]
+    for covering in (instances[3], instances[7]):
+        assert any(r.holds is not None for r in check_reduction_preservation(covering).records)
+    expected = sum(
+        len(verify_family(x)) if i % 4 == 0 else len(verify_covering(x))
+        for i, x in enumerate(instances)
+    )
+    assert verify_random(8, 1, max_n=5, max_m=4).checks_run == expected
+

@@ -31,7 +31,6 @@ from .bridge import (
     independence_from_lattice,
     independent_iff_flat_bound,
     induced_rank,
-    matroid_from_lattice,
 )
 from .errors import (
     CovlatError,
@@ -79,7 +78,6 @@ from .universe import (
     as_partition,
     is_partition,
     parse_family,
-    serialize_family,
 )
 
 __version__ = "0.1.0"

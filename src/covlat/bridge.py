@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import InternalConsistencyError, ValidationError
 from .lattice import FlatLattice, MatroidOracle, closure_from_rank, enumerate_lattice
+from .lattice import containment_index, first_pair_violation
 from .universe import ElementSet, Universe, bits_of
 
 
@@ -40,32 +41,10 @@ class SubmodularSystem:
         self.universe = universe
         self.sets = sets
         self._values = dict(values)
-        self._validate_closure_and_submodularity()
-
-    def _validate_closure_and_submodularity(self) -> None:
-        """Check every pair.  The join of a pair is the first member, in
-        size order, containing its union: the lowest set bit of the AND of
-        the per-element bitsets of the members containing each element."""
-        masks = {s.mask for s in self.sets}
-        f = self._values
-        containing = [0] * self.universe.n
-        for k, s in enumerate(self.sets):
-            for e in bits_of(s.mask):
-                containing[e] |= 1 << k
-        for i, x in enumerate(self.sets):
-            above_x = (1 << len(self.sets)) - 1
-            for e in bits_of(x.mask):
-                above_x &= containing[e]
-            for y in self.sets[i + 1 :]:
-                meet = x.mask & y.mask
-                if meet not in masks:
-                    raise ValidationError(f"not intersection-closed: {x!r} n {y!r} missing")
-                above = above_x
-                for e in bits_of(y.mask & ~x.mask):
-                    above &= containing[e]
-                join = self.sets[(above & -above).bit_length() - 1].mask
-                if f[join] + f[meet] > f[x.mask] + f[y.mask]:
-                    raise ValidationError(f"not submodular on ({x!r}, {y!r})")
+        weights = [values[s.mask] for s in sets]
+        violation = first_pair_violation(sets, weights, containment_index(universe.n, sets))
+        if violation is not None:
+            raise ValidationError(violation)
 
     def f(self, member: ElementSet) -> int:
         try:
@@ -113,10 +92,6 @@ class LatticeInducedMatroid:
 
     def closure(self, x: ElementSet) -> ElementSet:
         return closure_from_rank(self, x)
-
-
-def matroid_from_lattice(system: SubmodularSystem) -> LatticeInducedMatroid:
-    return LatticeInducedMatroid(system)
 
 
 def induced_rank(system: SubmodularSystem, x: ElementSet) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, Sequence
 
 from .errors import (
     GuardExceeded,
@@ -58,6 +58,46 @@ def closure_from_rank(matroid: MatroidOracle, x: ElementSet) -> ElementSet:
     return ElementSet(matroid.universe, mask)
 
 
+def containment_index(n: int, sets: Sequence[ElementSet]) -> list[int]:
+    """One bitset per element e < n: bit k is set iff ``sets[k]`` contains e."""
+    index = [0] * n
+    for k, s in enumerate(sets):
+        for e in bits_of(s.mask):
+            index[e] |= 1 << k
+    return index
+
+
+def positions_over(index: Sequence[int], mask: int, within: int) -> int:
+    """The positions in ``within`` whose sets contain every element of ``mask``."""
+    for e in bits_of(mask):
+        within &= index[e]
+    return within
+
+
+def first_pair_violation(
+    sets: Sequence[ElementSet], weights: Sequence[int], index: Sequence[int]
+) -> str | None:
+    """The first pair whose meet is not a member or that breaks submodularity,
+    f(x v y) + f(x ^ y) <= f(x) + f(y); None if there is none.  ``sets`` is in
+    size order with a last member over all others, and ``index`` is its
+    ``containment_index``: the join is the lowest position over the union."""
+    masks = [s.mask for s in sets]
+    position = {mask: k for k, mask in enumerate(masks)}
+    everything = (1 << len(masks)) - 1
+    for i, x in enumerate(masks):
+        above_x = positions_over(index, x, everything)
+        for j in range(i + 1, len(masks)):
+            y = masks[j]
+            meet = position.get(x & y)
+            if meet is None:
+                return f"not intersection-closed: {sets[i]!r} n {sets[j]!r} missing"
+            above = positions_over(index, y & ~x, above_x)
+            join = (above & -above).bit_length() - 1
+            if weights[join] + weights[meet] > weights[i] + weights[j]:
+                return f"not submodular on ({sets[i]!r}, {sets[j]!r})"
+    return None
+
+
 @dataclass(frozen=True)
 class GeometricityCheck:
     ok: bool
@@ -69,7 +109,10 @@ class FlatLattice:
 
     Flats are stored in canonical order (cardinality, then index sequence);
     heights are longest-chain distances from the bottom computed from the
-    stored Hasse edges.  Instances are immutable after construction.
+    stored Hasse edges.  Joins come from a ``containment_index`` built once:
+    the flats over a union are the AND of its elements' bitsets, and the
+    join is the lowest of them, the first flat in size order.  Instances are
+    immutable after construction.
     """
 
     def __init__(self, flats: list[ElementSet], edges: list[tuple[int, int]]):
@@ -92,17 +135,18 @@ class FlatLattice:
             edge_set.add((lo, up))
         self.hasse_edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
         self._edge_set = edge_set
+        self._containing = containment_index(universe.n, self.flats)
+        self._everything = (1 << len(self.flats)) - 1
         self.heights: tuple[int, ...] = self._longest_chain_heights()
         self.bottom = self.flats[0]
         self.top = self.flats[-1]
-        if any(not self.bottom <= f for f in self.flats) or any(
-            not f <= self.top for f in self.flats
-        ):
+        if not all(self.bottom <= f <= self.top for f in self.flats):
             raise ValidationError("lattice lacks a unique bottom or top flat")
 
     def _longest_chain_heights(self) -> tuple[int, ...]:
         heights = [0] * len(self.flats)
-        for lower, upper in sorted(self.hasse_edges, key=lambda e: self.flats[e[0]].sort_key()):
+        # edges point to later flats, so lower-index order is topological
+        for lower, upper in self.hasse_edges:
             if heights[upper] < heights[lower] + 1:
                 heights[upper] = heights[lower] + 1
         return tuple(heights)
@@ -115,9 +159,6 @@ class FlatLattice:
             return self._index[flat.mask]
         except KeyError:
             raise NotAFlatError(f"{flat!r} is not a flat of this lattice") from None
-
-    def is_flat(self, candidate: ElementSet) -> bool:
-        return candidate.mask in self._index
 
     def height_of(self, flat: ElementSet) -> int:
         return self.heights[self.index_of(flat)]
@@ -138,15 +179,12 @@ class FlatLattice:
         return self._smallest_flat_over(x.mask | y.mask)
 
     def _smallest_flat_over(self, mask: int) -> ElementSet:
-        found: ElementSet | None = None
-        for flat in self.flats:
-            if mask & ~flat.mask == 0:
-                if found is None:
-                    found = flat
-                elif not found <= flat:
-                    raise InternalConsistencyError("join is not unique; lattice corrupt")
-        if found is None:
+        over = positions_over(self._containing, mask, self._everything)
+        if not over:
             raise InternalConsistencyError("no flat contains the union; lattice corrupt")
+        found = self.flats[(over & -over).bit_length() - 1]
+        if positions_over(self._containing, found.mask & ~mask, over) != over:
+            raise InternalConsistencyError("join is not unique; lattice corrupt")
         return found
 
     def atoms(self) -> tuple[ElementSet, ...]:
@@ -166,13 +204,13 @@ class FlatLattice:
 
     def _true_covers(self) -> set[tuple[int, int]]:
         """Cover pairs recomputed from inclusion alone (ignoring stored edges)."""
+        masks = [f.mask for f in self.flats]
         pairs: set[tuple[int, int]] = set()
-        for i, flat in enumerate(self.flats):
+        for i, mask in enumerate(masks):
+            above = positions_over(self._containing, mask, self._everything) & ~(1 << i)
             kept: list[int] = []
-            for j, other in enumerate(self.flats):
-                if other.mask != flat.mask and flat < other:
-                    if any(self.flats[k] < other for k in kept):
-                        continue
+            for j in bits_of(above):
+                if all(masks[k] & ~masks[j] for k in kept):
                     kept.append(j)
             pairs.update((i, j) for j in kept)
         return pairs
@@ -182,12 +220,12 @@ class FlatLattice:
 
         The stored Hasse edges are first checked against the cover relation
         recomputed from inclusion, so a corrupted diagram is reported rather
-        than silently graded.
+        than silently graded.  All pairs then go through ``first_pair_violation``
+        weighted by height, with joins from the containment index.
         """
         true_covers = self._true_covers()
-        stored = set(self.hasse_edges)
-        if stored != true_covers:
-            delta = stored.symmetric_difference(true_covers)
+        if self._edge_set != true_covers:
+            delta = self._edge_set.symmetric_difference(true_covers)
             lower, upper = sorted(delta)[0]
             return GeometricityCheck(
                 False,
@@ -201,23 +239,9 @@ class FlatLattice:
                     f"chain condition fails on cover {self.flats[lower]!r} -> "
                     f"{self.flats[upper]!r}",
                 )
-        for i, x in enumerate(self.flats):
-            for y in self.flats[i:]:
-                meet_mask = x.mask & y.mask
-                if meet_mask not in self._index:
-                    return GeometricityCheck(
-                        False, f"meet of {x!r} and {y!r} is not a flat"
-                    )
-                try:
-                    join = self._smallest_flat_over(x.mask | y.mask)
-                except InternalConsistencyError as exc:
-                    return GeometricityCheck(False, str(exc))
-                lhs = self.height_of(x) + self.height_of(y)
-                rhs = self.heights[self._index[join.mask]] + self.heights[self._index[meet_mask]]
-                if lhs < rhs:
-                    return GeometricityCheck(
-                        False, f"semimodular inequality fails on ({x!r}, {y!r})"
-                    )
+        violation = first_pair_violation(self.flats, self.heights, self._containing)
+        if violation is not None:
+            return GeometricityCheck(False, violation)
         atom_masks = [a.mask for a in self.atoms()]
         for flat in self.flats:
             below = 0

@@ -446,7 +446,3 @@ def parse_family(text: str) -> SetFamily:
         raise ParseError("no block lines")
     blocks = [_build_block(universe, tokens, f"line {lineno}") for lineno, _, tokens in raw_blocks]
     return SetFamily(universe, blocks, [name for _, name, _ in raw_blocks])
-
-
-def serialize_family(family: SetFamily) -> str:
-    return family.serialize()

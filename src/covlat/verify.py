@@ -22,10 +22,10 @@ from .approximation import (
     tra_condition,
 )
 from .bridge import (
+    LatticeInducedMatroid,
     SubmodularSystem,
     independent_iff_flat_bound,
     induced_rank,
-    matroid_from_lattice,
 )
 from .errors import GuardExceeded
 from .generators import (
@@ -37,7 +37,7 @@ from .generators import (
 )
 from .lattice import enumerate_lattice, is_modular_element, is_modular_pair, modular_pair_by_heights
 from .oracle import DEFAULT_BUDGET, BruteForce, OracleBudget, brute_operator_axioms
-from .relations import full_relation_report
+from .relations import ENUM_GUARD_N, full_relation_report
 from .transversal import TransversalMatroid, ab_decomposition
 from .universe import Covering, Partition, SetFamily, Universe, as_partition, is_partition
 
@@ -58,7 +58,12 @@ class CheckResult:
 
 def _agree_on_subsets(name: str, universe: Universe, mine, theirs) -> CheckResult:
     """Pass iff ``mine`` and ``theirs`` agree on every subset; a failure
-    names the first subset, in mask order, where they differ."""
+    names the first subset, in mask order, where they differ.  Universes over
+    the enumeration guard are refused before the 2^n sweep."""
+    if universe.n > ENUM_GUARD_N:
+        raise GuardExceeded(
+            f"{name}: universe size {universe.n} exceeds enumeration guard {ENUM_GUARD_N}"
+        )
     bad = next((x for x in universe.subsets() if mine(x) != theirs(x)), None)
     return CheckResult(name, bad is None, "" if bad is None else f"differs on {bad!r}")
 
@@ -291,7 +296,7 @@ def verify_round_trip(family: SetFamily) -> list[CheckResult]:
     results = []
     if family.covers_universe():
         system = SubmodularSystem.from_flat_lattice(lattice)
-        rebuilt = matroid_from_lattice(system)
+        rebuilt = LatticeInducedMatroid(system)
         name = "matroid from lattice has the original independent sets"
         if isinstance(family, Partition) or (
             isinstance(family, Covering) and is_partition(family)

@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 
 from covlat import (
+    LatticeInducedMatroid,
     SubmodularSystem,
     TransversalMatroid,
     UpperOperator,
@@ -22,7 +23,6 @@ from covlat import (
     is_closure_operator,
     is_modular_element,
     is_modular_pair,
-    matroid_from_lattice,
     modular_pair_by_heights,
     neighborhood_table,
     tra_condition,
@@ -225,7 +225,7 @@ def test_criterion_09_lattice_matroid_round_trip():
         for covering in instances:
             matroid = TransversalMatroid(covering)
             system = SubmodularSystem.from_flat_lattice(enumerate_lattice(matroid))
-            rebuilt = matroid_from_lattice(system)
+            rebuilt = LatticeInducedMatroid(system)
             for x in subsets(covering.universe):
                 assert rebuilt.is_independent(x) == matroid.is_independent(x)
                 assert induced_rank(system, x) == matroid.rank(x)

@@ -5,6 +5,7 @@ from hypothesis import given
 
 from covlat import (
     BruteForce,
+    LatticeInducedMatroid,
     SubmodularSystem,
     TransversalMatroid,
     Universe,
@@ -15,7 +16,6 @@ from covlat import (
     independent_iff_flat_bound,
     induced_rank,
     is_partition,
-    matroid_from_lattice,
 )
 from conftest import subsets
 from strategies import coverings, partitions
@@ -48,7 +48,7 @@ class TestIndependencePredicate:
 class TestMatroidFromLattice:
     def test_mixed5_round_trip(self, mixed5, mixed5_system):
         matroid = TransversalMatroid(mixed5)
-        rebuilt = matroid_from_lattice(mixed5_system)
+        rebuilt = LatticeInducedMatroid(mixed5_system)
         for x in subsets(mixed5.universe):
             assert rebuilt.is_independent(x) == matroid.is_independent(x)
             assert rebuilt.rank(x) == matroid.rank(x)
@@ -58,7 +58,7 @@ class TestMatroidFromLattice:
     def test_partition_round_trip(self, partition):
         matroid = TransversalMatroid(partition)
         system = SubmodularSystem.from_flat_lattice(enumerate_lattice(matroid))
-        rebuilt = matroid_from_lattice(system)
+        rebuilt = LatticeInducedMatroid(system)
         for x in subsets(partition.universe):
             assert rebuilt.is_independent(x) == matroid.is_independent(x)
 
@@ -69,7 +69,7 @@ class TestMatroidFromLattice:
             [universe.empty(), universe.full()],
             {0: 0, universe.full_mask: 1},
         )
-        matroid = matroid_from_lattice(system)
+        matroid = LatticeInducedMatroid(system)
         assert matroid.is_independent(universe.full())
         assert matroid.rank(universe.full()) == 1
 
@@ -78,7 +78,7 @@ class TestMatroidFromLattice:
         system = SubmodularSystem.from_flat_lattice(
             enumerate_lattice(TransversalMatroid(covering))
         )
-        matroid = matroid_from_lattice(system)
+        matroid = LatticeInducedMatroid(system)
         universe = covering.universe
         assert matroid.is_independent(universe.empty())
         independents = [x for x in subsets(universe) if matroid.is_independent(x)]

@@ -222,6 +222,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS matroid from lattice has the original independent sets" in out
 
+    def test_round_trip_over_the_sweep_guard_exits_one(self, tmp_path, capsys):
+        labels = " ".join(f"e{i}" for i in range(15))
+        path = tmp_path / "wide.cov"
+        path.write_text(f"universe: {labels}\nblock: {labels}\n")
+        assert main(["verify", str(path), "--round-trip"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds enumeration guard 14" in captured.err
+
     def test_full_file_suite(self, mixed5_file, capsys):
         assert main(["verify", mixed5_file]) == 0
         out = capsys.readouterr().out

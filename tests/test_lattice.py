@@ -4,9 +4,11 @@ from hypothesis import given
 from covlat import (
     BruteForce,
     FlatLattice,
+    InternalConsistencyError,
     NotAFlatError,
     PartitionMatroid,
     TransversalMatroid,
+    Universe,
     UpperOperator,
     ab_decomposition,
     enumerate_lattice,
@@ -144,6 +146,14 @@ class TestOrderStructure:
                 )
                 assert lattice.covers(single, pair) == (not shared)
 
+    @given(families(max_n=5, max_m=5))
+    def test_join_is_the_closure_of_the_union(self, family):
+        matroid = TransversalMatroid(family)
+        lattice = enumerate_lattice(matroid)
+        for x in lattice.flats:
+            for y in lattice.flats:
+                assert lattice.join(x, y) == matroid.closure(x | y)
+
     @given(coverings(max_n=5))
     def test_absorption_laws(self, covering):
         lattice = enumerate_lattice(TransversalMatroid(covering))
@@ -171,6 +181,19 @@ class TestGeometricity:
         assert not check.ok
         assert check.violation
         assert removed not in set(broken.hasse_edges)
+
+    def test_family_without_meets_is_caught(self):
+        # {a b c} n {b c d} = {b c} is missing, so {b} and {c} have two
+        # minimal upper bounds; the stored edges are its true covers.
+        universe = Universe(("a", "b", "c", "d"))
+        flats = [universe.subset(f.split()) for f in ("", "b", "c", "a b c", "b c d", "a b c d")]
+        edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+        lattice = FlatLattice(flats, edges)
+        with pytest.raises(InternalConsistencyError, match="not unique"):
+            lattice.join(flats[1], flats[2])
+        check = lattice.is_geometric()
+        assert not check.ok
+        assert "intersection-closed" in check.violation
 
     @given(families(max_n=5, max_m=5))
     def test_every_matroid_lattice_is_geometric(self, family):

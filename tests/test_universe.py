@@ -15,7 +15,6 @@ from covlat import (
     as_partition,
     is_partition,
     parse_family,
-    serialize_family,
 )
 from conftest import FAMILY4, MIXED5, cov, fam
 from strategies import coverings, families
@@ -79,7 +78,7 @@ class TestParsing:
 
     @given(families())
     def test_serialize_round_trip(self, family):
-        assert parse_family(serialize_family(family)) == family
+        assert parse_family(family.serialize()) == family
 
 
 class TestCovering:

@@ -211,6 +211,15 @@ class ClosureVerdict:
     classes: tuple[ElementSet, ...] | None
     witness: AxiomWitness | None
 
+    def partition_matroid(self, universe: Universe) -> "PartitionMatroid":
+        """The partition matroid of the classes; ``CriterionNotSatisfied``
+        carries the axiom violation when there are none."""
+        if self.classes is None:
+            raise CriterionNotSatisfied(
+                f"{self.operator.value} is not a closure operator here: {self.witness}"
+            )
+        return PartitionMatroid(universe, self.classes)
+
 
 def _masks_by_size(universe: Universe, max_size: int) -> Iterator[int]:
     for size in range(0, max_size + 1):
@@ -349,10 +358,4 @@ def induced_partition_matroid(covering: Covering, kind: UpperOperator) -> Partit
     Only defined when the operator is a matroidal closure operator; otherwise
     ``CriterionNotSatisfied`` carries the axiom violation.
     """
-    verdict = closure_operator_verdict(covering, kind)
-    if not verdict.is_closure:
-        raise CriterionNotSatisfied(
-            f"{kind.value} is not a closure operator here: {verdict.witness}"
-        )
-    assert verdict.classes is not None
-    return PartitionMatroid(covering.universe, verdict.classes)
+    return closure_operator_verdict(covering, kind).partition_matroid(covering.universe)

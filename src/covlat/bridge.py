@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InternalConsistencyError, ValidationError
-from .lattice import FlatLattice, MatroidOracle, closure_from_rank, enumerate_lattice
+from .lattice import FlatLattice, MatroidOracle, closure_from_rank
 from .lattice import containment_index, first_pair_violation
 from .universe import ElementSet, Universe, bits_of
 
@@ -109,11 +109,7 @@ def induced_rank(system: SubmodularSystem, x: ElementSet) -> int:
 
 
 def independent_iff_flat_bound(
-    matroid: MatroidOracle,
-    x: ElementSet,
-    flats: Sequence[ElementSet] | None = None,
+    matroid: MatroidOracle, x: ElementSet, flats: Sequence[ElementSet]
 ) -> bool:
     """Independence via the flat bound: rank(Y) >= |x n Y| for every flat Y."""
-    if flats is None:
-        flats = enumerate_lattice(matroid).flats
     return all(matroid.rank(y) >= (x.mask & y.mask).bit_count() for y in flats)

@@ -23,12 +23,11 @@ from .approximation import (
 )
 from .errors import CovlatError, CriterionNotSatisfied, GuardExceeded, ParseError, ValidationError
 from .lattice import enumerate_lattice
-from .oracle import DEFAULT_BUDGET
 from .reduction import exclusion, reduct, reduction_report
 from .relations import full_relation_report
 from .transversal import TransversalMatroid, ab_decomposition
 from .universe import Covering, SetFamily, as_covering, is_partition, parse_family
-from .verify import verify_covering, verify_family, verify_random, verify_round_trip
+from .verify import verify_covering, verify_family, verify_family_round_trip, verify_random
 
 INPUT_ERROR = 2
 CHECK_FAILED = 1
@@ -319,11 +318,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValidationError("verify needs a covering file or --random")
     family = _read_family(args.file)
     if args.round_trip:
-        results = verify_round_trip(family)
+        results = verify_family_round_trip(family)
     elif isinstance(family, Covering) or family.covers_universe():
-        results = verify_covering(as_covering(family), DEFAULT_BUDGET)
+        results = verify_covering(as_covering(family))
     else:
-        results = verify_family(family, DEFAULT_BUDGET)
+        results = verify_family(family)
     for result in results:
         print(result.line())
     return 0 if all(r.passed for r in results) else CHECK_FAILED

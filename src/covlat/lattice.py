@@ -68,9 +68,12 @@ def containment_index(n: int, sets: Sequence[ElementSet]) -> list[int]:
 
 
 def positions_over(index: Sequence[int], mask: int, within: int) -> int:
-    """The positions in ``within`` whose sets contain every element of ``mask``."""
-    for e in bits_of(mask):
-        within &= index[e]
+    """The positions in ``within`` whose sets contain every element of ``mask``.
+    The lowest-bit loop is inlined: this runs inside the all-pairs scan."""
+    while mask:
+        low = mask & -mask
+        within &= index[low.bit_length() - 1]
+        mask ^= low
     return within
 
 

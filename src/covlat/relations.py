@@ -12,10 +12,9 @@ the larger structure, so the larger lattice is never enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .approximation import (
-    PartitionMatroid,
     UpperOperator,
     closure_operator_verdict,
     induced_partition_matroid,
@@ -39,14 +38,7 @@ class ClaimRecord:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "applicable": self.applicable,
-            "precondition": self.precondition,
-            "holds": self.holds,
-            "witness": self.witness,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -56,8 +48,14 @@ class RelationReport:
     def add(self, record: ClaimRecord) -> None:
         self.records.append(record)
 
-    def skipped(self, claim: str, precondition: str) -> None:
-        self.add(ClaimRecord(claim, applicable=False, precondition=precondition))
+    def skipped(self, precondition: str | None, *claims: str) -> bool:
+        """Record every claim as inapplicable if a precondition failed, and
+        say whether one did."""
+        if precondition is None:
+            return False
+        for claim in claims:
+            self.add(ClaimRecord(claim, applicable=False, precondition=precondition))
+        return True
 
     def verdict(self, claim: str, holds: bool, witness: str | None = None, note: str | None = None) -> None:
         self.add(ClaimRecord(claim, applicable=True, holds=holds, witness=witness, note=note))
@@ -75,110 +73,118 @@ class RelationReport:
         return {"claims": [r.to_dict() for r in self.records]}
 
 
-def _subset_containment(universe: Universe, smaller, larger) -> tuple[bool, str | None]:
-    for x in universe.subsets():
-        if smaller(x) and not larger(x):
-            return False, f"{x!r} separates the families"
-    return True, None
+def _guard_note(universe: Universe) -> str | None:
+    """Why the subset sweeps are skipped, or None within the guard."""
+    if universe.n <= ENUM_GUARD_N:
+        return None
+    return f"universe size {universe.n} exceeds enumeration guard {ENUM_GUARD_N}"
 
 
-def _flats_closed_in(flats, closure) -> tuple[bool, str | None]:
-    for flat in flats:
-        if closure(flat) != flat:
-            return False, f"{flat!r} is not closed in the larger structure"
-    return True, None
+def _record_within(
+    report: RelationReport,
+    claims: tuple[str, str],
+    smaller,
+    smaller_flats,
+    larger,
+    note: str | None = None,
+) -> None:
+    """Record the claim pair: the smaller structure's independent sets lie
+    within the larger's, and its flats are closed in the larger."""
+    independents_claim, flats_claim = claims
+    witness = next(
+        (
+            f"{x!r} separates the families"
+            for x in smaller.universe.subsets()
+            if smaller.is_independent(x) and not larger.is_independent(x)
+        ),
+        None,
+    )
+    report.verdict(independents_claim, witness is None, witness, note)
+    witness = next(
+        (
+            f"{flat!r} is not closed in the larger structure"
+            for flat in smaller_flats
+            if larger.closure(flat) != flat
+        ),
+        None,
+    )
+    report.verdict(flats_claim, witness is None, witness, note)
 
 
-def check_containments(covering: Covering, guard_n: int = ENUM_GUARD_N) -> RelationReport:
+def check_containments(covering: Covering) -> RelationReport:
     """Containments and equalities between the four induced structures."""
     report = RelationReport()
     universe = covering.universe
-    n = universe.n
     transversal = TransversalMatroid(covering)
     sh_verdict = closure_operator_verdict(covering, UpperOperator.SH)
     xh_verdict = closure_operator_verdict(covering, UpperOperator.XH)
     table = neighborhood_table(covering)
-    guard_note = f"universe size {n} exceeds enumeration guard {guard_n}"
-    sh_gate = "block-union operator is a closure operator"
-    xh_gate = "neighborhood-hit operator is a closure operator"
+    guard_note = _guard_note(universe)
+    sh_gate = None if sh_verdict.is_closure else "block-union operator is a closure operator"
+    xh_gate = None if xh_verdict.is_closure else "neighborhood-hit operator is a closure operator"
+    if sh_verdict.is_closure and guard_note is None:
+        sh_matroid = sh_verdict.partition_matroid(universe)
+        sh_flats = enumerate_lattice(sh_matroid).flats
+    if xh_verdict.is_closure:
+        xh_matroid = xh_verdict.partition_matroid(universe)
 
-    if not sh_verdict.is_closure:
-        report.skipped("sh-independents-within-transversal", sh_gate)
-        report.skipped("sh-flats-within-transversal-flats", sh_gate)
-        report.skipped("indiscernible-neighborhoods-are-transversal-flats", sh_gate)
-    elif n > guard_n:
-        report.skipped("sh-independents-within-transversal", guard_note)
-        report.skipped("sh-flats-within-transversal-flats", guard_note)
-        report.skipped("indiscernible-neighborhoods-are-transversal-flats", guard_note)
-    else:
-        sh_matroid = induced_partition_matroid(covering, UpperOperator.SH)
-        holds, witness = _subset_containment(
-            universe, sh_matroid.is_independent, transversal.is_independent
+    if not report.skipped(
+        sh_gate or guard_note,
+        "sh-independents-within-transversal",
+        "sh-flats-within-transversal-flats",
+        "indiscernible-neighborhoods-are-transversal-flats",
+    ):
+        _record_within(
+            report,
+            ("sh-independents-within-transversal", "sh-flats-within-transversal-flats"),
+            sh_matroid,
+            sh_flats,
+            transversal,
         )
-        report.verdict("sh-independents-within-transversal", holds, witness)
-        sh_lattice = enumerate_lattice(sh_matroid)
-        holds, witness = _flats_closed_in(sh_lattice.flats, transversal.closure)
-        report.verdict("sh-flats-within-transversal-flats", holds, witness)
-        bad = [
-            i
-            for i in range(n)
-            if transversal.closure(table.indiscernible[i]) != table.indiscernible[i]
-        ]
+        bad = next(
+            (e for e, hood in enumerate(table.indiscernible) if transversal.closure(hood) != hood),
+            None,
+        )
         report.verdict(
             "indiscernible-neighborhoods-are-transversal-flats",
-            not bad,
-            None if not bad else f"I({universe.labels[bad[0]]}) is not a flat",
+            bad is None,
+            None if bad is None else f"I({universe.labels[bad]}) is not a flat",
         )
 
-    if not xh_verdict.is_closure:
-        report.skipped("xh-vh-operators-coincide", xh_gate)
-    elif n > guard_n:
-        report.skipped("xh-vh-operators-coincide", guard_note)
-    else:
-        witness = None
-        for x in universe.subsets():
-            if table.xh(x) != table.vh(x):
-                witness = f"operators differ on {x!r}"
-                break
+    if not report.skipped(xh_gate or guard_note, "xh-vh-operators-coincide"):
+        differ = next((x for x in universe.subsets() if table.xh(x) != table.vh(x)), None)
+        witness = None if differ is None else f"operators differ on {differ!r}"
         report.verdict("xh-vh-operators-coincide", witness is None, witness)
 
-    if not (sh_verdict.is_closure and xh_verdict.is_closure):
-        gate = "both block-union and neighborhood-hit operators are closure operators"
-        report.skipped("sh-independents-within-xh", gate)
-        report.skipped("sh-flats-within-xh-flats", gate)
-    elif n > guard_n:
-        report.skipped("sh-independents-within-xh", guard_note)
-        report.skipped("sh-flats-within-xh-flats", guard_note)
-    else:
-        sh_matroid = induced_partition_matroid(covering, UpperOperator.SH)
-        xh_matroid = induced_partition_matroid(covering, UpperOperator.XH)
-        holds, witness = _subset_containment(
-            universe, sh_matroid.is_independent, xh_matroid.is_independent
+    both_gate = None
+    if sh_gate or xh_gate:
+        both_gate = "both block-union and neighborhood-hit operators are closure operators"
+    if not report.skipped(
+        both_gate or guard_note, "sh-independents-within-xh", "sh-flats-within-xh-flats"
+    ):
+        _record_within(
+            report,
+            ("sh-independents-within-xh", "sh-flats-within-xh-flats"),
+            sh_matroid,
+            sh_flats,
+            xh_matroid,
         )
-        report.verdict("sh-independents-within-xh", holds, witness)
-        sh_lattice = enumerate_lattice(sh_matroid)
-        holds, witness = _flats_closed_in(sh_lattice.flats, xh_matroid.closure)
-        report.verdict("sh-flats-within-xh-flats", holds, witness)
 
-    if not is_partition(covering):
-        report.skipped("partition-structures-coincide", "covering is not a partition")
-    elif n > guard_n:
-        report.skipped("partition-structures-coincide", guard_note)
-    else:
-        matroids: list = [transversal]
-        matroids += [
-            induced_partition_matroid(covering, kind)
-            for kind in (UpperOperator.SH, UpperOperator.XH, UpperOperator.VH)
-        ]
-        witness = None
-        for x in universe.subsets():
-            verdicts = {m.is_independent(x) for m in matroids}
-            if len(verdicts) > 1:
-                witness = f"families disagree on {x!r}"
-                break
+    partition_gate = None if is_partition(covering) else "covering is not a partition"
+    if not report.skipped(partition_gate or guard_note, "partition-structures-coincide"):
+        # on a partition every singleton image is the block of its element,
+        # so all three operators are closure operators
+        vh_matroid = induced_partition_matroid(covering, UpperOperator.VH)
+        matroids = (transversal, sh_matroid, xh_matroid, vh_matroid)
+        differ = next(
+            (x for x in universe.subsets() if len({m.is_independent(x) for m in matroids}) > 1),
+            None,
+        )
+        witness = None if differ is None else f"families disagree on {differ!r}"
         if witness is None:
-            flat_sets = {
-                tuple(f.mask for f in enumerate_lattice(m).flats) for m in matroids
+            flat_sets = {tuple(f.mask for f in sh_flats)} | {
+                tuple(f.mask for f in enumerate_lattice(m).flats)
+                for m in (transversal, xh_matroid, vh_matroid)
             }
             if len(flat_sets) > 1:
                 witness = "flat lattices differ"
@@ -187,17 +193,12 @@ def check_containments(covering: Covering, guard_n: int = ENUM_GUARD_N) -> Relat
     return report
 
 
-def check_deletion_monotonicity(
-    family: SetFamily, block_index: int, guard_n: int = ENUM_GUARD_N
-) -> RelationReport:
+def check_deletion_monotonicity(family: SetFamily, block_index: int) -> RelationReport:
     """Deleting any block shrinks the independence family and the flat set."""
     report = RelationReport()
-    if family.m < 2:
-        report.skipped("deletion-shrinks-independents", "family has fewer than two blocks")
-        report.skipped("deletion-shrinks-flats", "family has fewer than two blocks")
+    claims = ("deletion-shrinks-independents", "deletion-shrinks-flats")
+    if report.skipped("family has fewer than two blocks" if family.m < 2 else None, *claims):
         return report
-    universe = family.universe
-    n = universe.n
     note = None
     if isinstance(family, Covering):
         tags = []
@@ -209,45 +210,24 @@ def check_deletion_monotonicity(
             note = f"block {family.block_name(block_index)} is {' and '.join(tags)}"
     whole = TransversalMatroid(family)
     smaller = TransversalMatroid(family.without_block(block_index))
-    if n > guard_n:
-        guard_note = f"universe size {n} exceeds enumeration guard {guard_n}"
-        report.skipped("deletion-shrinks-independents", guard_note)
-        report.skipped("deletion-shrinks-flats", guard_note)
-        return report
-    holds, witness = _subset_containment(universe, smaller.is_independent, whole.is_independent)
-    report.verdict("deletion-shrinks-independents", holds, witness, note)
-    holds, witness = _flats_closed_in(enumerate_lattice(smaller).flats, whole.closure)
-    report.verdict("deletion-shrinks-flats", holds, witness, note)
+    if not report.skipped(_guard_note(family.universe), *claims):
+        flats = enumerate_lattice(smaller).flats
+        _record_within(report, claims, smaller, flats, whole, note)
     return report
 
 
-def check_reduct_exclusion_containments(
-    covering: Covering, guard_n: int = ENUM_GUARD_N
-) -> RelationReport:
+def check_reduct_exclusion_containments(covering: Covering) -> RelationReport:
     """Reducts and exclusions only shrink the structures of the original."""
     report = RelationReport()
-    universe = covering.universe
-    n = universe.n
-    if n > guard_n:
-        guard_note = f"universe size {n} exceeds enumeration guard {guard_n}"
-        for mode in ("reduct", "exclusion"):
-            report.skipped(f"{mode}-independents-within-original", guard_note)
-            report.skipped(f"{mode}-flats-within-original", guard_note)
-        return report
+    guard_note = _guard_note(covering.universe)
     whole = TransversalMatroid(covering)
-    for mode, reduced in (("reduct", reduct(covering)), ("exclusion", exclusion(covering))):
-        smaller = TransversalMatroid(reduced)
-        holds, witness = _subset_containment(
-            universe, smaller.is_independent, whole.is_independent
-        )
-        report.verdict(f"{mode}-independents-within-original", holds, witness)
-        holds, witness = _flats_closed_in(enumerate_lattice(smaller).flats, whole.closure)
-        report.verdict(f"{mode}-flats-within-original", holds, witness)
+    for mode, reduce in (("reduct", reduct), ("exclusion", exclusion)):
+        claims = (f"{mode}-independents-within-original", f"{mode}-flats-within-original")
+        if not report.skipped(guard_note, *claims):
+            smaller = TransversalMatroid(reduce(covering))
+            flats = enumerate_lattice(smaller).flats
+            _record_within(report, claims, smaller, flats, whole)
     return report
-
-
-def _classes_equal(a: PartitionMatroid, b: PartitionMatroid) -> bool:
-    return {c.mask for c in a.classes} == {c.mask for c in b.classes}
 
 
 def check_reduction_preservation(covering: Covering) -> RelationReport:
@@ -275,12 +255,11 @@ def check_reduction_preservation(covering: Covering) -> RelationReport:
     for kind, (tag, indices) in preserved.items():
         claim = f"{kind.value}-closure-survives-{tag}-removal"
         if not verdicts[kind].is_closure:
-            report.skipped(claim, f"{kind.value} is not a closure operator on the covering")
+            report.skipped(f"{kind.value} is not a closure operator on the covering", claim)
             continue
         if not indices:
-            report.skipped(claim, f"covering has no {tag} block")
+            report.skipped(f"covering has no {tag} block", claim)
             continue
-        original = induced_partition_matroid(covering, kind)
         for i in indices:
             shrunk = as_covering(covering.without_block(i))
             name = covering.block_name(i)
@@ -290,7 +269,8 @@ def check_reduction_preservation(covering: Covering) -> RelationReport:
                     claim, False, f"{kind.value} stops being a closure operator without {name}"
                 )
                 continue
-            unchanged = _classes_equal(original, induced_partition_matroid(shrunk, kind))
+            # the classes determine the partition matroid and its lattice
+            unchanged = after.classes == verdicts[kind].classes
             report.verdict(
                 claim,
                 unchanged,
@@ -318,23 +298,13 @@ def check_reduction_preservation(covering: Covering) -> RelationReport:
     return report
 
 
-def full_relation_report(covering: Covering, guard_n: int = ENUM_GUARD_N) -> RelationReport:
+def full_relation_report(covering: Covering) -> RelationReport:
     """Everything: containments, per-block deletion, reducts, preservation."""
-    report = check_containments(covering, guard_n)
-    for i in range(covering.m):
-        if covering.m < 2:
-            break
-        block_report = check_deletion_monotonicity(covering, i, guard_n)
-        for record in block_report.records:
-            tagged = ClaimRecord(
-                f"{record.claim}[{covering.block_name(i)}]",
-                record.applicable,
-                record.precondition,
-                record.holds,
-                record.witness,
-                record.note,
-            )
-            report.add(tagged)
-    report.extend(check_reduct_exclusion_containments(covering, guard_n))
+    report = check_containments(covering)
+    if covering.m > 1:
+        for i in range(covering.m):
+            for record in check_deletion_monotonicity(covering, i).records:
+                report.add(replace(record, claim=f"{record.claim}[{covering.block_name(i)}]"))
+    report.extend(check_reduct_exclusion_containments(covering))
     report.extend(check_reduction_preservation(covering))
     return report

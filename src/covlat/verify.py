@@ -12,11 +12,13 @@ import random
 from dataclasses import dataclass
 
 from .approximation import (
+    ClosureVerdict,
+    NeighborhoodTable,
+    PartitionMatroid,
     UpperOperator,
     closure_operator_verdict,
     equ_condition,
     forms_partition,
-    induced_partition_matroid,
     neighborhood_table,
     partition_upper,
     tra_condition,
@@ -35,8 +37,15 @@ from .generators import (
     random_family,
     random_partition,
 )
-from .lattice import enumerate_lattice, is_modular_element, is_modular_pair, modular_pair_by_heights
-from .oracle import DEFAULT_BUDGET, BruteForce, OracleBudget, brute_operator_axioms
+from .lattice import (
+    FlatLattice,
+    MatroidOracle,
+    enumerate_lattice,
+    is_modular_element,
+    is_modular_pair,
+    modular_pair_by_heights,
+)
+from .oracle import BruteForce, brute_operator_axioms
 from .relations import ENUM_GUARD_N, full_relation_report
 from .transversal import TransversalMatroid, ab_decomposition
 from .universe import Covering, Partition, SetFamily, Universe, as_partition, is_partition
@@ -56,24 +65,26 @@ class CheckResult:
         return f"{status} {self.name}{suffix}"
 
 
-def _agree_on_subsets(name: str, universe: Universe, mine, theirs) -> CheckResult:
-    """Pass iff ``mine`` and ``theirs`` agree on every subset; a failure
-    names the first subset, in mask order, where they differ.  Universes over
-    the enumeration guard are refused before the 2^n sweep."""
+def _refuse_over_sweep_guard(name: str, universe: Universe) -> None:
+    """Universes over the enumeration guard are refused before any 2^n sweep."""
     if universe.n > ENUM_GUARD_N:
         raise GuardExceeded(
             f"{name}: universe size {universe.n} exceeds enumeration guard {ENUM_GUARD_N}"
         )
+
+
+def _agree_on_subsets(name: str, universe: Universe, mine, theirs) -> CheckResult:
+    """Pass iff ``mine`` and ``theirs`` agree on every subset; a failure
+    names the first subset, in mask order, where they differ."""
+    _refuse_over_sweep_guard(name, universe)
     bad = next((x for x in universe.subsets() if mine(x) != theirs(x)), None)
     return CheckResult(name, bad is None, "" if bad is None else f"differs on {bad!r}")
 
 
 def verify_oracle_equivalence(
-    family: SetFamily, budget: OracleBudget = DEFAULT_BUDGET
+    family: SetFamily, oracle: BruteForce, matroid: TransversalMatroid, lattice: FlatLattice
 ) -> list[CheckResult]:
     """Independence, rank, closure and flats against the brute-force oracle."""
-    oracle = BruteForce(family, budget)
-    matroid = TransversalMatroid(family)
     results = [
         _agree_on_subsets(name, family.universe, mine, theirs)
         for name, mine, theirs in (
@@ -82,7 +93,7 @@ def verify_oracle_equivalence(
             ("closure agrees with oracle", matroid.closure, oracle.closure),
         )
     ]
-    lattice_flats = tuple(f.mask for f in enumerate_lattice(matroid).flats)
+    lattice_flats = tuple(f.mask for f in lattice.flats)
     oracle_flats = tuple(f.mask for f in oracle.flats())
     results.append(
         CheckResult(
@@ -94,10 +105,10 @@ def verify_oracle_equivalence(
     return results
 
 
-def verify_lattice_structure(family: SetFamily) -> list[CheckResult]:
+def verify_lattice_structure(
+    family: SetFamily, matroid: TransversalMatroid, lattice: FlatLattice
+) -> list[CheckResult]:
     """Geometricity of the flat lattice, plus the atom formula on coverings."""
-    matroid = TransversalMatroid(family)
-    lattice = enumerate_lattice(matroid)
     check = lattice.is_geometric()
     results = [CheckResult("flat lattice is geometric", check.ok, check.violation or "")]
     if isinstance(family, Covering):
@@ -111,12 +122,11 @@ def verify_lattice_structure(family: SetFamily) -> list[CheckResult]:
             )
         )
         universe = family.universe
-        atom_masks = {a.mask for a in lattice.atoms()}
         bad = next(
             (
                 e
                 for e in range(universe.n)
-                if matroid.closure(universe.singleton(e)).mask not in atom_masks
+                if matroid.closure(universe.singleton(e)).mask not in actual
             ),
             None,
         )
@@ -131,13 +141,12 @@ def verify_lattice_structure(family: SetFamily) -> list[CheckResult]:
 
 
 def verify_operator_criteria(
-    covering: Covering, budget: OracleBudget = DEFAULT_BUDGET
+    covering: Covering, verdicts: dict[UpperOperator, ClosureVerdict], table: NeighborhoodTable
 ) -> list[CheckResult]:
     """Partition criteria against exhaustive closure-axiom checks."""
     results = []
-    for kind in ALL_OPERATORS:
-        verdict = closure_operator_verdict(covering, kind)
-        axioms_hold, witness = brute_operator_axioms(covering, kind, budget)
+    for kind, verdict in verdicts.items():
+        axioms_hold, witness = brute_operator_axioms(covering, kind)
         ok = verdict.is_closure == axioms_hold
         results.append(
             CheckResult(
@@ -146,9 +155,8 @@ def verify_operator_criteria(
                 "" if ok else f"criterion={verdict.is_closure} axioms={axioms_hold} ({witness})",
             )
         )
-    table = neighborhood_table(covering)
     tra = tra_condition(covering)
-    sh_closure = closure_operator_verdict(covering, UpperOperator.SH).is_closure
+    sh_closure = verdicts[UpperOperator.SH].is_closure
     results.append(
         CheckResult(
             "co-blocking transitivity matches the sh criterion",
@@ -169,16 +177,14 @@ def verify_operator_criteria(
 
 
 def verify_induced_matroids(
-    covering: Covering, budget: OracleBudget = DEFAULT_BUDGET
+    covering: Covering,
+    table: NeighborhoodTable,
+    induced: dict[UpperOperator, tuple[PartitionMatroid, FlatLattice]],
 ) -> list[CheckResult]:
     """Induced partition matroids against their definitional independence."""
     results = []
-    table = neighborhood_table(covering)
     universe = covering.universe
-    for kind in ALL_OPERATORS:
-        if not closure_operator_verdict(covering, kind).is_closure:
-            continue
-        matroid = induced_partition_matroid(covering, kind)
+    for kind, (matroid, lattice) in induced.items():
         results.append(
             _agree_on_subsets(
                 f"{kind.value} matroid matches the definitional independence",
@@ -189,7 +195,6 @@ def verify_induced_matroids(
                 matroid.is_independent,
             )
         )
-        lattice = enumerate_lattice(matroid)
         violations = []
         for a in range(universe.n):
             for b in range(universe.n):
@@ -213,7 +218,7 @@ def verify_induced_matroids(
         )
     if is_partition(covering):
         partition = as_partition(covering)
-        matroid = induced_partition_matroid(covering, UpperOperator.SH)
+        matroid, _ = induced[UpperOperator.SH]
         results.append(
             _agree_on_subsets(
                 "partition matroid closure equals the upper approximation",
@@ -225,27 +230,27 @@ def verify_induced_matroids(
     return results
 
 
-def verify_modularity(covering: Covering) -> list[CheckResult]:
+def verify_modularity(
+    matroid: TransversalMatroid,
+    lattice: FlatLattice,
+    induced: dict[UpperOperator, tuple[PartitionMatroid, FlatLattice]],
+) -> list[CheckResult]:
     """Atoms are modular elements and atom pairs are modular pairs, with the
     rank identity cross-checked against the height identity."""
     results = []
-    targets: list[tuple[str, object]] = [("transversal", TransversalMatroid(covering))]
-    for kind in ALL_OPERATORS:
-        if closure_operator_verdict(covering, kind).is_closure:
-            targets.append((kind.value, induced_partition_matroid(covering, kind)))
-    for label, matroid in targets:
-        lattice = enumerate_lattice(matroid)  # type: ignore[arg-type]
-        atoms = lattice.atoms()
-        cross_bad = None
-        for i, x in enumerate(lattice.flats):
-            for y in lattice.flats[i:]:
-                by_rank = is_modular_pair(lattice, matroid, x, y)  # type: ignore[arg-type]
-                by_height = modular_pair_by_heights(lattice, x, y)
-                if by_rank != by_height:
-                    cross_bad = (x, y)
-                    break
-            if cross_bad:
-                break
+    targets: list[tuple[str, MatroidOracle, FlatLattice]] = [("transversal", matroid, lattice)]
+    targets += [(kind.value, m, lat) for kind, (m, lat) in induced.items()]
+    for label, m, lat in targets:
+        atoms = lat.atoms()
+        cross_bad = next(
+            (
+                (x, y)
+                for i, x in enumerate(lat.flats)
+                for y in lat.flats[i:]
+                if is_modular_pair(lat, m, x, y) != modular_pair_by_heights(lat, x, y)
+            ),
+            None,
+        )
         results.append(
             CheckResult(
                 f"{label}: rank and height modularity agree",
@@ -258,7 +263,7 @@ def verify_modularity(covering: Covering) -> list[CheckResult]:
                 (a, b)
                 for i, a in enumerate(atoms)
                 for b in atoms[i:]
-                if not is_modular_pair(lattice, matroid, a, b)  # type: ignore[arg-type]
+                if not is_modular_pair(lat, m, a, b)
             ),
             None,
         )
@@ -270,7 +275,7 @@ def verify_modularity(covering: Covering) -> list[CheckResult]:
             )
         )
         elem_bad = next(
-            (a for a in atoms if not is_modular_element(lattice, matroid, a)),  # type: ignore[arg-type]
+            (a for a in atoms if not is_modular_element(lat, m, a)),
             None,
         )
         results.append(
@@ -283,7 +288,9 @@ def verify_modularity(covering: Covering) -> list[CheckResult]:
     return results
 
 
-def verify_round_trip(family: SetFamily) -> list[CheckResult]:
+def verify_round_trip(
+    family: SetFamily, matroid: TransversalMatroid, lattice: FlatLattice
+) -> list[CheckResult]:
     """Rebuild the matroid from its flat lattice and compare everything.
 
     The lattice-to-matroid construction needs the empty set among the flats,
@@ -291,8 +298,6 @@ def verify_round_trip(family: SetFamily) -> list[CheckResult]:
     independence criterion holds for every matroid and is always checked.
     """
     universe = family.universe
-    matroid = TransversalMatroid(family)
-    lattice = enumerate_lattice(matroid)
     results = []
     if family.covers_universe():
         system = SubmodularSystem.from_flat_lattice(lattice)
@@ -333,20 +338,49 @@ def verify_relations(covering: Covering) -> list[CheckResult]:
     ]
 
 
-def verify_family(family: SetFamily, budget: OracleBudget = DEFAULT_BUDGET) -> list[CheckResult]:
-    results = verify_oracle_equivalence(family, budget)
-    results += verify_lattice_structure(family)
-    results += verify_round_trip(family)
-    return results
+def _transversal_suites(
+    family: SetFamily,
+) -> tuple[list[CheckResult], TransversalMatroid, FlatLattice]:
+    """The suites every family gets, with the matroid and lattice they share.
+    The oracle comes first, so its budget refuses before any enumeration."""
+    oracle = BruteForce(family)
+    matroid = TransversalMatroid(family)
+    lattice = enumerate_lattice(matroid)
+    results = verify_oracle_equivalence(family, oracle, matroid, lattice)
+    results += verify_lattice_structure(family, matroid, lattice)
+    results += verify_round_trip(family, matroid, lattice)
+    return results, matroid, lattice
 
 
-def verify_covering(covering: Covering, budget: OracleBudget = DEFAULT_BUDGET) -> list[CheckResult]:
-    results = verify_family(covering, budget)
-    results += verify_operator_criteria(covering, budget)
-    results += verify_induced_matroids(covering, budget)
-    results += verify_modularity(covering)
+def verify_family(family: SetFamily) -> list[CheckResult]:
+    return _transversal_suites(family)[0]
+
+
+def verify_covering(covering: Covering) -> list[CheckResult]:
+    """Every suite, on one matroid, lattice and verdict per operator, and one
+    partition matroid and lattice per operator that is a closure operator."""
+    results, matroid, lattice = _transversal_suites(covering)
+    verdicts = {kind: closure_operator_verdict(covering, kind) for kind in ALL_OPERATORS}
+    matroids = {
+        kind: verdict.partition_matroid(covering.universe)
+        for kind, verdict in verdicts.items()
+        if verdict.is_closure
+    }
+    induced = {kind: (m, enumerate_lattice(m)) for kind, m in matroids.items()}
+    table = neighborhood_table(covering)
+    results += verify_operator_criteria(covering, verdicts, table)
+    results += verify_induced_matroids(covering, table, induced)
+    results += verify_modularity(matroid, lattice, induced)
     results += verify_relations(covering)
     return results
+
+
+def verify_family_round_trip(family: SetFamily) -> list[CheckResult]:
+    """The round trip alone, as ``covlat verify --round-trip`` runs it.  Its
+    sweeps need the enumeration guard, so it refuses before building."""
+    _refuse_over_sweep_guard("round trip", family.universe)
+    matroid = TransversalMatroid(family)
+    return verify_round_trip(family, matroid, enumerate_lattice(matroid))
 
 
 @dataclass
@@ -361,13 +395,7 @@ class CampaignResult:
         return self.checks_run > 0 and not self.failures
 
 
-def verify_random(
-    count: int,
-    seed: int,
-    max_n: int = 6,
-    max_m: int = 6,
-    budget: OracleBudget = DEFAULT_BUDGET,
-) -> CampaignResult:
+def verify_random(count: int, seed: int, max_n: int = 6, max_m: int = 6) -> CampaignResult:
     """Seeded random campaign over families, coverings and partitions.
 
     Any failing check is reported with the serialized instance so the run
@@ -378,39 +406,26 @@ def verify_random(
     checks_run = 0
     skipped = 0
     failures: list[CheckResult] = []
-
-    def run(instance: SetFamily, results: list[CheckResult]) -> None:
-        nonlocal checks_run
-        checks_run += len(results)
-        for result in results:
-            if not result.passed:
-                failures.append(
-                    CheckResult(
-                        result.name,
-                        False,
-                        f"{result.detail} on\n{instance.serialize()}",
-                    )
-                )
-
     for i in range(count):
         kind = i % 4
+        if kind == 0:
+            instance, suites = random_family(rng, max_n, max_m), verify_family
+        elif kind == 1:
+            instance, suites = random_covering(rng, max_n, max_m), verify_covering
+        elif kind == 2:
+            instance, suites = random_partition(rng, max_n), verify_covering
+        else:
+            build = partition_with_nested_block if i % 8 == 3 else partition_with_union_block
+            instance, suites = build(rng, max_n)[0], verify_covering
         try:
-            if kind == 0:
-                family = random_family(rng, max_n, max_m)
-                run(family, verify_family(family, budget))
-            elif kind == 1:
-                covering = random_covering(rng, max_n, max_m)
-                run(covering, verify_covering(covering, budget))
-            elif kind == 2:
-                partition = random_partition(rng, max_n)
-                run(partition, verify_covering(partition, budget))
-            else:
-                covering, _ = (
-                    partition_with_nested_block(rng, max_n)
-                    if i % 8 == 3
-                    else partition_with_union_block(rng, max_n)
-                )
-                run(covering, verify_covering(covering, budget))
+            results = suites(instance)
         except GuardExceeded:
             skipped += 1
+            continue
+        checks_run += len(results)
+        failures += [
+            CheckResult(r.name, False, f"{r.detail} on\n{instance.serialize()}")
+            for r in results
+            if not r.passed
+        ]
     return CampaignResult(checks_run, failures, skipped)

@@ -118,9 +118,12 @@ class TestFlatBound:
         assert not independent_iff_flat_bound(matroid, u.subset(["4", "5"]), flats)
         assert independent_iff_flat_bound(matroid, u.empty(), flats)
 
-    def test_enumerates_flats_when_not_given(self, mixed5):
+    def test_bounds_only_the_given_flats(self, mixed5):
         matroid = TransversalMatroid(mixed5)
-        assert independent_iff_flat_bound(matroid, mixed5.universe.subset(["1", "4"]))
+        flats = enumerate_lattice(matroid).flats
+        dependent = mixed5.universe.subset(["4", "5"])
+        assert not independent_iff_flat_bound(matroid, dependent, flats)
+        assert independent_iff_flat_bound(matroid, dependent, ())
 
     @given(coverings(max_n=5))
     def test_matches_direct_independence(self, covering):

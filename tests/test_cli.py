@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from covlat import parse_family
+from covlat import FlatLattice, SubmodularSystem, parse_family
 from covlat.cli import main
 from conftest import CHAIN_A, CHAIN_B, DOUBLED9, MIXED5, NESTED3
 
@@ -226,6 +226,26 @@ class TestVerify:
         labels = " ".join(f"e{i}" for i in range(15))
         path = tmp_path / "wide.cov"
         path.write_text(f"universe: {labels}\nblock: {labels}\n")
+        assert main(["verify", str(path), "--round-trip"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds enumeration guard 14" in captured.err
+
+    def test_round_trip_refuses_before_building(self, tmp_path, capsys, monkeypatch):
+        # eight 4-element blocks in a ring, each sharing one element with the
+        # next: 24 elements, 2206 flats, seconds to build
+        def never(*args, **kwargs):
+            raise AssertionError("built before the guard refused")
+
+        monkeypatch.setattr(FlatLattice, "__init__", never)
+        monkeypatch.setattr(SubmodularSystem, "__init__", never)
+        labels = [f"e{i}" for i in range(24)]
+        blocks = [(labels + labels)[3 * k : 3 * k + 4] for k in range(8)]
+        path = tmp_path / "ring.cov"
+        path.write_text(
+            f"universe: {' '.join(labels)}\n"
+            + "".join(f"block: {' '.join(b)}\n" for b in blocks)
+        )
         assert main(["verify", str(path), "--round-trip"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

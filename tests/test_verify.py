@@ -1,5 +1,6 @@
 import random
 
+from covlat import verify
 from covlat.generators import (
     partition_with_nested_block,
     partition_with_union_block,
@@ -8,6 +9,7 @@ from covlat.generators import (
     random_partition,
 )
 from covlat.relations import check_reduction_preservation
+from covlat.universe import as_covering, parse_family
 from covlat.verify import verify_covering, verify_family, verify_random
 
 
@@ -33,3 +35,25 @@ def test_checks_run_counts_every_suite_once():
     )
     assert verify_random(8, 1, max_n=5, max_m=4).checks_run == expected
 
+
+def test_verify_covering_builds_each_structure_once(monkeypatch):
+    built = []
+    verdicts = []
+
+    def counted(calls, fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "enumerate_lattice", counted(built, verify.enumerate_lattice))
+    monkeypatch.setattr(
+        verify, "closure_operator_verdict", counted(verdicts, verify.closure_operator_verdict)
+    )
+    partition = as_covering(parse_family("universe: 1 2 3 4\nblock: 1 2\nblock: 3\nblock: 4\n"))
+    assert all(r.passed for r in verify.verify_covering(partition))
+    # the transversal matroid, then the sh, xh and vh partition matroids
+    assert len(built) == 4
+    assert len({id(matroid) for (matroid,) in built}) == 4
+    assert len(verdicts) == 3

@@ -11,12 +11,12 @@ import sys
 from pathlib import Path
 
 from covlat import (
+    NeighborhoodTable,
     TransversalMatroid,
     UpperOperator,
     as_covering,
+    closure_operator_verdict,
     enumerate_lattice,
-    induced_partition_matroid,
-    is_closure_operator,
     parse_family,
 )
 from covlat.errors import CovlatError
@@ -39,9 +39,11 @@ def main() -> int:
             print(f"{path.name}: skipped ({exc})")
             continue
         targets = [("transversal", TransversalMatroid(covering))]
+        table = NeighborhoodTable.build(covering)
         for kind in UpperOperator:
-            if is_closure_operator(covering, kind):
-                targets.append((kind.value, induced_partition_matroid(covering, kind)))
+            verdict = closure_operator_verdict(table, kind)
+            if verdict.is_closure:
+                targets.append((kind.value, verdict.partition_matroid(covering.universe)))
         for label, matroid in targets:
             lattice = enumerate_lattice(matroid)
             dest = out_dir / f"{path.stem}_{label}.dot"

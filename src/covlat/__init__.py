@@ -13,14 +13,10 @@ from .approximation import (
     NeighborhoodTable,
     PartitionMatroid,
     UpperOperator,
-    apply_operator,
     closure_operator_verdict,
     equ_condition,
     forms_partition,
     induced_partition_matroid,
-    is_closure_operator,
-    neighborhood_table,
-    operator_classes,
     partition_lower,
     partition_upper,
     tra_condition,

@@ -111,14 +111,6 @@ class NeighborhoodTable:
         return tuple(self.vh(universe.singleton(e)) for e in range(universe.n))
 
 
-def neighborhood_table(covering: Covering) -> NeighborhoodTable:
-    return NeighborhoodTable.build(covering)
-
-
-def apply_operator(covering: Covering, kind: UpperOperator, x: ElementSet) -> ElementSet:
-    return NeighborhoodTable.build(covering).apply(kind, x)
-
-
 def partition_upper(partition: Partition, x: ElementSet) -> ElementSet:
     """Union of the classes meeting x."""
     mask = 0
@@ -159,14 +151,13 @@ def forms_partition(sets: Sequence[ElementSet]) -> bool:
     return sum(m.bit_count() for m in distinct) == universe.n
 
 
-def tra_condition(covering: Covering) -> bool:
+def tra_condition(table: NeighborhoodTable) -> bool:
     """Elements co-blocked through a common third element are co-blocked.
 
     Equivalent to the indiscernible neighborhoods forming a partition: x and
     z share a block exactly when x lies in I(z).
     """
-    table = NeighborhoodTable.build(covering)
-    for z in range(covering.universe.n):
+    for z in range(table.covering.universe.n):
         i_z = table.indiscernible[z].mask
         for x in bits_of(i_z):
             if i_z & ~table.indiscernible[x].mask:
@@ -221,6 +212,9 @@ class ClosureVerdict:
         return PartitionMatroid(universe, self.classes)
 
 
+Verdicts = dict[UpperOperator, ClosureVerdict]
+
+
 def _masks_by_size(universe: Universe, max_size: int) -> Iterator[int]:
     for size in range(0, max_size + 1):
         for combo in combinations(range(universe.n), size):
@@ -262,22 +256,17 @@ def _search_witness(table: NeighborhoodTable, kind: UpperOperator) -> AxiomWitne
     raise InternalConsistencyError("criterion failed but no axiom violation was found")
 
 
-def closure_operator_verdict(covering: Covering, kind: UpperOperator) -> ClosureVerdict:
+def closure_operator_verdict(table: NeighborhoodTable, kind: UpperOperator) -> ClosureVerdict:
     """Decide whether the operator is a matroidal closure operator.
 
     The decision is the O(n^2) partition criterion on singleton images; a
     failing covering comes back with a concrete axiom violation as witness.
     """
-    table = NeighborhoodTable.build(covering)
     images = table.singleton_images(kind)
     if forms_partition(images):
         distinct = sorted({s.mask: s for s in images}.values(), key=ElementSet.sort_key)
         return ClosureVerdict(kind, True, tuple(distinct), None)
     return ClosureVerdict(kind, False, None, _search_witness(table, kind))
-
-
-def is_closure_operator(covering: Covering, kind: UpperOperator) -> bool:
-    return closure_operator_verdict(covering, kind).is_closure
 
 
 @dataclass(frozen=True)
@@ -346,16 +335,11 @@ class PartitionMatroid:
         return PartitionMatroidStats(self.base_count(), len(self.classes), self.circuits())
 
 
-def operator_classes(covering: Covering, kind: UpperOperator) -> tuple[ElementSet, ...]:
-    """Distinct singleton images of the operator, in canonical order."""
-    images = NeighborhoodTable.build(covering).singleton_images(kind)
-    return tuple(sorted({s.mask: s for s in images}.values(), key=ElementSet.sort_key))
-
-
 def induced_partition_matroid(covering: Covering, kind: UpperOperator) -> PartitionMatroid:
     """The partition matroid of the operator's singleton images.
 
     Only defined when the operator is a matroidal closure operator; otherwise
     ``CriterionNotSatisfied`` carries the axiom violation.
     """
-    return closure_operator_verdict(covering, kind).partition_matroid(covering.universe)
+    verdict = closure_operator_verdict(NeighborhoodTable.build(covering), kind)
+    return verdict.partition_matroid(covering.universe)

@@ -13,12 +13,11 @@ import sys
 from pathlib import Path
 
 from .approximation import (
+    NeighborhoodTable,
     UpperOperator,
     closure_operator_verdict,
     equ_condition,
-    forms_partition,
     induced_partition_matroid,
-    neighborhood_table,
     tra_condition,
 )
 from .errors import CovlatError, CriterionNotSatisfied, GuardExceeded, ParseError, ValidationError
@@ -63,11 +62,9 @@ def _fmt_sets(sets) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     covering = _read_covering(args.file)
-    table = neighborhood_table(covering)
+    table = NeighborhoodTable.build(covering)
     universe = covering.universe
-    verdicts = {
-        kind.value: closure_operator_verdict(covering, kind) for kind in UpperOperator
-    }
+    verdicts = {kind: closure_operator_verdict(table, kind) for kind in UpperOperator}
     reductions = reduction_report(covering)
     report: dict = {
         "universe": list(universe.labels),
@@ -86,19 +83,18 @@ def cmd_check(args: argparse.Namespace) -> int:
             }
             for i, label in enumerate(universe.labels)
         },
-        "tra_condition": tra_condition(covering),
+        "tra_condition": tra_condition(table),
         "equ_condition": equ_condition(covering),
         "singleton_images_partition": {
-            kind.value: forms_partition(table.singleton_images(kind))
-            for kind in UpperOperator
+            kind.value: verdict.is_closure for kind, verdict in verdicts.items()
         },
         "closure_operator": {
-            key: {
+            kind.value: {
                 "is_closure": verdict.is_closure,
                 "classes": _set_list(verdict.classes) if verdict.classes else None,
                 "witness": str(verdict.witness) if verdict.witness else None,
             }
-            for key, verdict in verdicts.items()
+            for kind, verdict in verdicts.items()
         },
         "reducible_blocks": [covering.block_name(i) for i in reductions.reducible_blocks],
         "immured_blocks": [covering.block_name(i) for i in reductions.immured_blocks],
@@ -266,7 +262,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
 def cmd_closure(args: argparse.Namespace) -> int:
     covering = _read_covering(args.file)
-    table = neighborhood_table(covering)
+    table = NeighborhoodTable.build(covering)
     subset = covering.universe.subset(args.set.split())
     image = table.apply(UpperOperator(args.operator), subset)
     print("{" + " ".join(image.labels()) + "}")
@@ -275,7 +271,9 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     covering = _read_covering(args.file)
-    report = full_relation_report(covering)
+    table = NeighborhoodTable.build(covering)
+    verdicts = {kind: closure_operator_verdict(table, kind) for kind in UpperOperator}
+    report = full_relation_report(table, verdicts, TransversalMatroid(covering))
 
     def render(data: dict):
         for record in data["claims"]:

@@ -35,8 +35,13 @@ def default_max_flats() -> int:
         value = int(raw)
     except ValueError:
         raise ValidationError(f"{MAX_FLATS_ENV_VAR} must be a positive integer") from None
-    if value <= 0:
-        raise ValidationError(f"{MAX_FLATS_ENV_VAR} must be a positive integer")
+    return _positive_guard(MAX_FLATS_ENV_VAR, value)
+
+
+def _positive_guard(name: str, value: int) -> int:
+    """The one rule for a lattice size guard, from either source."""
+    if value < 1:
+        raise ValidationError(f"{name} must be a positive integer")
     return value
 
 
@@ -287,9 +292,10 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
     The covers of a flat F are exactly the closures of its one-element
     extensions: in a matroid every cl(F + e) with e outside F covers F.
     Heights are asserted equal to ranks; a mismatch means the oracle is not
-    a matroid and raises ``InternalConsistencyError``.
+    a matroid and raises ``InternalConsistencyError``.  A guard below one
+    flat is refused with ``ValidationError``, as it is from the environment.
     """
-    limit = default_max_flats() if max_flats is None else max_flats
+    limit = default_max_flats() if max_flats is None else _positive_guard("max_flats", max_flats)
     universe = matroid.universe
     bottom = matroid.closure(universe.empty())
     discovered: dict[int, int] = {bottom.mask: 0}

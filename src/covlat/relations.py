@@ -13,17 +13,19 @@ the larger structure, so the larger lattice is never enumerated.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 
 from .approximation import (
+    ClosureVerdict,
+    NeighborhoodTable,
     UpperOperator,
+    Verdicts,
     closure_operator_verdict,
-    induced_partition_matroid,
-    neighborhood_table,
 )
 from .lattice import enumerate_lattice
 from .reduction import exclusion, immured_block_indices, reducible_block_indices, reduct
 from .transversal import TransversalMatroid
-from .universe import Covering, SetFamily, Universe, as_covering, is_partition
+from .universe import Covering, Universe, as_covering, is_partition
 
 ENUM_GUARD_N = 14
 
@@ -111,14 +113,15 @@ def _record_within(
     report.verdict(flats_claim, witness is None, witness, note)
 
 
-def check_containments(covering: Covering) -> RelationReport:
+def check_containments(
+    table: NeighborhoodTable, verdicts: Verdicts, transversal: TransversalMatroid
+) -> RelationReport:
     """Containments and equalities between the four induced structures."""
     report = RelationReport()
+    covering = table.covering
     universe = covering.universe
-    transversal = TransversalMatroid(covering)
-    sh_verdict = closure_operator_verdict(covering, UpperOperator.SH)
-    xh_verdict = closure_operator_verdict(covering, UpperOperator.XH)
-    table = neighborhood_table(covering)
+    sh_verdict = verdicts[UpperOperator.SH]
+    xh_verdict = verdicts[UpperOperator.XH]
     guard_note = _guard_note(universe)
     sh_gate = None if sh_verdict.is_closure else "block-union operator is a closure operator"
     xh_gate = None if xh_verdict.is_closure else "neighborhood-hit operator is a closure operator"
@@ -174,7 +177,7 @@ def check_containments(covering: Covering) -> RelationReport:
     if not report.skipped(partition_gate or guard_note, "partition-structures-coincide"):
         # on a partition every singleton image is the block of its element,
         # so all three operators are closure operators
-        vh_matroid = induced_partition_matroid(covering, UpperOperator.VH)
+        vh_matroid = verdicts[UpperOperator.VH].partition_matroid(universe)
         matroids = (transversal, sh_matroid, xh_matroid, vh_matroid)
         differ = next(
             (x for x in universe.subsets() if len({m.is_independent(x) for m in matroids}) > 1),
@@ -193,9 +196,10 @@ def check_containments(covering: Covering) -> RelationReport:
     return report
 
 
-def check_deletion_monotonicity(family: SetFamily, block_index: int) -> RelationReport:
+def check_deletion_monotonicity(whole: TransversalMatroid, block_index: int) -> RelationReport:
     """Deleting any block shrinks the independence family and the flat set."""
     report = RelationReport()
+    family = whole.family
     claims = ("deletion-shrinks-independents", "deletion-shrinks-flats")
     if report.skipped("family has fewer than two blocks" if family.m < 2 else None, *claims):
         return report
@@ -208,7 +212,6 @@ def check_deletion_monotonicity(family: SetFamily, block_index: int) -> Relation
             tags.append("immured")
         if tags:
             note = f"block {family.block_name(block_index)} is {' and '.join(tags)}"
-    whole = TransversalMatroid(family)
     smaller = TransversalMatroid(family.without_block(block_index))
     if not report.skipped(_guard_note(family.universe), *claims):
         flats = enumerate_lattice(smaller).flats
@@ -216,11 +219,11 @@ def check_deletion_monotonicity(family: SetFamily, block_index: int) -> Relation
     return report
 
 
-def check_reduct_exclusion_containments(covering: Covering) -> RelationReport:
+def check_reduct_exclusion_containments(whole: TransversalMatroid) -> RelationReport:
     """Reducts and exclusions only shrink the structures of the original."""
     report = RelationReport()
+    covering = whole.family
     guard_note = _guard_note(covering.universe)
-    whole = TransversalMatroid(covering)
     for mode, reduce in (("reduct", reduct), ("exclusion", exclusion)):
         claims = (f"{mode}-independents-within-original", f"{mode}-flats-within-original")
         if not report.skipped(guard_note, *claims):
@@ -230,22 +233,28 @@ def check_reduct_exclusion_containments(covering: Covering) -> RelationReport:
     return report
 
 
-def check_reduction_preservation(covering: Covering) -> RelationReport:
+def check_reduction_preservation(table: NeighborhoodTable, verdicts: Verdicts) -> RelationReport:
     """Closure operators survive the removals that leave them untouched.
 
     Removing an immured block preserves the block-union operator together
     with its matroid and lattice; removing a reducible block does the same
     for the neighborhood operators.  The converse removals are only observed:
     a breakage is recorded as a note, not asserted, because it need not
-    happen.
+    happen.  A block that is both reducible and immured is met by both
+    loops; its shrunk covering's table and verdicts are computed once.
     """
     report = RelationReport()
+    covering = table.covering
     reducible = reducible_block_indices(covering)
     immured = immured_block_indices(covering)
-    verdicts = {
-        kind: closure_operator_verdict(covering, kind)
-        for kind in (UpperOperator.SH, UpperOperator.XH, UpperOperator.VH)
-    }
+
+    @cache
+    def shrunk_table(i: int) -> NeighborhoodTable:
+        return NeighborhoodTable.build(as_covering(covering.without_block(i)))
+
+    @cache
+    def verdict_without(i: int, kind: UpperOperator) -> ClosureVerdict:
+        return closure_operator_verdict(shrunk_table(i), kind)
 
     preserved = {
         UpperOperator.SH: ("immured", immured),
@@ -261,9 +270,8 @@ def check_reduction_preservation(covering: Covering) -> RelationReport:
             report.skipped(f"covering has no {tag} block", claim)
             continue
         for i in indices:
-            shrunk = as_covering(covering.without_block(i))
             name = covering.block_name(i)
-            after = closure_operator_verdict(shrunk, kind)
+            after = verdict_without(i, kind)
             if not after.is_closure:
                 report.verdict(
                     claim, False, f"{kind.value} stops being a closure operator without {name}"
@@ -288,9 +296,8 @@ def check_reduction_preservation(covering: Covering) -> RelationReport:
         if not verdicts[kind].is_closure or not indices:
             continue
         for i in indices:
-            shrunk = as_covering(covering.without_block(i))
             name = covering.block_name(i)
-            still = closure_operator_verdict(shrunk, kind).is_closure
+            still = verdict_without(i, kind).is_closure
             report.note_only(
                 claim,
                 f"removing {name} {'keeps' if still else 'breaks'} the closure property",
@@ -298,13 +305,16 @@ def check_reduction_preservation(covering: Covering) -> RelationReport:
     return report
 
 
-def full_relation_report(covering: Covering) -> RelationReport:
+def full_relation_report(
+    table: NeighborhoodTable, verdicts: Verdicts, transversal: TransversalMatroid
+) -> RelationReport:
     """Everything: containments, per-block deletion, reducts, preservation."""
-    report = check_containments(covering)
+    covering = table.covering
+    report = check_containments(table, verdicts, transversal)
     if covering.m > 1:
         for i in range(covering.m):
-            for record in check_deletion_monotonicity(covering, i).records:
+            for record in check_deletion_monotonicity(transversal, i).records:
                 report.add(replace(record, claim=f"{record.claim}[{covering.block_name(i)}]"))
-    report.extend(check_reduct_exclusion_containments(covering))
-    report.extend(check_reduction_preservation(covering))
+    report.extend(check_reduct_exclusion_containments(transversal))
+    report.extend(check_reduction_preservation(table, verdicts))
     return report

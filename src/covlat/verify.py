@@ -12,14 +12,13 @@ import random
 from dataclasses import dataclass
 
 from .approximation import (
-    ClosureVerdict,
     NeighborhoodTable,
     PartitionMatroid,
     UpperOperator,
+    Verdicts,
     closure_operator_verdict,
     equ_condition,
     forms_partition,
-    neighborhood_table,
     partition_upper,
     tra_condition,
 )
@@ -29,7 +28,7 @@ from .bridge import (
     independent_iff_flat_bound,
     induced_rank,
 )
-from .errors import GuardExceeded
+from .errors import GuardExceeded, ValidationError
 from .generators import (
     partition_with_nested_block,
     partition_with_union_block,
@@ -140,10 +139,9 @@ def verify_lattice_structure(
     return results
 
 
-def verify_operator_criteria(
-    covering: Covering, verdicts: dict[UpperOperator, ClosureVerdict], table: NeighborhoodTable
-) -> list[CheckResult]:
+def verify_operator_criteria(table: NeighborhoodTable, verdicts: Verdicts) -> list[CheckResult]:
     """Partition criteria against exhaustive closure-axiom checks."""
+    covering = table.covering
     results = []
     for kind, verdict in verdicts.items():
         axioms_hold, witness = brute_operator_axioms(covering, kind)
@@ -155,7 +153,7 @@ def verify_operator_criteria(
                 "" if ok else f"criterion={verdict.is_closure} axioms={axioms_hold} ({witness})",
             )
         )
-    tra = tra_condition(covering)
+    tra = tra_condition(table)
     sh_closure = verdicts[UpperOperator.SH].is_closure
     results.append(
         CheckResult(
@@ -177,11 +175,11 @@ def verify_operator_criteria(
 
 
 def verify_induced_matroids(
-    covering: Covering,
     table: NeighborhoodTable,
     induced: dict[UpperOperator, tuple[PartitionMatroid, FlatLattice]],
 ) -> list[CheckResult]:
     """Induced partition matroids against their definitional independence."""
+    covering = table.covering
     results = []
     universe = covering.universe
     for kind, (matroid, lattice) in induced.items():
@@ -329,8 +327,10 @@ def verify_round_trip(
     return results
 
 
-def verify_relations(covering: Covering) -> list[CheckResult]:
-    report = full_relation_report(covering)
+def verify_relations(
+    table: NeighborhoodTable, verdicts: Verdicts, matroid: TransversalMatroid
+) -> list[CheckResult]:
+    report = full_relation_report(table, verdicts, matroid)
     return [
         CheckResult(f"relation: {r.claim}", bool(r.holds), r.witness or "")
         for r in report.records
@@ -357,21 +357,21 @@ def verify_family(family: SetFamily) -> list[CheckResult]:
 
 
 def verify_covering(covering: Covering) -> list[CheckResult]:
-    """Every suite, on one matroid, lattice and verdict per operator, and one
-    partition matroid and lattice per operator that is a closure operator."""
+    """Every suite, on one matroid, lattice, table and verdict per operator,
+    and one partition matroid and lattice per closure operator."""
     results, matroid, lattice = _transversal_suites(covering)
-    verdicts = {kind: closure_operator_verdict(covering, kind) for kind in ALL_OPERATORS}
+    table = NeighborhoodTable.build(covering)
+    verdicts = {kind: closure_operator_verdict(table, kind) for kind in ALL_OPERATORS}
     matroids = {
         kind: verdict.partition_matroid(covering.universe)
         for kind, verdict in verdicts.items()
         if verdict.is_closure
     }
     induced = {kind: (m, enumerate_lattice(m)) for kind, m in matroids.items()}
-    table = neighborhood_table(covering)
-    results += verify_operator_criteria(covering, verdicts, table)
-    results += verify_induced_matroids(covering, table, induced)
+    results += verify_operator_criteria(table, verdicts)
+    results += verify_induced_matroids(table, induced)
     results += verify_modularity(matroid, lattice, induced)
-    results += verify_relations(covering)
+    results += verify_relations(table, verdicts, matroid)
     return results
 
 
@@ -402,6 +402,8 @@ def verify_random(count: int, seed: int, max_n: int = 6, max_m: int = 6) -> Camp
     can be replayed.  An instance that trips a guard (typically the oracle
     budget) is skipped and counted in ``CampaignResult.skipped``.
     """
+    if max_n < 1 or max_m < 1:
+        raise ValidationError(f"campaign bounds must be at least 1: max_n={max_n}, max_m={max_m}")
     rng = random.Random(seed)
     checks_run = 0
     skipped = 0

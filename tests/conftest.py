@@ -1,7 +1,18 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from covlat import Covering, ElementSet, SetFamily, Universe, as_covering, parse_family
+from covlat import (
+    Covering,
+    ElementSet,
+    NeighborhoodTable,
+    SetFamily,
+    TransversalMatroid,
+    Universe,
+    UpperOperator,
+    as_covering,
+    closure_operator_verdict,
+    parse_family,
+)
 
 settings.register_profile(
     "suite",
@@ -72,6 +83,17 @@ def cov(text: str) -> Covering:
 
 def fam(text: str) -> SetFamily:
     return parse_family(text)
+
+
+def table_and_verdicts(covering: Covering):
+    """The covering's neighbourhood table and its verdict per operator."""
+    table = NeighborhoodTable.build(covering)
+    return table, {kind: closure_operator_verdict(table, kind) for kind in UpperOperator}
+
+
+def relation_inputs(covering: Covering):
+    """What the containment checks and the full relation report take."""
+    return (*table_and_verdicts(covering), TransversalMatroid(covering))
 
 
 def subsets(universe: Universe):

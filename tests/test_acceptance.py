@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 from covlat import (
     LatticeInducedMatroid,
+    NeighborhoodTable,
     SubmodularSystem,
     TransversalMatroid,
     UpperOperator,
@@ -20,11 +21,9 @@ from covlat import (
     enumerate_lattice,
     induced_partition_matroid,
     induced_rank,
-    is_closure_operator,
     is_modular_element,
     is_modular_pair,
     modular_pair_by_heights,
-    neighborhood_table,
     tra_condition,
 )
 from covlat.generators import (
@@ -36,7 +35,17 @@ from covlat.generators import (
 )
 from covlat.oracle import BruteForce
 from covlat.relations import check_reduction_preservation, full_relation_report
-from conftest import CHAIN_A, CHAIN_B, DOUBLED9, MIXED5, NESTED3, cov, subsets
+from conftest import (
+    CHAIN_A,
+    CHAIN_B,
+    DOUBLED9,
+    MIXED5,
+    NESTED3,
+    cov,
+    relation_inputs,
+    subsets,
+    table_and_verdicts,
+)
 
 ALL_KINDS = (UpperOperator.SH, UpperOperator.XH, UpperOperator.VH)
 
@@ -94,7 +103,7 @@ def test_criterion_02_double_cover_goldens():
     with criterion(2, "nine-element covering neighborhoods and separations", 1.0):
         covering = cov(DOUBLED9)
         u = covering.universe
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         expected_neighborhoods = {
             "a": ["a", "b"],
             "b": ["a", "b"],
@@ -122,25 +131,23 @@ def test_criterion_02_double_cover_goldens():
 def test_criterion_03_reducible_removal_breaks_block_union_operator():
     with criterion(3, "reducible-block removal breaks sh", 1.0):
         covering = cov(NESTED3)
-        assert is_closure_operator(covering, UpperOperator.SH)
-        shrunk = as_covering(covering.without_block(2))
-        assert not is_closure_operator(shrunk, UpperOperator.SH)
+        assert table_and_verdicts(covering)[1][UpperOperator.SH].is_closure
+        shrunk = NeighborhoodTable.build(as_covering(covering.without_block(2)))
+        assert not closure_operator_verdict(shrunk, UpperOperator.SH).is_closure
 
 
 def test_criterion_04_immured_removal_breaks_neighborhood_operators():
     with criterion(4, "immured-block removal breaks xh and vh", 1.0):
         chain_a = cov(CHAIN_A)
-        assert is_closure_operator(chain_a, UpperOperator.XH)
-        assert not is_closure_operator(
-            as_covering(chain_a.without_block(0)), UpperOperator.XH
-        )
+        assert table_and_verdicts(chain_a)[1][UpperOperator.XH].is_closure
+        shrunk_a = NeighborhoodTable.build(as_covering(chain_a.without_block(0)))
+        assert not closure_operator_verdict(shrunk_a, UpperOperator.XH).is_closure
         chain_b = cov(CHAIN_B)
-        verdict = closure_operator_verdict(chain_b, UpperOperator.VH)
+        verdict = closure_operator_verdict(NeighborhoodTable.build(chain_b), UpperOperator.VH)
         assert verdict.is_closure
         assert [c.labels() for c in verdict.classes] == [("1",), ("2", "3")]
-        assert not is_closure_operator(
-            as_covering(chain_b.without_block(0)), UpperOperator.VH
-        )
+        shrunk_b = NeighborhoodTable.build(as_covering(chain_b.without_block(0)))
+        assert not closure_operator_verdict(shrunk_b, UpperOperator.VH).is_closure
 
 
 def _seeded_instances(count: int, seed: int, max_n: int, max_m: int):
@@ -177,14 +184,13 @@ def test_criterion_06_closure_criterion_equivalence():
         instances += [partition_with_union_block(rng, 6)[0] for _ in range(15)]
         seen = {kind: set() for kind in ALL_KINDS}
         for covering in instances:
+            table, verdicts = table_and_verdicts(covering)
             for kind in ALL_KINDS:
-                verdict = is_closure_operator(covering, kind)
+                verdict = verdicts[kind].is_closure
                 axioms_hold, witness = brute_operator_axioms(covering, kind)
                 assert verdict == axioms_hold, f"{kind} disagrees ({witness})"
                 seen[kind].add(verdict)
-            assert tra_condition(covering) == is_closure_operator(
-                covering, UpperOperator.SH
-            )
+            assert tra_condition(table) == verdicts[UpperOperator.SH].is_closure
         for kind in ALL_KINDS:
             assert seen[kind] == {True, False}, f"{kind} only exercised one direction"
 
@@ -197,10 +203,10 @@ def test_criterion_07_geometricity():
             lattices.append(enumerate_lattice(TransversalMatroid(family)))
         for _ in range(40):
             covering = random_covering(rng, 6, 6)
-            for kind in ALL_KINDS:
-                if is_closure_operator(covering, kind):
+            for verdict in table_and_verdicts(covering)[1].values():
+                if verdict.is_closure:
                     lattices.append(
-                        enumerate_lattice(induced_partition_matroid(covering, kind))
+                        enumerate_lattice(verdict.partition_matroid(covering.universe))
                     )
         for lattice in lattices:
             check = lattice.is_geometric()
@@ -240,7 +246,7 @@ def test_criterion_10_structure_relation_suites():
         targeted += [partition_with_union_block(rng, 6)[0] for _ in range(10)]
         applicable_gated = 0
         for covering in coverings + targeted:
-            report = full_relation_report(covering)
+            report = full_relation_report(*relation_inputs(covering))
             assert report.failures() == [], report.failures()[0]
             applicable_gated += sum(
                 1
@@ -251,7 +257,7 @@ def test_criterion_10_structure_relation_suites():
             )
         assert applicable_gated > 0, "gated claims never applied"
         for partition in partitions:
-            report = full_relation_report(partition)
+            report = full_relation_report(*relation_inputs(partition))
             assert report.failures() == []
             coincide = [
                 r for r in report.records if r.claim == "partition-structures-coincide"
@@ -259,7 +265,7 @@ def test_criterion_10_structure_relation_suites():
             assert coincide and coincide[0].holds
         preserved = 0
         for covering in targeted:
-            report = check_reduction_preservation(covering)
+            report = check_reduction_preservation(*table_and_verdicts(covering))
             assert report.failures() == []
             preserved += sum(
                 1 for r in report.records if r.applicable and r.holds is not None
@@ -273,9 +279,9 @@ def test_criterion_11_modularity():
         for _ in range(40):
             covering = random_covering(rng, 6, 6)
             matroids = [TransversalMatroid(covering)]
-            for kind in ALL_KINDS:
-                if is_closure_operator(covering, kind):
-                    matroids.append(induced_partition_matroid(covering, kind))
+            for verdict in table_and_verdicts(covering)[1].values():
+                if verdict.is_closure:
+                    matroids.append(verdict.partition_matroid(covering.universe))
             for matroid in matroids:
                 lattice = enumerate_lattice(matroid)
                 atoms = lattice.atoms()

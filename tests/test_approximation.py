@@ -3,20 +3,17 @@ from hypothesis import given
 
 from covlat import (
     CriterionNotSatisfied,
+    NeighborhoodTable,
     PartitionMatroid,
     TransversalMatroid,
     UpperOperator,
     ValidationError,
-    apply_operator,
     as_partition,
     brute_operator_axioms,
     closure_operator_verdict,
     equ_condition,
     forms_partition,
     induced_partition_matroid,
-    is_closure_operator,
-    neighborhood_table,
-    operator_classes,
     partition_lower,
     partition_upper,
     tra_condition,
@@ -29,7 +26,7 @@ ALL_KINDS = (UpperOperator.SH, UpperOperator.XH, UpperOperator.VH)
 
 class TestNeighborhoods:
     def test_mixed5_table(self, mixed5):
-        table = neighborhood_table(mixed5)
+        table = NeighborhoodTable.build(mixed5)
         u = mixed5.universe
         triple = u.subset(["1", "2", "3"])
         pair = u.subset(["4", "5"])
@@ -44,7 +41,7 @@ class TestNeighborhoods:
         assert table.neighborhood[u.index("5")] == pair
 
     def test_doubled9_neighborhoods(self, doubled9):
-        table = neighborhood_table(doubled9)
+        table = NeighborhoodTable.build(doubled9)
         u = doubled9.universe
         expected = {
             "a": ["a", "b"],
@@ -63,14 +60,14 @@ class TestNeighborhoods:
     @given(covering_and_subset())
     def test_element_between_neighborhoods(self, data):
         covering, _ = data
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         for e in range(covering.universe.n):
             assert table.neighborhood[e].has_index(e)
             assert table.neighborhood[e] <= table.indiscernible[e]
 
     @given(coverings())
     def test_neighborhood_is_meet_of_minimal_description(self, covering):
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         for e in range(covering.universe.n):
             mask = covering.universe.full_mask
             for j in table.minimal_description[e]:
@@ -78,7 +75,7 @@ class TestNeighborhoods:
             assert mask == table.neighborhood[e].mask
 
     def test_minimal_description_mixed5(self, mixed5):
-        table = neighborhood_table(mixed5)
+        table = NeighborhoodTable.build(mixed5)
         u = mixed5.universe
         assert table.minimal_description[u.index("1")] == (0, 1)
         assert table.minimal_description[u.index("4")] == (3,)
@@ -86,21 +83,23 @@ class TestNeighborhoods:
 
 class TestOperators:
     def test_vh_singleton(self, doubled9):
-        image = apply_operator(doubled9, UpperOperator.VH, doubled9.universe.subset(["b"]))
+        table = NeighborhoodTable.build(doubled9)
+        image = table.apply(UpperOperator.VH, doubled9.universe.subset(["b"]))
         assert image == doubled9.universe.subset(["a", "b"])
 
     def test_empty_set_maps_to_empty(self, mixed5):
+        table = NeighborhoodTable.build(mixed5)
         for kind in ALL_KINDS:
-            assert not apply_operator(mixed5, kind, mixed5.universe.empty())
+            assert not table.apply(kind, mixed5.universe.empty())
 
     def test_xh_fixpoint(self, doubled9):
         x = doubled9.universe.subset(["a", "b", "i"])
-        assert apply_operator(doubled9, UpperOperator.XH, x) == x
+        assert NeighborhoodTable.build(doubled9).apply(UpperOperator.XH, x) == x
 
     @given(covering_and_two_subsets())
     def test_shared_properties(self, data):
         covering, x, y = data
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         for kind in ALL_KINDS:
             image = table.apply(kind, x)
             assert x <= image
@@ -111,13 +110,13 @@ class TestOperators:
     @given(covering_and_subset())
     def test_xh_always_idempotent(self, data):
         covering, x = data
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         once = table.xh(x)
         assert table.xh(once) == once
 
     @given(coverings())
     def test_singleton_symmetry(self, covering):
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         universe = covering.universe
         for kind in (UpperOperator.SH, UpperOperator.VH):
             for a in range(universe.n):
@@ -128,18 +127,18 @@ class TestOperators:
     @given(covering_and_subset())
     def test_xh_within_vh(self, data):
         covering, x = data
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         assert table.xh(x) <= table.vh(x)
 
     @given(coverings())
     def test_xh_fixes_the_universe(self, covering):
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         assert table.xh(covering.universe.full()) == covering.universe.full()
 
     @given(covering_and_subset(max_n=5))
     def test_sh_vh_exchange_holds_unconditionally(self, data):
         covering, x_set = data
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         universe = covering.universe
         for kind in (UpperOperator.SH, UpperOperator.VH):
             base = table.apply(kind, x_set)
@@ -167,14 +166,14 @@ class TestPawlakApproximations:
 
 class TestFormsPartition:
     def test_golden_cases(self, mixed5, chain_b):
-        assert forms_partition(neighborhood_table(mixed5).indiscernible)
-        table = neighborhood_table(chain_b)
+        assert forms_partition(NeighborhoodTable.build(mixed5).indiscernible)
+        table = NeighborhoodTable.build(chain_b)
         assert forms_partition(table.singleton_images(UpperOperator.VH))
         assert not forms_partition(table.neighborhood)
 
     def test_nested_minus_reducible_block_breaks_partition(self, nested3):
         shrunk = cov("universe: 1 2 3\nblock: 1 2\nblock: 1 3")
-        assert not forms_partition(neighborhood_table(shrunk).indiscernible)
+        assert not forms_partition(NeighborhoodTable.build(shrunk).indiscernible)
 
     def test_precondition_violations(self, mixed5):
         u = mixed5.universe
@@ -186,9 +185,10 @@ class TestFormsPartition:
 
 class TestConditions:
     def test_tra(self, mixed5, nested3):
-        assert tra_condition(nested3)
-        assert tra_condition(mixed5)
-        assert not tra_condition(cov("universe: 1 2 3\nblock: 1 2\nblock: 2 3"))
+        assert tra_condition(NeighborhoodTable.build(nested3))
+        assert tra_condition(NeighborhoodTable.build(mixed5))
+        chain = cov("universe: 1 2 3\nblock: 1 2\nblock: 2 3")
+        assert not tra_condition(NeighborhoodTable.build(chain))
 
     def test_equ(self, doubled9, chain_a):
         assert equ_condition(doubled9)
@@ -197,48 +197,52 @@ class TestConditions:
 
     @given(coverings(max_n=5))
     def test_tra_iff_sh_criterion(self, covering):
-        assert tra_condition(covering) == is_closure_operator(covering, UpperOperator.SH)
+        table = NeighborhoodTable.build(covering)
+        assert tra_condition(table) == closure_operator_verdict(table, UpperOperator.SH).is_closure
 
     @given(coverings(max_n=5))
     def test_equ_implies_neighborhood_partition(self, covering):
         if equ_condition(covering):
-            assert forms_partition(neighborhood_table(covering).neighborhood)
+            assert forms_partition(NeighborhoodTable.build(covering).neighborhood)
 
 
 class TestClosureCriterion:
     def test_nested3(self, nested3):
-        assert is_closure_operator(nested3, UpperOperator.SH)
+        table = NeighborhoodTable.build(nested3)
+        assert closure_operator_verdict(table, UpperOperator.SH).is_closure
         shrunk = cov("universe: 1 2 3\nblock: 1 2\nblock: 1 3")
-        verdict = closure_operator_verdict(shrunk, UpperOperator.SH)
+        verdict = closure_operator_verdict(NeighborhoodTable.build(shrunk), UpperOperator.SH)
         assert not verdict.is_closure
         assert verdict.witness is not None
         assert verdict.witness.law == "idempotence"
         assert verdict.witness.subset == shrunk.universe.subset(["2"])
 
     def test_chain_coverings(self, chain_a, chain_b):
-        assert is_closure_operator(chain_a, UpperOperator.XH)
-        assert not is_closure_operator(chain_b, UpperOperator.XH)
-        verdict = closure_operator_verdict(chain_b, UpperOperator.VH)
+        table_a, table_b = NeighborhoodTable.build(chain_a), NeighborhoodTable.build(chain_b)
+        assert closure_operator_verdict(table_a, UpperOperator.XH).is_closure
+        assert not closure_operator_verdict(table_b, UpperOperator.XH).is_closure
+        verdict = closure_operator_verdict(table_b, UpperOperator.VH)
         assert verdict.is_closure
         assert verdict.classes is not None
         assert [c.labels() for c in verdict.classes] == [("1",), ("2", "3")]
 
     def test_xh_witness_is_exchange(self, chain_b):
-        verdict = closure_operator_verdict(chain_b, UpperOperator.XH)
+        verdict = closure_operator_verdict(NeighborhoodTable.build(chain_b), UpperOperator.XH)
         assert not verdict.is_closure
         assert verdict.witness is not None and verdict.witness.law == "exchange"
 
     @given(coverings(max_n=5))
     def test_criterion_matches_exhaustive_axioms(self, covering):
+        table = NeighborhoodTable.build(covering)
         for kind in ALL_KINDS:
             axioms_hold, _ = brute_operator_axioms(covering, kind)
-            assert is_closure_operator(covering, kind) == axioms_hold
+            assert closure_operator_verdict(table, kind).is_closure == axioms_hold
 
     @given(coverings(max_n=10))
     def test_witness_is_a_real_violation(self, covering):
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         for kind in ALL_KINDS:
-            verdict = closure_operator_verdict(covering, kind)
+            verdict = closure_operator_verdict(table, kind)
             if verdict.is_closure:
                 continue
             witness = verdict.witness
@@ -265,7 +269,7 @@ class TestClosureCriterion:
 class TestIdempotenceAndExchangeEquivalences:
     @given(coverings(max_n=5))
     def test_sh_idempotence_iff_image_partition(self, covering):
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         everywhere = all(
             table.sh(table.sh(x)) == table.sh(x) for x in subsets(covering.universe)
         )
@@ -273,7 +277,7 @@ class TestIdempotenceAndExchangeEquivalences:
 
     @given(coverings(max_n=5))
     def test_vh_idempotence_iff_image_partition(self, covering):
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         everywhere = all(
             table.vh(table.vh(x)) == table.vh(x) for x in subsets(covering.universe)
         )
@@ -281,7 +285,7 @@ class TestIdempotenceAndExchangeEquivalences:
 
     @given(coverings(max_n=4))
     def test_xh_exchange_iff_neighborhood_partition(self, covering):
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         universe = covering.universe
         exchange = True
         for x_set in subsets(universe):
@@ -318,9 +322,9 @@ class TestInducedMatroids:
 
     @given(coverings(max_n=5))
     def test_matches_definitional_independence(self, covering):
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         for kind in ALL_KINDS:
-            if not is_closure_operator(covering, kind):
+            if not closure_operator_verdict(table, kind).is_closure:
                 continue
             matroid = induced_partition_matroid(covering, kind)
             for x in subsets(covering.universe):
@@ -377,8 +381,9 @@ class TestPartitionMatroidStats:
         from covlat import enumerate_lattice
 
         universe = covering.universe
+        table = NeighborhoodTable.build(covering)
         for kind in ALL_KINDS:
-            if not is_closure_operator(covering, kind):
+            if not closure_operator_verdict(table, kind).is_closure:
                 continue
             matroid = induced_partition_matroid(covering, kind)
             lattice = enumerate_lattice(matroid)
@@ -396,9 +401,9 @@ class TestPartitionMatroidStats:
                     assert lattice.covers(single, pair) == (not same)
 
 
-def test_operator_classes_available_without_criterion(chain_b):
-    classes = operator_classes(chain_b, UpperOperator.XH)
-    assert [c.labels() for c in classes] == [("1",), ("2",), ("2", "3")]
+def test_singleton_images_available_without_criterion(chain_b):
+    images = NeighborhoodTable.build(chain_b).singleton_images(UpperOperator.XH)
+    assert [c.labels() for c in images] == [("1",), ("2",), ("2", "3")]
 
 
 def test_partition_matroid_validation(mixed5):

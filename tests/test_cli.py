@@ -163,6 +163,12 @@ class TestLattice:
     def test_guard_exceeded_exits_one(self, mixed5_file, capsys):
         assert main(["lattice", mixed5_file, "--max-lattice-size", "3"]) == 1
         assert "3" in capsys.readouterr().err
+        # a guard below one flat is an input error, as it is from the environment
+        for command in ("lattice", "check"):
+            for value in ("0", "-3"):
+                assert main([command, mixed5_file, "--max-lattice-size", value]) == 2
+                captured = capsys.readouterr()
+                assert "max_flats must be a positive integer" in captured.err
 
     def test_env_var_guard(self, mixed5_file, capsys, monkeypatch):
         monkeypatch.setenv("COVLAT_MAX_LATTICE_SIZE", "5")
@@ -271,6 +277,13 @@ class TestVerify:
 
     def test_verify_without_arguments(self, capsys):
         assert main(["verify"]) == 2
+
+    @pytest.mark.parametrize("bound", [["--max-n", "0"], ["--max-m", "0"], ["--max-n", "-2"]])
+    def test_campaign_bounds_below_one_are_input_errors(self, bound, capsys):
+        assert main(["verify", "--random", "4", *bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "campaign bounds must be at least 1" in captured.err
 
 
 def test_data_files_parse():

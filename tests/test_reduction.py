@@ -2,11 +2,11 @@ from hypothesis import given
 
 from covlat import (
     Covering,
+    NeighborhoodTable,
     as_covering,
     exclusion,
     immured_block_indices,
     is_partition,
-    neighborhood_table,
     forms_partition,
     reducible_block_indices,
     reduct,
@@ -96,29 +96,29 @@ class TestImmured:
 class TestNeighborhoodInvariance:
     @given(coverings(max_m=6))
     def test_immured_removal_preserves_indiscernible(self, covering):
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         for k in immured_block_indices(covering):
             shrunk = as_covering(covering.without_block(k))
-            after = neighborhood_table(shrunk)
+            after = NeighborhoodTable.build(shrunk)
             assert after.indiscernible == table.indiscernible
 
     @given(coverings(max_m=6))
     def test_reducible_removal_preserves_neighborhoods(self, covering):
-        table = neighborhood_table(covering)
+        table = NeighborhoodTable.build(covering)
         for k in reducible_block_indices(covering):
             shrunk = as_covering(covering.without_block(k))
-            after = neighborhood_table(shrunk)
+            after = NeighborhoodTable.build(shrunk)
             assert after.neighborhood == table.neighborhood
 
     @given(coverings(max_m=6))
     def test_partition_exclusion_forces_indiscernible_partition(self, covering):
         if is_partition(exclusion(covering)):
-            assert forms_partition(neighborhood_table(covering).indiscernible)
+            assert forms_partition(NeighborhoodTable.build(covering).indiscernible)
 
     @given(coverings(max_m=6))
     def test_partition_reduct_forces_neighborhood_partition(self, covering):
         if is_partition(reduct(covering)):
-            assert forms_partition(neighborhood_table(covering).neighborhood)
+            assert forms_partition(NeighborhoodTable.build(covering).neighborhood)
 
 
 def test_report_indices_refer_to_original_order(chain_b):

@@ -11,8 +11,9 @@ from covlat import (
     enumerate_lattice,
     full_relation_report,
 )
+from covlat import relations
 from covlat.generators import partition_with_nested_block, partition_with_union_block
-from conftest import cov, fam, subsets
+from conftest import cov, fam, relation_inputs, subsets, table_and_verdicts
 from strategies import coverings, families, partitions
 
 
@@ -22,7 +23,7 @@ def by_claim(report):
 
 class TestContainments:
     def test_mixed5_all_applicable_claims_hold(self, mixed5):
-        report = check_containments(mixed5)
+        report = check_containments(*relation_inputs(mixed5))
         claims = by_claim(report)
         for name in (
             "sh-independents-within-transversal",
@@ -36,21 +37,20 @@ class TestContainments:
         assert not claims["partition-structures-coincide"].applicable
 
     def test_doubled9_gating(self, doubled9):
-        report = check_containments(doubled9)
+        report = check_containments(*relation_inputs(doubled9))
         claims = by_claim(report)
         assert not claims["sh-independents-within-transversal"].applicable
         assert claims["xh-vh-operators-coincide"].holds
         assert not claims["sh-independents-within-xh"].applicable
 
     def test_partition_structures_coincide(self):
-        report = check_containments(
-            cov("universe: 1 2 3 4\nblock: 1 2\nblock: 3\nblock: 4")
-        )
+        partition = cov("universe: 1 2 3 4\nblock: 1 2\nblock: 3\nblock: 4")
+        report = check_containments(*relation_inputs(partition))
         claims = by_claim(report)
         assert claims["partition-structures-coincide"].holds
 
     def test_inapplicable_records_carry_preconditions(self, chain_b):
-        report = check_containments(chain_b)
+        report = check_containments(*relation_inputs(chain_b))
         for record in report.records:
             if not record.applicable:
                 assert record.precondition
@@ -58,7 +58,7 @@ class TestContainments:
 
     @given(coverings(max_n=5))
     def test_no_failures_on_random_coverings(self, covering):
-        assert check_containments(covering).failures() == []
+        assert check_containments(*relation_inputs(covering)).failures() == []
 
 
 class TestDeletionMonotonicity:
@@ -74,7 +74,7 @@ class TestDeletionMonotonicity:
         assert actual == expected_independents
         # the full family is free: every subset is independent
         assert all(matroid.is_independent(x) for x in subsets(u))
-        report = check_deletion_monotonicity(family3, 2)
+        report = check_deletion_monotonicity(TransversalMatroid(family3), 2)
         assert all(r.holds for r in report.records if r.applicable)
 
     def test_flat_containment_golden(self, family3):
@@ -88,16 +88,16 @@ class TestDeletionMonotonicity:
 
     def test_duplicate_block_deletion(self):
         family = fam("universe: 1 2 3\nblock: 1 2\nblock: 1 2\nblock: 3")
-        report = check_deletion_monotonicity(family, 0)
+        report = check_deletion_monotonicity(TransversalMatroid(family), 0)
         assert all(r.holds for r in report.records if r.applicable)
 
     def test_single_block_family_is_skipped(self):
         family = fam("universe: 1\nblock: 1")
-        report = check_deletion_monotonicity(family, 0)
+        report = check_deletion_monotonicity(TransversalMatroid(family), 0)
         assert all(not r.applicable for r in report.records)
 
     def test_block_classification_noted(self, nested3):
-        report = check_deletion_monotonicity(nested3, 2)
+        report = check_deletion_monotonicity(TransversalMatroid(nested3), 2)
         notes = [r.note for r in report.records if r.note]
         assert notes and "reducible" in notes[0]
 
@@ -106,37 +106,37 @@ class TestDeletionMonotonicity:
         if family.m < 2:
             return
         for k in range(family.m):
-            report = check_deletion_monotonicity(family, k)
+            report = check_deletion_monotonicity(TransversalMatroid(family), k)
             assert report.failures() == []
 
 
 class TestReductExclusionContainments:
     @given(coverings(max_n=5))
     def test_hold_on_random_coverings(self, covering):
-        assert check_reduct_exclusion_containments(covering).failures() == []
+        assert check_reduct_exclusion_containments(TransversalMatroid(covering)).failures() == []
 
 
 class TestReductionPreservation:
     def test_nested3_sh_survives_immured_removal(self, nested3):
-        report = check_reduction_preservation(nested3)
+        report = check_reduction_preservation(*table_and_verdicts(nested3))
         claims = [r for r in report.records if r.claim == "sh-closure-survives-immured-removal"]
         assert claims and all(r.holds for r in claims)
 
     def test_nested3_reducible_removal_breaks_sh(self, nested3):
-        report = check_reduction_preservation(nested3)
+        report = check_reduction_preservation(*table_and_verdicts(nested3))
         notes = [r for r in report.records if r.claim == "sh-after-reducible-removal"]
         assert len(notes) == 1
         assert "breaks" in notes[0].note
 
     def test_chain_a_immured_removal_breaks_xh(self, chain_a):
-        report = check_reduction_preservation(chain_a)
+        report = check_reduction_preservation(*table_and_verdicts(chain_a))
         notes = {
             r.note for r in report.records if r.claim == "xh-after-immured-removal"
         }
         assert any("breaks" in note for note in notes)
 
     def test_chain_b_immured_removal_breaks_vh(self, chain_b):
-        report = check_reduction_preservation(chain_b)
+        report = check_reduction_preservation(*table_and_verdicts(chain_b))
         notes = [r for r in report.records if r.claim == "vh-after-immured-removal"]
         assert any(r.note and "K1" in r.note and "breaks" in r.note for r in notes)
 
@@ -144,7 +144,7 @@ class TestReductionPreservation:
         rng = random.Random(11)
         for _ in range(20):
             covering, _ = partition_with_nested_block(rng, max_n=6)
-            report = check_reduction_preservation(covering)
+            report = check_reduction_preservation(*table_and_verdicts(covering))
             claims = [
                 r
                 for r in report.records
@@ -156,7 +156,7 @@ class TestReductionPreservation:
         rng = random.Random(12)
         for _ in range(20):
             covering, _ = partition_with_union_block(rng, max_n=6)
-            report = check_reduction_preservation(covering)
+            report = check_reduction_preservation(*table_and_verdicts(covering))
             for name in (
                 "xh-closure-survives-reducible-removal",
                 "vh-closure-survives-reducible-removal",
@@ -166,17 +166,46 @@ class TestReductionPreservation:
 
     @given(coverings(max_n=5))
     def test_no_failures_on_random_coverings(self, covering):
-        assert check_reduction_preservation(covering).failures() == []
+        assert check_reduction_preservation(*table_and_verdicts(covering)).failures() == []
+
+    def test_block_both_reducible_and_immured_gets_one_verdict_per_operator(self, monkeypatch):
+        # {1 2} is the union of {1} and {2} and lies inside {1 2 3}: both
+        # loops remove it, and sh and vh stay closure operators throughout
+        covering = cov("universe: 1 2 3\nblock: 1\nblock: 2\nblock: 1 2\nblock: 1 2 3")
+        table, verdicts = table_and_verdicts(covering)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return verdict(*args)
+
+        verdict = relations.closure_operator_verdict
+        monkeypatch.setattr(relations, "closure_operator_verdict", counted)
+        report = check_reduction_preservation(table, verdicts)
+        # sh without K1, K2, K3; vh without K3, then vh without K1, K2
+        assert len(calls) == 6
+        assert len({id(t) for t, _ in calls}) == 3
+        assert [(r.claim, r.applicable, r.holds, r.note) for r in report.records] == [
+            ("sh-closure-survives-immured-removal", True, True, "checked block K1"),
+            ("sh-closure-survives-immured-removal", True, True, "checked block K2"),
+            ("sh-closure-survives-immured-removal", True, True, "checked block K3"),
+            ("xh-closure-survives-reducible-removal", False, None, None),
+            ("vh-closure-survives-reducible-removal", True, True, "checked block K3"),
+            ("sh-after-reducible-removal", True, None, "removing K3 keeps the closure property"),
+            ("vh-after-immured-removal", True, None, "removing K1 keeps the closure property"),
+            ("vh-after-immured-removal", True, None, "removing K2 keeps the closure property"),
+            ("vh-after-immured-removal", True, None, "removing K3 keeps the closure property"),
+        ]
 
 
 class TestFullReport:
     def test_mixed5_clean(self, mixed5):
-        report = full_relation_report(mixed5)
+        report = full_relation_report(*relation_inputs(mixed5))
         assert report.failures() == []
         assert any("[K" in r.claim for r in report.records)
 
     def test_report_round_trips_to_dict(self, mixed5):
-        report = full_relation_report(mixed5)
+        report = full_relation_report(*relation_inputs(mixed5))
         data = report.to_dict()
         assert len(data["claims"]) == len(report.records)
         for row, record in zip(data["claims"], report.records):
@@ -185,7 +214,7 @@ class TestFullReport:
 
     @given(partitions(max_n=5))
     def test_partitions_are_fully_clean(self, partition):
-        report = full_relation_report(partition)
+        report = full_relation_report(*relation_inputs(partition))
         assert report.failures() == []
         claims = by_claim(report)
         assert claims["partition-structures-coincide"].holds

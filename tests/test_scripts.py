@@ -1,0 +1,37 @@
+"""Smoke tests for the scripts under scripts/, run as a user runs them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_render_lattices_writes_every_lattice(tmp_path):
+    result = run_script("render_lattices.py", "--data", str(ROOT / "data"), "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    # the seven sample files: one is not a covering and is skipped; the other
+    # six give their transversal lattice plus one per closure operator
+    dots = sorted(tmp_path.glob("*.dot"))
+    assert len(dots) == 19
+    assert f"wrote 19 DOT files to {tmp_path}/" in result.stdout
+    assert all(path.read_text().startswith("digraph ") for path in dots)
+
+
+def test_run_verification_passes():
+    result = run_script("run_verification.py", "--count", "8", "--seed", "0")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("PASS: ")

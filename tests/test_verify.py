@@ -1,6 +1,7 @@
 import random
 
 from covlat import verify
+from covlat.approximation import NeighborhoodTable
 from covlat.generators import (
     partition_with_nested_block,
     partition_with_union_block,
@@ -9,8 +10,10 @@ from covlat.generators import (
     random_partition,
 )
 from covlat.relations import check_reduction_preservation
+from covlat.transversal import TransversalMatroid
 from covlat.universe import as_covering, parse_family
 from covlat.verify import verify_covering, verify_family, verify_random
+from conftest import table_and_verdicts
 
 
 def test_checks_run_counts_every_suite_once():
@@ -28,7 +31,8 @@ def test_checks_run_counts_every_suite_once():
         partition_with_union_block(rng, 5)[0],
     ]
     for covering in (instances[3], instances[7]):
-        assert any(r.holds is not None for r in check_reduction_preservation(covering).records)
+        report = check_reduction_preservation(*table_and_verdicts(covering))
+        assert any(r.holds is not None for r in report.records)
     expected = sum(
         len(verify_family(x)) if i % 4 == 0 else len(verify_covering(x))
         for i, x in enumerate(instances)
@@ -39,6 +43,8 @@ def test_checks_run_counts_every_suite_once():
 def test_verify_covering_builds_each_structure_once(monkeypatch):
     built = []
     verdicts = []
+    tables = []
+    families = []
 
     def counted(calls, fn):
         def wrapper(*args):
@@ -51,9 +57,18 @@ def test_verify_covering_builds_each_structure_once(monkeypatch):
     monkeypatch.setattr(
         verify, "closure_operator_verdict", counted(verdicts, verify.closure_operator_verdict)
     )
+    build = NeighborhoodTable.build.__func__
+    monkeypatch.setattr(NeighborhoodTable, "build", classmethod(counted(tables, build)))
+    init = TransversalMatroid.__init__
+    monkeypatch.setattr(TransversalMatroid, "__init__", counted(families, init))
     partition = as_covering(parse_family("universe: 1 2 3 4\nblock: 1 2\nblock: 3\nblock: 4\n"))
     assert all(r.passed for r in verify.verify_covering(partition))
     # the transversal matroid, then the sh, xh and vh partition matroids
     assert len(built) == 4
     assert len({id(matroid) for (matroid,) in built}) == 4
     assert len(verdicts) == 3
+    # no block is reducible or immured, so no shrunk covering gets a table
+    assert len(tables) == 1
+    # relations reuse the covering's matroid; their own builds are of other
+    # families (one block deleted, the reduct, the exclusion)
+    assert sum(1 for _, family in families if family is partition) == 1

@@ -291,6 +291,9 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
 
     The covers of a flat F are exactly the closures of its one-element
     extensions: in a matroid every cl(F + e) with e outside F covers F.
+    The sets cover - F partition E - F (e lies in cl(F + e), and two covers
+    meet only in F), so once a cover is found its elements are dropped from
+    the candidates: one closure per Hasse edge, plus one for the bottom.
     Heights are asserted equal to ranks; a mismatch means the oracle is not
     a matroid and raises ``InternalConsistencyError``.  A guard below one
     flat is refused with ``ValidationError``, as it is from the environment.
@@ -306,11 +309,13 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
         flat = queue.popleft()
         if flat.mask == universe.full_mask:
             continue
-        candidates: dict[int, ElementSet] = {}
-        for e in bits_of(universe.full_mask & ~flat.mask):
-            grown = matroid.closure(flat.with_index(e))
-            candidates[grown.mask] = grown
-        for mask, cover in candidates.items():
+        remaining = universe.full_mask & ~flat.mask
+        while remaining:
+            low = remaining & -remaining
+            cover = matroid.closure(ElementSet(universe, flat.mask | low))
+            mask = cover.mask
+            # low as well: a closure that missed it must not loop forever
+            remaining &= ~(low | mask)
             if mask not in discovered:
                 if len(discovered) >= limit:
                     raise GuardExceeded(

@@ -402,8 +402,10 @@ def verify_random(count: int, seed: int, max_n: int = 6, max_m: int = 6) -> Camp
     can be replayed.  An instance that trips a guard (typically the oracle
     budget) is skipped and counted in ``CampaignResult.skipped``.
     """
-    if max_n < 1 or max_m < 1:
-        raise ValidationError(f"campaign bounds must be at least 1: max_n={max_n}, max_m={max_m}")
+    if count < 1 or max_n < 1 or max_m < 1:
+        raise ValidationError(
+            f"campaign bounds must be at least 1: count={count}, max_n={max_n}, max_m={max_m}"
+        )
     rng = random.Random(seed)
     checks_run = 0
     skipped = 0

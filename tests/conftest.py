@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -94,6 +96,23 @@ def table_and_verdicts(covering: Covering):
 def relation_inputs(covering: Covering):
     """What the containment checks and the full relation report take."""
     return (*table_and_verdicts(covering), TransversalMatroid(covering))
+
+
+def density_covering(rng: random.Random, n: int, m: int) -> Covering:
+    """m distinct nonempty blocks, each element in each block with
+    probability 0.3; an element left uncovered joins a random block.  It
+    draws until it has m distinct blocks, so m must be at most 2^n - 1."""
+    assert 1 <= m < 1 << n
+    masks: list[int] = []
+    while len(masks) < m:
+        mask = sum(1 << e for e in range(n) if rng.random() < 0.3)
+        if mask and mask not in masks:
+            masks.append(mask)
+    for e in range(n):
+        if not any(mask >> e & 1 for mask in masks):
+            masks[rng.randrange(m)] |= 1 << e
+    universe = Universe(tuple(str(i + 1) for i in range(n)))
+    return as_covering(SetFamily(universe, [ElementSet(universe, mask) for mask in masks]))
 
 
 def subsets(universe: Universe):

@@ -124,6 +124,13 @@ class TestMatroid:
         assert main(["matroid", chain_b_file, "--kind", "xh"]) == 1
         assert "not a closure operator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("guard", ["0", "-1"])
+    def test_enumeration_guard_below_one_is_an_input_error(self, mixed5_file, guard, capsys):
+        assert main(["matroid", mixed5_file, "--guard", guard]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "guard must be a positive integer" in captured.err
+
     def test_singleton_partition(self, tmp_path, capsys):
         path = tmp_path / "singletons.cov"
         path.write_text("universe: 1 2 3\nblock: 1\nblock: 2\nblock: 3\n")
@@ -278,9 +285,18 @@ class TestVerify:
     def test_verify_without_arguments(self, capsys):
         assert main(["verify"]) == 2
 
-    @pytest.mark.parametrize("bound", [["--max-n", "0"], ["--max-m", "0"], ["--max-n", "-2"]])
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            ["--random", "4", "--max-n", "0"],
+            ["--random", "4", "--max-m", "0"],
+            ["--random", "4", "--max-n", "-2"],
+            ["--random", "0"],
+            ["--random", "-2"],
+        ],
+    )
     def test_campaign_bounds_below_one_are_input_errors(self, bound, capsys):
-        assert main(["verify", "--random", "4", *bound]) == 2
+        assert main(["verify", *bound]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "campaign bounds must be at least 1" in captured.err

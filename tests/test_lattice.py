@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -18,7 +20,7 @@ from covlat import (
     modular_pair_by_definition,
     modular_pair_by_heights,
 )
-from conftest import cov
+from conftest import DOUBLED9, cov, density_covering
 from strategies import coverings, families
 
 MIXED5_FLATS = [
@@ -81,6 +83,59 @@ class TestEnumeration:
         assert tuple(f.mask for f in lattice.flats) == tuple(
             f.mask for f in oracle.flats()
         )
+
+
+def closing_every_extension(matroid) -> tuple[set[int], set[tuple[int, int]]]:
+    """Flat and cover-pair masks found by closing F + e for every e outside
+    every flat F, with no element skipped."""
+    universe = matroid.universe
+    bottom = matroid.closure(universe.empty())
+    flats, edges, pending = {bottom.mask}, set(), [bottom]
+    while pending:
+        flat = pending.pop()
+        for e in range(universe.n):
+            if not flat.has_index(e):
+                cover = matroid.closure(flat.with_index(e))
+                edges.add((flat.mask, cover.mask))
+                if cover.mask not in flats:
+                    flats.add(cover.mask)
+                    pending.append(cover)
+    return flats, edges
+
+
+def _partition_matroid():
+    universe = Universe(tuple("abcdefg"))
+    classes = [universe.subset(list(part)) for part in ("abc", "d", "ef", "g")]
+    return PartitionMatroid(universe, classes)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TransversalMatroid(cov(DOUBLED9)),
+        lambda: TransversalMatroid(density_covering(random.Random(0), 10, 6)),
+        _partition_matroid,
+    ],
+    ids=["doubled9", "density10", "partition7"],
+)
+def test_enumeration_closes_once_per_hasse_edge(build):
+    # the covers of a flat F partition E - F, so an element a found cover
+    # absorbs is never closed again: one closure per edge plus the bottom
+    matroid = build()
+    calls = 0
+    closure = matroid.closure
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return closure(x)
+
+    matroid.closure = counted
+    lattice = enumerate_lattice(matroid)
+    assert calls == len(lattice.hasse_edges) + 1
+    flats, edges = closing_every_extension(build())
+    assert {f.mask for f in lattice.flats} == flats
+    assert {(lattice.flats[l].mask, lattice.flats[u].mask) for l, u in lattice.hasse_edges} == edges
 
 
 class TestOrderStructure:

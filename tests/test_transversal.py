@@ -1,15 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from covlat import (
+    BruteForce,
     GuardExceeded,
     TransversalMatroid,
+    ValidationError,
     ab_decomposition,
     brute_independent,
     is_partition,
 )
-from conftest import cov, fam, subsets
+from covlat.lattice import closure_from_rank
+from conftest import cov, density_covering, fam, subsets
 from strategies import coverings, families, family_and_two_subsets
 
 
@@ -108,6 +113,27 @@ class TestClosure:
             for b in (grown - cx).indices():
                 assert matroid.closure(x.with_index(b)).has_index(a)
 
+    @given(families(max_n=6))
+    def test_alternating_search_agrees_with_rank_and_brute_force(self, family):
+        # families include loops, repeated blocks and non-coverings
+        matroid = TransversalMatroid(family)
+        oracle = BruteForce(family)
+        for x in subsets(family.universe):
+            closure = matroid.closure(x)
+            assert closure == closure_from_rank(matroid, x)
+            assert closure == oracle.closure(x)
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_alternating_search_agrees_with_rank_on_density_coverings(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            covering = density_covering(rng, n, rng.randint(2, n + 2))
+            matroid = TransversalMatroid(covering)
+            for _ in range(400):
+                mask = sum(1 << e for e in rng.sample(range(n), rng.randint(0, n)))
+                x = covering.universe.set_from_mask(mask)
+                assert matroid.closure(x) == closure_from_rank(matroid, x)
+
 
 class TestEnumeration:
     def test_bases_of_partition(self):
@@ -143,6 +169,12 @@ class TestEnumeration:
             matroid.bases(guard=4)
         with pytest.raises(GuardExceeded):
             matroid.circuits(guard=4)
+        # a guard below 1 is an input error, not a guard that trips
+        for guard in (0, -1):
+            with pytest.raises(ValidationError, match="guard must be a positive integer"):
+                matroid.bases(guard)
+            with pytest.raises(ValidationError, match="guard must be a positive integer"):
+                matroid.circuits(guard)
 
 
 class TestParallelAndSimple:

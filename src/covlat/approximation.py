@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CriterionNotSatisfied, InternalConsistencyError, ValidationError
 from .lattice import closure_from_rank
@@ -317,6 +317,9 @@ class PartitionMatroid:
 
     def closure(self, x: ElementSet) -> ElementSet:
         return closure_from_rank(self, x)
+
+    def extensions(self, flat: ElementSet) -> Callable[[int], ElementSet]:
+        return lambda e: self.closure(flat.with_index(e))
 
     def base_count(self) -> int:
         """Bases pick one element per class, so the count is the product of

@@ -10,7 +10,7 @@ induced rank has the closed form min over members Y of f(Y) + |X - Y|.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InternalConsistencyError, ValidationError
 from .lattice import FlatLattice, MatroidOracle, closure_from_rank
@@ -92,6 +92,9 @@ class LatticeInducedMatroid:
 
     def closure(self, x: ElementSet) -> ElementSet:
         return closure_from_rank(self, x)
+
+    def extensions(self, flat: ElementSet) -> Callable[[int], ElementSet]:
+        return lambda e: self.closure(flat.with_index(e))
 
 
 def induced_rank(system: SubmodularSystem, x: ElementSet) -> int:

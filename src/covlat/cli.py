@@ -21,7 +21,7 @@ from .approximation import (
     tra_condition,
 )
 from .errors import CovlatError, CriterionNotSatisfied, GuardExceeded, ParseError, ValidationError
-from .lattice import enumerate_lattice
+from .lattice import _positive_guard, enumerate_lattice
 from .reduction import exclusion, reduct, reduction_report
 from .relations import full_relation_report
 from .transversal import TransversalMatroid, ab_decomposition
@@ -171,6 +171,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_matroid(args: argparse.Namespace) -> int:
+    _positive_guard("guard", args.guard)
     family = _read_family(args.file)
     universe = family.universe
     if args.kind == "transversal":

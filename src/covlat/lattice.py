@@ -2,17 +2,16 @@
 
 ``enumerate_lattice`` grows the lattice upward from the bottom flat by cover
 generation instead of filtering all 2^n subsets, so it only pays for flats
-that exist.  The input is any object exposing ``universe``, ``rank`` and
-``closure`` with matroid semantics; that contract is what makes cover
-generation correct.
+that exist.  The input is any object exposing ``universe``, ``rank``,
+``closure`` and ``extensions`` with matroid semantics; that contract is what
+makes cover generation correct.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from .errors import (
     GuardExceeded,
@@ -51,6 +50,9 @@ class MatroidOracle(Protocol):
     def rank(self, x: ElementSet) -> int: ...
 
     def closure(self, x: ElementSet) -> ElementSet: ...
+
+    def extensions(self, flat: ElementSet) -> Callable[[int], ElementSet]:
+        """The map e -> cl(flat + e) over the elements e outside a flat."""
 
 
 def closure_from_rank(matroid: MatroidOracle, x: ElementSet) -> ElementSet:
@@ -138,7 +140,7 @@ class FlatLattice:
         edge_set = set()
         for lower, upper in edges:
             lo, up = remap[lower], remap[upper]
-            if not self.flats[lo] < self.flats[up]:
+            if masks[lower] & ~masks[upper] or lo == up:
                 raise ValidationError("hasse edge does not go strictly upward")
             edge_set.add((lo, up))
         self.hasse_edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
@@ -148,7 +150,7 @@ class FlatLattice:
         self.heights: tuple[int, ...] = self._longest_chain_heights()
         self.bottom = self.flats[0]
         self.top = self.flats[-1]
-        if not all(self.bottom <= f <= self.top for f in self.flats):
+        if any(self.bottom.mask & ~mask or mask & ~self.top.mask for mask in masks):
             raise ValidationError("lattice lacks a unique bottom or top flat")
 
     def _longest_chain_heights(self) -> tuple[int, ...]:
@@ -293,7 +295,12 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
     extensions: in a matroid every cl(F + e) with e outside F covers F.
     The sets cover - F partition E - F (e lies in cl(F + e), and two covers
     meet only in F), so once a cover is found its elements are dropped from
-    the candidates: one closure per Hasse edge, plus one for the bottom.
+    the candidates.  Each non-top flat asks the oracle once for
+    ``extensions(F)`` and calls it once per Hasse edge above F; only the
+    bottom flat goes through ``closure``.  A transversal oracle finds one
+    maximum matching of F there, so each cover costs one augmenting path
+    plus one O(n + m) alternating search.
+
     Heights are asserted equal to ranks; a mismatch means the oracle is not
     a matroid and raises ``InternalConsistencyError``.  A guard below one
     flat is refused with ``ValidationError``, as it is from the environment.
@@ -304,15 +311,15 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
     discovered: dict[int, int] = {bottom.mask: 0}
     order: list[ElementSet] = [bottom]
     edges: list[tuple[int, int]] = []
-    queue: deque[ElementSet] = deque([bottom])
-    while queue:
-        flat = queue.popleft()
+    # order doubles as the breadth-first queue: it grows while it is walked
+    for index, flat in enumerate(order):
         if flat.mask == universe.full_mask:
             continue
+        close = matroid.extensions(flat)
         remaining = universe.full_mask & ~flat.mask
         while remaining:
             low = remaining & -remaining
-            cover = matroid.closure(ElementSet(universe, flat.mask | low))
+            cover = close(low.bit_length() - 1)
             mask = cover.mask
             # low as well: a closure that missed it must not loop forever
             remaining &= ~(low | mask)
@@ -324,8 +331,7 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
                     )
                 discovered[mask] = len(order)
                 order.append(cover)
-                queue.append(cover)
-            edges.append((discovered[flat.mask], discovered[mask]))
+            edges.append((index, discovered[mask]))
     lattice = FlatLattice(order, edges)
     for flat, height in zip(lattice.flats, lattice.heights):
         if matroid.rank(flat) != height:

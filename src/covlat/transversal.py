@@ -10,12 +10,18 @@ X, an element outside X lies in cl(X) exactly when no alternating path from
 it ends at an unmatched block.  One backward search from the unmatched
 blocks finds every block such a path can start at, so a closure costs one
 matching plus O(n + m) bitmask steps instead of n - |X| matchings.
+
+Lattice enumeration closes every one-element extension F + e of a flat F.
+``extensions`` finds one maximum matching of F for all of them; each F + e
+then costs a copy of that matching, one augmenting path from e, and the
+same O(n + m) search, instead of a fresh matching of all of F + e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .errors import GuardExceeded, InternalConsistencyError, ValidationError
 from .lattice import _positive_guard
@@ -35,11 +41,11 @@ class TransversalMatroid:
     def __init__(self, family: SetFamily):
         self.family = family
         self.universe = family.universe
-        n = self.universe.n
-        self._blocks_of: tuple[tuple[int, ...], ...] = tuple(
-            tuple(j for j, block in enumerate(family.blocks) if block.has_index(e))
-            for e in range(n)
-        )
+        blocks_of = [0] * self.universe.n
+        for j, block in enumerate(family.blocks):
+            for e in bits_of(block.mask):
+                blocks_of[e] |= 1 << j
+        self._blocks_of: tuple[int, ...] = tuple(blocks_of)
         self._block_masks: tuple[int, ...] = tuple(block.mask for block in family.blocks)
         self._rank_cache: dict[int, int] = {}
 
@@ -52,30 +58,39 @@ class TransversalMatroid:
         self._check(x)
         cached = self._rank_cache.get(x.mask)
         if cached is None:
-            cached = self._matching_size(tuple(bits_of(x.mask)))
+            cached = len(self._maximum_matching(x.mask))
             self._rank_cache[x.mask] = cached
         return cached
 
     def is_independent(self, x: ElementSet) -> bool:
         return self.rank(x) == len(x)
 
-    def _matching_size(self, members: tuple[int, ...]) -> int:
+    def _maximum_matching(self, mask: int) -> dict[int, int]:
+        """A maximum matching of the members of mask, as block -> element."""
         owner: dict[int, int] = {}
-        size = 0
-        for element in members:
-            if self._augment(element, owner, set()):
-                size += 1
-        return size
+        for element in bits_of(mask):
+            self._augment(element, owner, 0)
+        return owner
 
-    def _augment(self, element: int, owner: dict[int, int], seen: set[int]) -> bool:
-        for block in self._blocks_of[element]:
-            if block in seen:
-                continue
-            seen.add(block)
-            if block not in owner or self._augment(owner[block], owner, seen):
+    def _augment(self, element: int, owner: dict[int, int], seen: int) -> int:
+        """Give element a block by an augmenting path through blocks outside
+        the bitmask seen.  Returns -1 once it has one; otherwise the matching
+        is unchanged and the result is seen plus every block tried."""
+        blocks = self._blocks_of[element] & ~seen
+        while blocks:
+            low = blocks & -blocks
+            seen |= low
+            block = low.bit_length() - 1
+            holder = owner.get(block)
+            if holder is None:
                 owner[block] = element
-                return True
-        return False
+                return -1
+            seen = self._augment(holder, owner, seen)
+            if seen < 0:
+                owner[block] = element
+                return -1
+            blocks &= ~seen
+        return seen
 
     def closure(self, x: ElementSet) -> ElementSet:
         """Elements whose addition leaves the rank of x unchanged.
@@ -96,26 +111,57 @@ class TransversalMatroid:
         O(n + m) bitmask steps.
         """
         self._check(x)
-        owner: dict[int, int] = {}
-        for element in bits_of(x.mask):
-            self._augment(element, owner, set())
-        block_of: dict[int, int] = {}
-        matched = reached = 0
-        for block, mask in enumerate(self._block_masks):
-            element = owner.get(block)
-            if element is None:
-                reached |= mask
-            else:
-                block_of[element] = block
-                matched |= 1 << element
-        pending = reached & matched
+        return self._closure_of(x.mask, self._maximum_matching(x.mask))
+
+    def extensions(self, flat: ElementSet) -> Callable[[int], ElementSet]:
+        """The map e -> cl(flat + e) over the elements e outside a closed flat.
+
+        One maximum matching M of the flat is found here.  For e outside a
+        closed flat, rank(flat + e) = |M| + 1, so by Berge's theorem M has an
+        augmenting path in flat + e, and it starts at e (one that avoids e
+        would augment M inside the flat).  Each call therefore copies M,
+        grows it by one augmenting path from e to a maximum matching of
+        flat + e, and runs closure's backward search on that.  If no path
+        exists, e was already in cl(flat): the flat was not closed, and the
+        call raises ``InternalConsistencyError`` rather than return a wrong
+        cover.
+        """
+        self._check(flat)
+        mask = flat.mask
+        matching = self._maximum_matching(mask)
+
+        def closure_with(e: int) -> ElementSet:
+            if mask >> e & 1:
+                raise ValidationError(f"element {self.universe.labels[e]} is already in {flat!r}")
+            owner = dict(matching)
+            if self._augment(e, owner, 0) >= 0:
+                raise InternalConsistencyError(
+                    f"{flat!r} is not closed: element {self.universe.labels[e]} "
+                    "leaves its rank unchanged"
+                )
+            return self._closure_of(mask | 1 << e, owner)
+
+        return closure_with
+
+    def _closure_of(self, mask: int, owner: dict[int, int]) -> ElementSet:
+        """cl(mask) from a maximum matching of it, by closure's backward search.
+
+        A member of mask in a reached block is matched, or it would start an
+        augmenting path, so the search follows members only."""
+        block_masks = self._block_masks
+        reached = 0
+        for block, block_mask in enumerate(block_masks):
+            if block not in owner:
+                reached |= block_mask
+        carrier = {element: block_masks[block] for block, element in owner.items()}
+        pending = reached & mask
         while pending:
             low = pending & -pending
             pending ^= low
-            grown = self._block_masks[block_of[low.bit_length() - 1]] & ~reached
+            grown = carrier[low.bit_length() - 1] & ~reached
             reached |= grown
-            pending |= grown & matched
-        return ElementSet(self.universe, x.mask | self.universe.full_mask & ~reached)
+            pending |= grown & mask
+        return ElementSet(self.universe, mask | self.universe.full_mask & ~reached)
 
     def closure_of_empty(self) -> ElementSet:
         """Empty iff the family is a covering; otherwise the set of loops."""

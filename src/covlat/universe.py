@@ -38,7 +38,7 @@ def bits_of(mask: int) -> Iterator[int]:
 class Universe:
     """Ordered alphabet of distinct, whitespace-free element labels."""
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_index", "n", "full_mask")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -57,14 +57,8 @@ class Universe:
             index[label] = i
         self.labels = labels
         self._index = index
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+        self.n = len(labels)
+        self.full_mask = (1 << self.n) - 1
 
     def index(self, label: str) -> int:
         try:

@@ -125,8 +125,11 @@ class TestMatroid:
         assert "not a closure operator" in capsys.readouterr().err
 
     @pytest.mark.parametrize("guard", ["0", "-1"])
-    def test_enumeration_guard_below_one_is_an_input_error(self, mixed5_file, guard, capsys):
-        assert main(["matroid", mixed5_file, "--guard", guard]) == 2
+    @pytest.mark.parametrize("kind", ["transversal", "sh", "xh", "vh"])
+    def test_enumeration_guard_below_one_is_an_input_error(
+        self, mixed5_file, kind, guard, capsys
+    ):
+        assert main(["matroid", mixed5_file, "--kind", kind, "--guard", guard]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "guard must be a positive integer" in captured.err

@@ -12,6 +12,7 @@ from covlat import (
     TransversalMatroid,
     Universe,
     UpperOperator,
+    ValidationError,
     ab_decomposition,
     enumerate_lattice,
     induced_partition_matroid,
@@ -20,6 +21,7 @@ from covlat import (
     modular_pair_by_definition,
     modular_pair_by_heights,
 )
+from covlat.lattice import closure_from_rank
 from conftest import DOUBLED9, cov, density_covering
 from strategies import coverings, families
 
@@ -110,32 +112,122 @@ def _partition_matroid():
 
 
 @pytest.mark.parametrize(
-    "build",
+    ("build", "closures"),
     [
-        lambda: TransversalMatroid(cov(DOUBLED9)),
-        lambda: TransversalMatroid(density_covering(random.Random(0), 10, 6)),
-        _partition_matroid,
+        (lambda: TransversalMatroid(cov(DOUBLED9)), lambda edges: 1),
+        (lambda: TransversalMatroid(density_covering(random.Random(0), 10, 6)), lambda edges: 1),
+        (_partition_matroid, lambda edges: edges + 1),
     ],
     ids=["doubled9", "density10", "partition7"],
 )
-def test_enumeration_closes_once_per_hasse_edge(build):
+def test_enumeration_closes_once_per_hasse_edge(build, closures):
     # the covers of a flat F partition E - F, so an element a found cover
-    # absorbs is never closed again: one closure per edge plus the bottom
+    # absorbs is never closed again: each non-top flat asks for its
+    # extensions once and closes one extension per Hasse edge.  Only the
+    # bottom goes through a transversal closure; the partition matroid's
+    # extensions call its closure, once per edge.
     matroid = build()
-    calls = 0
-    closure = matroid.closure
+    calls = {"closure": 0, "extensions": 0, "extension": 0}
+    closure, extensions = matroid.closure, matroid.extensions
 
-    def counted(x):
-        nonlocal calls
-        calls += 1
+    def counted_closure(x):
+        calls["closure"] += 1
         return closure(x)
 
-    matroid.closure = counted
+    def counted_extensions(flat):
+        calls["extensions"] += 1
+        close = extensions(flat)
+
+        def counted_extension(e):
+            calls["extension"] += 1
+            return close(e)
+
+        return counted_extension
+
+    matroid.closure = counted_closure
+    matroid.extensions = counted_extensions
     lattice = enumerate_lattice(matroid)
-    assert calls == len(lattice.hasse_edges) + 1
-    flats, edges = closing_every_extension(build())
+    edges = len(lattice.hasse_edges)
+    assert calls == {
+        "closure": closures(edges),
+        "extensions": len(lattice) - 1,
+        "extension": edges,
+    }
+    flats, edge_masks = closing_every_extension(build())
     assert {f.mask for f in lattice.flats} == flats
-    assert {(lattice.flats[l].mask, lattice.flats[u].mask) for l, u in lattice.hasse_edges} == edges
+    assert {
+        (lattice.flats[l].mask, lattice.flats[u].mask) for l, u in lattice.hasse_edges
+    } == edge_masks
+
+
+@given(families(max_n=6))
+def test_extension_closures_match_the_rank_and_oracle_closures(family):
+    matroid = TransversalMatroid(family)
+    oracle = BruteForce(family)
+    for flat in enumerate_lattice(matroid).flats:
+        close = matroid.extensions(flat)
+        for e in range(family.universe.n):
+            if flat.has_index(e):
+                continue
+            grown = flat.with_index(e)
+            cover = close(e)
+            assert cover == closure_from_rank(matroid, grown)
+            assert cover == oracle.closure(grown)
+
+
+def test_extensions_of_a_set_that_is_not_closed_raise(mixed5):
+    # K4 = {4, 5} is the only block holding 4 or 5, so cl({4}) = {4, 5}
+    # and no augmenting path starts at 5
+    universe = mixed5.universe
+    close = TransversalMatroid(mixed5).extensions(universe.subset(["4"]))
+    assert close(universe.index("1")) == universe.subset(["1", "4", "5"])
+    with pytest.raises(InternalConsistencyError, match="not closed"):
+        close(universe.index("5"))
+
+
+def test_extensions_refuse_an_element_of_the_flat(mixed5):
+    universe = mixed5.universe
+    close = TransversalMatroid(mixed5).extensions(universe.subset(["4", "5"]))
+    with pytest.raises(ValidationError, match="already in"):
+        close(universe.index("4"))
+
+
+class TestConstruction:
+    @pytest.fixture
+    def square(self):
+        universe = Universe(("a", "b"))
+        return [universe.subset(f.split()) for f in ("", "a", "b", "a b")]
+
+    def test_no_flats(self):
+        with pytest.raises(ValidationError, match="at least one flat"):
+            FlatLattice([], [])
+
+    def test_duplicate_flats(self, square):
+        with pytest.raises(ValidationError, match="duplicate flats"):
+            FlatLattice(square + [square[1]], [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "edge", [(1, 1), (1, 2), (3, 1)], ids=["self", "incomparable", "downward"]
+    )
+    def test_edge_not_strictly_upward(self, square, edge):
+        edges = [(0, 1), (0, 2), (1, 3), (2, 3), edge]
+        with pytest.raises(ValidationError, match="strictly upward"):
+            FlatLattice(square, edges)
+
+    @pytest.mark.parametrize(
+        ("kept", "edges"),
+        [((1, 2, 3), [(0, 2), (1, 2)]), ((0, 1, 2), [(0, 1), (0, 2)])],
+        ids=["no-bottom", "no-top"],
+    )
+    def test_no_unique_bottom_or_top(self, square, kept, edges):
+        with pytest.raises(ValidationError, match="unique bottom or top"):
+            FlatLattice([square[i] for i in kept], edges)
+
+    def test_stored_order_is_canonical(self, square):
+        lattice = FlatLattice(square[::-1], [(3, 2), (3, 1), (2, 0), (1, 0)])
+        assert lattice.flats == tuple(square)
+        assert lattice.hasse_edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+        assert lattice.heights == (0, 1, 1, 2)
 
 
 class TestOrderStructure:

@@ -23,7 +23,7 @@ from .approximation import (
 from .errors import CovlatError, CriterionNotSatisfied, GuardExceeded, ParseError, ValidationError
 from .lattice import _positive_guard, enumerate_lattice
 from .reduction import exclusion, reduct, reduction_report
-from .relations import full_relation_report
+from .relations import ENUM_GUARD_N, full_relation_report
 from .transversal import TransversalMatroid, ab_decomposition
 from .universe import Covering, SetFamily, as_covering, is_partition, parse_family
 from .verify import verify_covering, verify_family, verify_family_round_trip, verify_random
@@ -274,7 +274,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     covering = _read_covering(args.file)
     table = NeighborhoodTable.build(covering)
     verdicts = {kind: closure_operator_verdict(table, kind) for kind in UpperOperator}
-    report = full_relation_report(table, verdicts, TransversalMatroid(covering))
+    matroid = TransversalMatroid(covering)
+    # every claim that reads the lattice is skipped over the guard
+    lattice = enumerate_lattice(matroid) if covering.universe.n <= ENUM_GUARD_N else None
+    report = full_relation_report(table, verdicts, matroid, lattice)
 
     def render(data: dict):
         for record in data["claims"]:

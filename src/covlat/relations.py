@@ -4,10 +4,17 @@ and for how deletion, reducts and exclusions affect them.
 
 Each check produces ``ClaimRecord`` rows.  A claim whose precondition fails
 is reported as inapplicable with the failed precondition, never with a
-verdict.  Containments of independence families are checked predicate
-against predicate over all subsets within an enumeration guard; containments
-of flat lattices are checked flat by flat against the closure operator of
-the larger structure, so the larger lattice is never enumerated.
+verdict.  Sweeps and enumerations run only within an enumeration guard on
+the universe size.
+An independence family is checked against the covering's transversal
+matroid on the flats of its lattice (the weak-map criterion,
+``_separating_on_flats``).  The caller enumerates that lattice once and
+passes it as ``lattice`` with the matroid; over the guard it may pass None,
+since every claim that reads it is skipped there.  Only the sh-within-xh
+containment, between two partition matroids, still sweeps all subsets.
+Containments of flat lattices are checked flat by flat against the closure
+operator of the larger structure, so no further lattice of a larger
+structure is enumerated.
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from .approximation import (
     Verdicts,
     closure_operator_verdict,
 )
-from .lattice import enumerate_lattice
+from .lattice import FlatLattice, enumerate_lattice
 from .reduction import exclusion, immured_block_indices, reducible_block_indices, reduct
 from .transversal import TransversalMatroid
-from .universe import Covering, Universe, as_covering, is_partition
+from .universe import Covering, ElementSet, Universe, as_covering, bits_of, is_partition
 
 ENUM_GUARD_N = 14
 
@@ -82,25 +89,54 @@ def _guard_note(universe: Universe) -> str | None:
     return f"universe size {universe.n} exceeds enumeration guard {ENUM_GUARD_N}"
 
 
-def _record_within(
-    report: RelationReport,
-    claims: tuple[str, str],
-    smaller,
-    smaller_flats,
-    larger,
-    note: str | None = None,
-) -> None:
-    """Record the claim pair: the smaller structure's independent sets lie
-    within the larger's, and its flats are closed in the larger."""
-    independents_claim, flats_claim = claims
-    witness = next(
+def _separating_subset(smaller, larger) -> ElementSet | None:
+    """The first subset in mask order that is independent in the smaller
+    structure and dependent in the larger: a sweep over all 2^n subsets."""
+    return next(
         (
-            f"{x!r} separates the families"
+            x
             for x in smaller.universe.subsets()
             if smaller.is_independent(x) and not larger.is_independent(x)
         ),
         None,
     )
+
+
+def _separating_on_flats(smaller, lattice: FlatLattice) -> ElementSet | None:
+    """A set independent in the smaller structure S and dependent in the
+    matroid L whose flat lattice is given; None if there is none.
+
+    Weak-map criterion: indep(S) is within indep(L) iff r_S(F) <= r_L(F) for
+    every flat F of L, and r_L(F) is the height of F (``enumerate_lattice``
+    asserts it).  (=>) A maximum S-independent subset of F is L-independent.
+    (<=) For X independent in S, |X| <= r_S(cl_L X) <= r_L(cl_L X) = r_L(X),
+    so X is L-independent.
+    The witness is the greedy S-basis of the first failing flat: its
+    r_S(F) > r_L(F) members lie in F, so it is L-dependent.
+    """
+    for flat, height in zip(lattice.flats, lattice.heights):
+        if smaller.rank(flat) > height:
+            basis = lattice.universe.empty()
+            for e in bits_of(flat.mask):
+                if smaller.is_independent(basis.with_index(e)):
+                    basis = basis.with_index(e)
+            return basis
+    return None
+
+
+def _record_within(
+    report: RelationReport,
+    claims: tuple[str, str],
+    separating: ElementSet | None,
+    smaller_flats,
+    larger,
+    note: str | None = None,
+) -> None:
+    """Record the claim pair: the smaller structure's independent sets lie
+    within the larger's (``separating`` is a set that shows they do not),
+    and its flats are closed in the larger."""
+    independents_claim, flats_claim = claims
+    witness = None if separating is None else f"{separating!r} separates the families"
     report.verdict(independents_claim, witness is None, witness, note)
     witness = next(
         (
@@ -114,7 +150,10 @@ def _record_within(
 
 
 def check_containments(
-    table: NeighborhoodTable, verdicts: Verdicts, transversal: TransversalMatroid
+    table: NeighborhoodTable,
+    verdicts: Verdicts,
+    transversal: TransversalMatroid,
+    lattice: FlatLattice | None,
 ) -> RelationReport:
     """Containments and equalities between the four induced structures."""
     report = RelationReport()
@@ -140,7 +179,7 @@ def check_containments(
         _record_within(
             report,
             ("sh-independents-within-transversal", "sh-flats-within-transversal-flats"),
-            sh_matroid,
+            _separating_on_flats(sh_matroid, lattice),
             sh_flats,
             transversal,
         )
@@ -165,10 +204,11 @@ def check_containments(
     if not report.skipped(
         both_gate or guard_note, "sh-independents-within-xh", "sh-flats-within-xh-flats"
     ):
+        # both sides are partition matroids: each subset costs two bit counts
         _record_within(
             report,
             ("sh-independents-within-xh", "sh-flats-within-xh-flats"),
-            sh_matroid,
+            _separating_subset(sh_matroid, xh_matroid),
             sh_flats,
             xh_matroid,
         )
@@ -185,10 +225,9 @@ def check_containments(
         )
         witness = None if differ is None else f"families disagree on {differ!r}"
         if witness is None:
-            flat_sets = {tuple(f.mask for f in sh_flats)} | {
-                tuple(f.mask for f in enumerate_lattice(m).flats)
-                for m in (transversal, xh_matroid, vh_matroid)
-            }
+            flat_lists = [lattice.flats, sh_flats]
+            flat_lists += [enumerate_lattice(m).flats for m in (xh_matroid, vh_matroid)]
+            flat_sets = {tuple(f.mask for f in flats) for flats in flat_lists}
             if len(flat_sets) > 1:
                 witness = "flat lattices differ"
         report.verdict("partition-structures-coincide", witness is None, witness)
@@ -196,7 +235,9 @@ def check_containments(
     return report
 
 
-def check_deletion_monotonicity(whole: TransversalMatroid, block_index: int) -> RelationReport:
+def check_deletion_monotonicity(
+    whole: TransversalMatroid, block_index: int, lattice: FlatLattice | None
+) -> RelationReport:
     """Deleting any block shrinks the independence family and the flat set."""
     report = RelationReport()
     family = whole.family
@@ -215,11 +256,13 @@ def check_deletion_monotonicity(whole: TransversalMatroid, block_index: int) -> 
     smaller = TransversalMatroid(family.without_block(block_index))
     if not report.skipped(_guard_note(family.universe), *claims):
         flats = enumerate_lattice(smaller).flats
-        _record_within(report, claims, smaller, flats, whole, note)
+        _record_within(report, claims, _separating_on_flats(smaller, lattice), flats, whole, note)
     return report
 
 
-def check_reduct_exclusion_containments(whole: TransversalMatroid) -> RelationReport:
+def check_reduct_exclusion_containments(
+    whole: TransversalMatroid, lattice: FlatLattice | None
+) -> RelationReport:
     """Reducts and exclusions only shrink the structures of the original."""
     report = RelationReport()
     covering = whole.family
@@ -229,7 +272,7 @@ def check_reduct_exclusion_containments(whole: TransversalMatroid) -> RelationRe
         if not report.skipped(guard_note, *claims):
             smaller = TransversalMatroid(reduce(covering))
             flats = enumerate_lattice(smaller).flats
-            _record_within(report, claims, smaller, flats, whole)
+            _record_within(report, claims, _separating_on_flats(smaller, lattice), flats, whole)
     return report
 
 
@@ -306,15 +349,18 @@ def check_reduction_preservation(table: NeighborhoodTable, verdicts: Verdicts) -
 
 
 def full_relation_report(
-    table: NeighborhoodTable, verdicts: Verdicts, transversal: TransversalMatroid
+    table: NeighborhoodTable,
+    verdicts: Verdicts,
+    transversal: TransversalMatroid,
+    lattice: FlatLattice | None,
 ) -> RelationReport:
     """Everything: containments, per-block deletion, reducts, preservation."""
     covering = table.covering
-    report = check_containments(table, verdicts, transversal)
+    report = check_containments(table, verdicts, transversal, lattice)
     if covering.m > 1:
         for i in range(covering.m):
-            for record in check_deletion_monotonicity(transversal, i).records:
+            for record in check_deletion_monotonicity(transversal, i, lattice).records:
                 report.add(replace(record, claim=f"{record.claim}[{covering.block_name(i)}]"))
-    report.extend(check_reduct_exclusion_containments(transversal))
+    report.extend(check_reduct_exclusion_containments(transversal, lattice))
     report.extend(check_reduction_preservation(table, verdicts))
     return report

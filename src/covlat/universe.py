@@ -70,7 +70,8 @@ class Universe:
         return label in self._index
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Universe) and self.labels == other.labels
+        # every structure built on one universe shares the object itself
+        return other is self or isinstance(other, Universe) and self.labels == other.labels
 
     def __hash__(self) -> int:
         return hash(self.labels)

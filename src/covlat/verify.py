@@ -328,9 +328,9 @@ def verify_round_trip(
 
 
 def verify_relations(
-    table: NeighborhoodTable, verdicts: Verdicts, matroid: TransversalMatroid
+    table: NeighborhoodTable, verdicts: Verdicts, matroid: TransversalMatroid, lattice: FlatLattice
 ) -> list[CheckResult]:
-    report = full_relation_report(table, verdicts, matroid)
+    report = full_relation_report(table, verdicts, matroid, lattice)
     return [
         CheckResult(f"relation: {r.claim}", bool(r.holds), r.witness or "")
         for r in report.records
@@ -371,7 +371,7 @@ def verify_covering(covering: Covering) -> list[CheckResult]:
     results += verify_operator_criteria(table, verdicts)
     results += verify_induced_matroids(table, induced)
     results += verify_modularity(matroid, lattice, induced)
-    results += verify_relations(table, verdicts, matroid)
+    results += verify_relations(table, verdicts, matroid, lattice)
     return results
 
 

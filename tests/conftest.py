@@ -13,6 +13,7 @@ from covlat import (
     UpperOperator,
     as_covering,
     closure_operator_verdict,
+    enumerate_lattice,
     parse_family,
 )
 
@@ -95,7 +96,13 @@ def table_and_verdicts(covering: Covering):
 
 def relation_inputs(covering: Covering):
     """What the containment checks and the full relation report take."""
-    return (*table_and_verdicts(covering), TransversalMatroid(covering))
+    return (*table_and_verdicts(covering), *transversal_and_lattice(covering))
+
+
+def transversal_and_lattice(family: SetFamily):
+    """What the deletion and reduct/exclusion checks take, besides a block."""
+    matroid = TransversalMatroid(family)
+    return matroid, enumerate_lattice(matroid)
 
 
 def density_covering(rng: random.Random, n: int, m: int) -> Covering:

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from covlat import FlatLattice, SubmodularSystem, parse_family
+from covlat import FlatLattice, SubmodularSystem, cli, parse_family, relations
 from covlat.cli import main
 from conftest import CHAIN_A, CHAIN_B, DOUBLED9, MIXED5, NESTED3
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+INPUTS = Path(__file__).resolve().parent / "inputs"
 
 NODE_LINE = re.compile(r'^\s*f\d+ \[label="[^"]*"\];$')
 EDGE_LINE = re.compile(r"^\s*f\d+ -> f\d+;$")
@@ -212,6 +213,35 @@ class TestCompare:
         assert main(["compare", mixed5_file, "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert any(c["claim"] == "xh-vh-operators-coincide" for c in data["claims"])
+
+    @pytest.mark.parametrize(
+        "name,transversal_lattices",
+        [("density_14.cov", 1), ("density_15.cov", 0), ("partition_20.cov", 0)],
+    )
+    def test_transversal_lattice_only_within_the_guard(
+        self, name, transversal_lattices, monkeypatch, capsys
+    ):
+        # the golden snapshots of these inputs pin the report itself
+        built = []
+
+        def counted(module):
+            enumerate_lattice = module.enumerate_lattice
+
+            def count(matroid, *args):
+                built.append((module.__name__, type(matroid).__name__))
+                return enumerate_lattice(matroid, *args)
+
+            return count
+
+        for module in (cli, relations):
+            monkeypatch.setattr(module, "enumerate_lattice", counted(module))
+        assert main(["compare", str(INPUTS / name)]) == 0
+        out = capsys.readouterr().out
+        assert built.count(("covlat.cli", "TransversalMatroid")) == transversal_lattices
+        if not transversal_lattices:
+            assert built == []
+            assert "exceeds enumeration guard 14" in out
+            assert all(line.startswith("SKIP ") for line in out.splitlines())
 
 
 class TestReduce:

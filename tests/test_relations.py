@@ -3,7 +3,11 @@ import random
 from hypothesis import given
 
 from covlat import (
+    ElementSet,
+    PartitionMatroid,
+    SetFamily,
     TransversalMatroid,
+    Universe,
     check_containments,
     check_deletion_monotonicity,
     check_reduct_exclusion_containments,
@@ -13,12 +17,24 @@ from covlat import (
 )
 from covlat import relations
 from covlat.generators import partition_with_nested_block, partition_with_union_block
-from conftest import cov, fam, relation_inputs, subsets, table_and_verdicts
+from conftest import (
+    cov,
+    fam,
+    relation_inputs,
+    subsets,
+    table_and_verdicts,
+    transversal_and_lattice,
+)
 from strategies import coverings, families, partitions
 
 
 def by_claim(report):
     return {r.claim: r for r in report.records}
+
+
+def deletion(family, block_index):
+    whole, lattice = transversal_and_lattice(family)
+    return check_deletion_monotonicity(whole, block_index, lattice)
 
 
 class TestContainments:
@@ -61,6 +77,61 @@ class TestContainments:
         assert check_containments(*relation_inputs(covering)).failures() == []
 
 
+class TestWeakMapCriterion:
+    """The flat criterion against a subset sweep written here, on seeded
+    random structures over one universe of at most 7 elements."""
+
+    @staticmethod
+    def structures(rng):
+        n = rng.randint(1, 7)
+        universe = Universe(tuple(str(i + 1) for i in range(n)))
+        blocks = [
+            ElementSet(universe, rng.randrange(1, 1 << n)) for _ in range(rng.randint(1, 5))
+        ]
+        kept = [b for b in blocks if rng.random() < 0.5] or blocks[:1]
+        owner = [rng.randrange(n) for _ in range(n)]
+        classes = [
+            ElementSet(universe, sum(1 << e for e in range(n) if owner[e] == c))
+            for c in sorted(set(owner))
+        ]
+        # a family, one of its subfamilies and a partition matroid
+        return universe, (
+            TransversalMatroid(SetFamily(universe, blocks)),
+            TransversalMatroid(SetFamily(universe, kept)),
+            PartitionMatroid(universe, classes),
+        )
+
+    def test_agrees_with_subset_sweep(self):
+        rng = random.Random(9)
+        pairs = failing = 0
+        for _ in range(150):
+            universe, (whole, sub, partition) = self.structures(rng)
+            # both orientations, so that failing pairs occur
+            orientations = ((sub, whole), (whole, sub), (partition, whole), (whole, partition))
+            for smaller, larger in orientations:
+                expected = any(
+                    smaller.is_independent(x) and not larger.is_independent(x)
+                    for x in subsets(universe)
+                )
+                witness = relations._separating_on_flats(smaller, enumerate_lattice(larger))
+                assert (witness is not None) == expected
+                if witness is not None:
+                    failing += 1
+                    assert smaller.is_independent(witness)
+                    assert not larger.is_independent(witness)
+                pairs += 1
+        assert 0.2 * pairs < failing < 0.8 * pairs
+
+    def test_witness_is_the_greedy_basis_of_the_first_failing_flat(self):
+        # one block against two copies of it: the only flats of the one
+        # block are {} and {1 2 3}, of height 1, where the two copies have
+        # rank 2; the greedy basis is {1 2}, not the flat itself
+        family = fam("universe: 1 2 3\nblock: 1 2 3\nblock: 1 2 3")
+        smaller, larger = TransversalMatroid(family), TransversalMatroid(family.without_block(1))
+        witness = relations._separating_on_flats(smaller, enumerate_lattice(larger))
+        assert witness == family.universe.subset(["1", "2"])
+
+
 class TestDeletionMonotonicity:
     def test_corrected_three_element_family(self, family3):
         matroid = TransversalMatroid(family3)
@@ -74,7 +145,7 @@ class TestDeletionMonotonicity:
         assert actual == expected_independents
         # the full family is free: every subset is independent
         assert all(matroid.is_independent(x) for x in subsets(u))
-        report = check_deletion_monotonicity(TransversalMatroid(family3), 2)
+        report = deletion(family3, 2)
         assert all(r.holds for r in report.records if r.applicable)
 
     def test_flat_containment_golden(self, family3):
@@ -88,16 +159,16 @@ class TestDeletionMonotonicity:
 
     def test_duplicate_block_deletion(self):
         family = fam("universe: 1 2 3\nblock: 1 2\nblock: 1 2\nblock: 3")
-        report = check_deletion_monotonicity(TransversalMatroid(family), 0)
+        report = deletion(family, 0)
         assert all(r.holds for r in report.records if r.applicable)
 
     def test_single_block_family_is_skipped(self):
         family = fam("universe: 1\nblock: 1")
-        report = check_deletion_monotonicity(TransversalMatroid(family), 0)
+        report = deletion(family, 0)
         assert all(not r.applicable for r in report.records)
 
     def test_block_classification_noted(self, nested3):
-        report = check_deletion_monotonicity(TransversalMatroid(nested3), 2)
+        report = deletion(nested3, 2)
         notes = [r.note for r in report.records if r.note]
         assert notes and "reducible" in notes[0]
 
@@ -105,15 +176,17 @@ class TestDeletionMonotonicity:
     def test_holds_for_every_block(self, family):
         if family.m < 2:
             return
+        whole, lattice = transversal_and_lattice(family)
         for k in range(family.m):
-            report = check_deletion_monotonicity(TransversalMatroid(family), k)
+            report = check_deletion_monotonicity(whole, k, lattice)
             assert report.failures() == []
 
 
 class TestReductExclusionContainments:
     @given(coverings(max_n=5))
     def test_hold_on_random_coverings(self, covering):
-        assert check_reduct_exclusion_containments(TransversalMatroid(covering)).failures() == []
+        report = check_reduct_exclusion_containments(*transversal_and_lattice(covering))
+        assert report.failures() == []
 
 
 class TestReductionPreservation:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import and_, or_
 from typing import Callable, Protocol, Sequence
 
 from .errors import (
@@ -74,6 +77,14 @@ def containment_index(n: int, sets: Sequence[ElementSet]) -> list[int]:
     return index
 
 
+def canonical_keys(n: int, masks: Sequence[int]) -> list[int]:
+    """One integer per mask that sorts as ``ElementSet.sort_key`` does: the
+    cardinality, then the n-bit mask read backwards (lowest index as the
+    highest bit), descending."""
+    spelled, full = f"0{n}b", (1 << n) - 1
+    return [mask.bit_count() << n | full ^ int(format(mask, spelled)[::-1], 2) for mask in masks]
+
+
 def positions_over(index: Sequence[int], mask: int, within: int) -> int:
     """The positions in ``within`` whose sets contain every element of ``mask``.
     The lowest-bit loop is inlined: this runs inside the all-pairs scan."""
@@ -118,11 +129,13 @@ class FlatLattice:
     """All flats of a matroid with their Hasse diagram and heights.
 
     Flats are stored in canonical order (cardinality, then index sequence);
-    heights are longest-chain distances from the bottom computed from the
-    stored Hasse edges.  Joins come from a ``containment_index`` built once:
-    the flats over a union are the AND of its elements' bitsets, and the
-    join is the lowest of them, the first flat in size order.  Instances are
-    immutable after construction.
+    heights are longest-chain distances from the bottom over the stored
+    Hasse edges.  Construction builds only what every caller reads: the
+    flats, their index, the sorted edges and the heights.  Joins use a
+    ``containment_index`` (the flats over a union are the AND of its
+    elements' bitsets; the join is the lowest, the first in size order); it,
+    the mask of all flats and the edge set behind ``covers`` are built by
+    the first ``join``, ``covers`` or ``is_geometric`` and kept.
     """
 
     def __init__(self, flats: list[ElementSet], edges: list[tuple[int, int]]):
@@ -132,34 +145,50 @@ class FlatLattice:
         masks = [f.mask for f in flats]
         if len(set(masks)) != len(masks):
             raise ValidationError("duplicate flats")
-        order = sorted(range(len(flats)), key=lambda i: flats[i].sort_key())
-        remap = {old: new for new, old in enumerate(order)}
+        size = len(flats)
+        keys = canonical_keys(universe.n, masks)
+        order = sorted(range(size), key=keys.__getitem__)
+        remap = [0] * size
+        for new, old in enumerate(order):
+            remap[old] = new
         self.universe = universe
-        self.flats: tuple[ElementSet, ...] = tuple(flats[i] for i in order)
+        self.flats: tuple[ElementSet, ...] = tuple([flats[i] for i in order])
         self._index: dict[int, int] = {f.mask: i for i, f in enumerate(self.flats)}
-        edge_set = set()
+        above: list[list[int]] = [[] for _ in range(size)]
         for lower, upper in edges:
-            lo, up = remap[lower], remap[upper]
-            if masks[lower] & ~masks[upper] or lo == up:
+            if not (0 <= lower < size and 0 <= upper < size):
+                raise ValidationError("hasse edge names no flat")
+            if masks[lower] & ~masks[upper] or lower == upper:
                 raise ValidationError("hasse edge does not go strictly upward")
-            edge_set.add((lo, up))
-        self.hasse_edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
-        self._edge_set = edge_set
-        self._containing = containment_index(universe.n, self.flats)
-        self._everything = (1 << len(self.flats)) - 1
-        self.heights: tuple[int, ...] = self._longest_chain_heights()
+            above[remap[lower]].append(remap[upper])
+        # bucketed by lower end, only the few covers of each flat are sorted;
+        # edges point to later flats, so lower-index order is topological
+        hasse: list[tuple[int, int]] = []
+        heights = [0] * size
+        for lower, uppers in enumerate(above):
+            if uppers:
+                uppers = sorted(set(uppers))
+                hasse += zip(repeat(lower, len(uppers)), uppers)
+                height = heights[lower] + 1
+                for upper in uppers:
+                    if heights[upper] < height:
+                        heights[upper] = height
+        self.hasse_edges: tuple[tuple[int, int], ...] = tuple(hasse)
+        self.heights: tuple[int, ...] = tuple(heights)
         self.bottom = self.flats[0]
         self.top = self.flats[-1]
-        if any(self.bottom.mask & ~mask or mask & ~self.top.mask for mask in masks):
+        if reduce(and_, masks) != self.bottom.mask or reduce(or_, masks) != self.top.mask:
             raise ValidationError("lattice lacks a unique bottom or top flat")
+        self._containing: list[int] | None = None
+        self._everything = 0
+        self._edge_set: set[tuple[int, int]] | None = None
 
-    def _longest_chain_heights(self) -> tuple[int, ...]:
-        heights = [0] * len(self.flats)
-        # edges point to later flats, so lower-index order is topological
-        for lower, upper in self.hasse_edges:
-            if heights[upper] < heights[lower] + 1:
-                heights[upper] = heights[lower] + 1
-        return tuple(heights)
+    def _containment(self) -> list[int]:
+        """The containment index of the flats, built on first use."""
+        if self._containing is None:
+            self._everything = (1 << len(self.flats)) - 1
+            self._containing = containment_index(self.universe.n, self.flats)
+        return self._containing
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -189,11 +218,14 @@ class FlatLattice:
         return self._smallest_flat_over(x.mask | y.mask)
 
     def _smallest_flat_over(self, mask: int) -> ElementSet:
-        over = positions_over(self._containing, mask, self._everything)
+        containing = self._containing
+        if containing is None:
+            containing = self._containment()
+        over = positions_over(containing, mask, self._everything)
         if not over:
             raise InternalConsistencyError("no flat contains the union; lattice corrupt")
         found = self.flats[(over & -over).bit_length() - 1]
-        if positions_over(self._containing, found.mask & ~mask, over) != over:
+        if positions_over(containing, found.mask & ~mask, over) != over:
             raise InternalConsistencyError("join is not unique; lattice corrupt")
         return found
 
@@ -202,7 +234,13 @@ class FlatLattice:
 
     def covers(self, lower: ElementSet, upper: ElementSet) -> bool:
         """True iff (lower, upper) is a Hasse edge of the lattice."""
-        return (self.index_of(lower), self.index_of(upper)) in self._edge_set
+        return (self.index_of(lower), self.index_of(upper)) in self._edges()
+
+    def _edges(self) -> set[tuple[int, int]]:
+        """The Hasse edges as a set, built on first use."""
+        if self._edge_set is None:
+            self._edge_set = set(self.hasse_edges)
+        return self._edge_set
 
     def upper_covers(self, flat: ElementSet) -> tuple[ElementSet, ...]:
         i = self.index_of(flat)
@@ -215,9 +253,10 @@ class FlatLattice:
     def _true_covers(self) -> set[tuple[int, int]]:
         """Cover pairs recomputed from inclusion alone (ignoring stored edges)."""
         masks = [f.mask for f in self.flats]
+        containing = self._containment()
         pairs: set[tuple[int, int]] = set()
         for i, mask in enumerate(masks):
-            above = positions_over(self._containing, mask, self._everything) & ~(1 << i)
+            above = positions_over(containing, mask, self._everything) & ~(1 << i)
             kept: list[int] = []
             for j in bits_of(above):
                 if all(masks[k] & ~masks[j] for k in kept):
@@ -234,8 +273,9 @@ class FlatLattice:
         weighted by height, with joins from the containment index.
         """
         true_covers = self._true_covers()
-        if self._edge_set != true_covers:
-            delta = self._edge_set.symmetric_difference(true_covers)
+        edge_set = self._edges()
+        if edge_set != true_covers:
+            delta = edge_set.symmetric_difference(true_covers)
             lower, upper = sorted(delta)[0]
             return GeometricityCheck(
                 False,
@@ -249,7 +289,7 @@ class FlatLattice:
                     f"chain condition fails on cover {self.flats[lower]!r} -> "
                     f"{self.flats[upper]!r}",
                 )
-        violation = first_pair_violation(self.flats, self.heights, self._containing)
+        violation = first_pair_violation(self.flats, self.heights, self._containment())
         if violation is not None:
             return GeometricityCheck(False, violation)
         atom_masks = [a.mask for a in self.atoms()]
@@ -302,8 +342,11 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
     plus one O(n + m) alternating search.
 
     Heights are asserted equal to ranks; a mismatch means the oracle is not
-    a matroid and raises ``InternalConsistencyError``.  A guard below one
-    flat is refused with ``ValidationError``, as it is from the environment.
+    a matroid and raises ``InternalConsistencyError``.  A transversal
+    oracle answers those rank calls from the size of the maximum matching
+    that ``extensions`` found from the flat's own mask, so every flat below
+    the top is matched once, not twice.  A guard below one flat is refused
+    with ``ValidationError``, as it is from the environment.
     """
     limit = default_max_flats() if max_flats is None else _positive_guard("max_flats", max_flats)
     universe = matroid.universe
@@ -334,9 +377,10 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
             edges.append((index, discovered[mask]))
     lattice = FlatLattice(order, edges)
     for flat, height in zip(lattice.flats, lattice.heights):
-        if matroid.rank(flat) != height:
+        rank = matroid.rank(flat)
+        if rank != height:
             raise InternalConsistencyError(
-                f"height {height} of {flat!r} disagrees with rank {matroid.rank(flat)}"
+                f"height {height} of {flat!r} disagrees with rank {rank}"
             )
     return lattice
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from covlat import FlatLattice, SubmodularSystem, cli, parse_family, relations
+from covlat import lattice as lattice_module
 from covlat.cli import main
 from conftest import CHAIN_A, CHAIN_B, DOUBLED9, MIXED5, NESTED3
 
@@ -242,6 +243,26 @@ class TestCompare:
             assert built == []
             assert "exceeds enumeration guard 14" in out
             assert all(line.startswith("SKIP ") for line in out.splitlines())
+
+    def test_compare_reads_no_join_index_or_edge_set(self, monkeypatch, capsys):
+        # the relation checks read flats and heights only, so the lattice
+        # never builds what join, covers and is_geometric need
+        built = []
+        index, edges = lattice_module.containment_index, FlatLattice._edges
+
+        def counted_index(n, sets):
+            built.append("containment_index")
+            return index(n, sets)
+
+        def counted_edges(lattice):
+            built.append("edge set")
+            return edges(lattice)
+
+        monkeypatch.setattr(lattice_module, "containment_index", counted_index)
+        monkeypatch.setattr(FlatLattice, "_edges", counted_edges)
+        assert main(["compare", str(INPUTS / "density_12.cov")]) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert built == []
 
 
 class TestReduce:

@@ -1,10 +1,12 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given
 
 from covlat import (
     BruteForce,
+    ElementSet,
     FlatLattice,
     InternalConsistencyError,
     NotAFlatError,
@@ -21,7 +23,8 @@ from covlat import (
     modular_pair_by_definition,
     modular_pair_by_heights,
 )
-from covlat.lattice import closure_from_rank
+from covlat import lattice as lattice_module
+from covlat.lattice import canonical_keys, closure_from_rank
 from conftest import DOUBLED9, cov, density_covering
 from strategies import coverings, families
 
@@ -192,6 +195,90 @@ def test_extensions_refuse_an_element_of_the_flat(mixed5):
         close(universe.index("4"))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_extensions_of_any_set_close_refuse_or_report_not_closed(seed):
+    # random sets, most of them not closed: an element of the set is
+    # refused, one of cl(X) - X has no augmenting path, and any other
+    # element closes to cl(X + e), checked against rank alone
+    rng = random.Random(seed)
+    family = density_covering(rng, 10, 6)
+    matroid = TransversalMatroid(family)
+    universe = family.universe
+    not_closed = 0
+    for _ in range(30):
+        x = ElementSet(universe, rng.getrandbits(universe.n))
+        hull = closure_from_rank(matroid, x)
+        close = matroid.extensions(x)
+        for e in range(universe.n):
+            if x.has_index(e):
+                with pytest.raises(ValidationError, match="already in"):
+                    close(e)
+            elif hull.has_index(e):
+                not_closed += 1
+                with pytest.raises(InternalConsistencyError, match="not closed"):
+                    close(e)
+            else:
+                assert close(e) == closure_from_rank(matroid, x.with_index(e))
+    assert not_closed
+
+
+class LyingRank:
+    """A transversal oracle whose rank is one too high on a single flat."""
+
+    def __init__(self, matroid: TransversalMatroid, liar: ElementSet):
+        self.universe = matroid.universe
+        self.matroid = matroid
+        self.liar = liar
+
+    def rank(self, x):
+        return self.matroid.rank(x) + (x.mask == self.liar.mask)
+
+    def closure(self, x):
+        return self.matroid.closure(x)
+
+    def extensions(self, flat):
+        return self.matroid.extensions(flat)
+
+
+@pytest.mark.parametrize("liar", [["1", "2"], ["1", "2", "3", "4", "5"]], ids=["middle", "top"])
+def test_rank_check_catches_an_oracle_that_lies_on_one_flat(mixed5, liar):
+    oracle = LyingRank(TransversalMatroid(mixed5), mixed5.universe.subset(liar))
+    with pytest.raises(InternalConsistencyError, match="disagrees with rank"):
+        enumerate_lattice(oracle)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_check_reads_a_fresh_matching_of_each_flat(seed):
+    # the check reads one rank per flat; each equals the size of a maximum
+    # matching of that flat's own mask from a matroid that has seen nothing,
+    # and enumeration matches each flat once (the bottom twice: its closure
+    # and its extensions)
+    rng = random.Random(seed)
+    family = density_covering(rng, rng.randint(8, 14), rng.randint(4, 8))
+    matroid = TransversalMatroid(family)
+    read: dict[int, int] = {}
+    rank, maximum_matching = matroid.rank, matroid._maximum_matching
+    matchings = []
+
+    def recorded_rank(x):
+        read[x.mask] = rank(x)
+        return read[x.mask]
+
+    def counted_matching(mask):
+        matchings.append(mask)
+        return maximum_matching(mask)
+
+    matroid.rank = recorded_rank
+    matroid._maximum_matching = counted_matching
+    lattice = enumerate_lattice(matroid)
+    assert set(read) == {flat.mask for flat in lattice.flats}
+    fresh = TransversalMatroid(family)
+    for flat, height in zip(lattice.flats, lattice.heights):
+        block_to, _ = fresh._maximum_matching(flat.mask)
+        assert read[flat.mask] == sum(element >= 0 for element in block_to) == height
+    assert len(matchings) == len(lattice) + 1
+
+
 class TestConstruction:
     @pytest.fixture
     def square(self):
@@ -223,11 +310,98 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="unique bottom or top"):
             FlatLattice([square[i] for i in kept], edges)
 
+    @pytest.mark.parametrize("edge", [(0, 5), (-1, 0)], ids=["past-the-end", "negative"])
+    def test_edge_names_no_flat(self, square, edge):
+        with pytest.raises(ValidationError, match="hasse edge names no flat"):
+            FlatLattice(square, [(0, 1), edge])
+
     def test_stored_order_is_canonical(self, square):
         lattice = FlatLattice(square[::-1], [(3, 2), (3, 1), (2, 0), (1, 0)])
         assert lattice.flats == tuple(square)
         assert lattice.hasse_edges == ((0, 1), (0, 2), (1, 3), (2, 3))
         assert lattice.heights == (0, 1, 1, 2)
+
+
+def boundary_masks(n: int, rng: random.Random, count: int) -> set[int]:
+    """The empty and full masks, both end elements and their complements,
+    then random masks up to count (at most 2^n)."""
+    full = (1 << n) - 1
+    masks = {0, full, 1, 1 << (n - 1), full ^ 1, full ^ 1 << (n - 1)}
+    while len(masks) < min(count, 1 << n):
+        masks.add(rng.getrandbits(n))
+    return masks
+
+
+def universe_of(n: int) -> Universe:
+    return Universe(tuple(f"e{i}" for i in range(n)))
+
+
+@pytest.mark.parametrize("n", [1, 5, 17, 64])
+def test_canonical_keys_sort_as_sort_key(n):
+    universe = universe_of(n)
+    masks = sorted(boundary_masks(n, random.Random(n), 400))
+    keys = dict(zip(masks, canonical_keys(n, masks)))
+    sets = [ElementSet(universe, mask) for mask in masks]
+    assert len(set(keys.values())) == len(masks)
+    assert sorted(sets, key=lambda s: keys[s.mask]) == sorted(sets, key=ElementSet.sort_key)
+
+
+@pytest.mark.parametrize("n", [5, 17, 64])
+def test_shuffled_flats_are_stored_in_canonical_order(n):
+    rng = random.Random(n)
+    universe = universe_of(n)
+    canonical = sorted(
+        (ElementSet(universe, mask) for mask in boundary_masks(n, rng, 30)),
+        key=ElementSet.sort_key,
+    )
+    top = len(canonical) - 1
+    edges = [(0, i) for i in range(1, top)] + [(i, top) for i in range(1, top)]
+    shuffled = list(range(len(canonical)))
+    rng.shuffle(shuffled)
+    position = {old: new for new, old in enumerate(shuffled)}
+    lattice = FlatLattice(
+        [canonical[i] for i in shuffled], [(position[l], position[u]) for l, u in edges]
+    )
+    assert lattice.flats == tuple(canonical)
+    assert lattice.hasse_edges == tuple(sorted(edges))
+    assert lattice.heights == (0,) + (1,) * (top - 1) + (2,)
+
+
+def test_enumeration_builds_no_containment_index(doubled9, monkeypatch):
+    built = []
+    index = lattice_module.containment_index
+
+    def counted(n, sets):
+        built.append(len(sets))
+        return index(n, sets)
+
+    monkeypatch.setattr(lattice_module, "containment_index", counted)
+    lattice = enumerate_lattice(TransversalMatroid(doubled9))
+    assert built == []
+    lattice.join(lattice.bottom, lattice.top)
+    lattice.join(lattice.atoms()[0], lattice.atoms()[1])
+    assert lattice.is_geometric().ok
+    assert built == [len(lattice)]
+
+
+@pytest.mark.parametrize("drop", [None, 3], ids=["intact", "edge-removed"])
+def test_answers_do_not_depend_on_the_first_query(mixed5_lattice, drop):
+    flats = list(mixed5_lattice.flats)
+    edges = list(mixed5_lattice.hasse_edges)
+    if drop is not None:
+        edges.pop(drop)
+    queries = {
+        "join": lambda lattice: [lattice.join(x, y) for x in flats for y in flats],
+        "covers": lambda lattice: [lattice.covers(x, y) for x in flats for y in flats],
+        "is_geometric": lambda lattice: lattice.is_geometric(),
+    }
+    seen = []
+    for order in permutations(queries):
+        lattice = FlatLattice(flats, edges)
+        answers = {name: queries[name](lattice) for name in order}
+        seen.append(answers)
+    assert all(answers == seen[0] for answers in seen)
+    assert seen[0]["is_geometric"].ok == (drop is None)
 
 
 class TestOrderStructure:

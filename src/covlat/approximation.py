@@ -102,7 +102,9 @@ class NeighborhoodTable:
         return self.vh(x)
 
     def singleton_images(self, kind: UpperOperator) -> tuple[ElementSet, ...]:
-        """The images of all singletons under the operator, one per element."""
+        """Per element, the set whose partition test decides the operator: I(x) =
+        sh({x}), vh({x}), and for xh the neighbourhood N(x), which can differ from
+        xh({x}) = {y : x in N(y)}; the two agree when the N(x) form a partition."""
         universe = self.covering.universe
         if kind is UpperOperator.SH:
             return self.indiscernible

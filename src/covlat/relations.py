@@ -4,17 +4,14 @@ and for how deletion, reducts and exclusions affect them.
 
 Each check produces ``ClaimRecord`` rows.  A claim whose precondition fails
 is reported as inapplicable with the failed precondition, never with a
-verdict.  Sweeps and enumerations run only within an enumeration guard on
-the universe size.
-An independence family is checked against the covering's transversal
-matroid on the flats of its lattice (the weak-map criterion,
-``_separating_on_flats``).  The caller enumerates that lattice once and
+verdict.  Claims run only within an enumeration guard on the universe size,
+and each is decided on the covering's transversal matroid, its flat lattice
+L, the operators' classes and the neighbourhood table: no claim enumerates a
+second lattice or sweeps all subsets.  The caller enumerates L once and
 passes it as ``lattice`` with the matroid; over the guard it may pass None,
-since every claim that reads it is skipped there.  Only the sh-within-xh
-containment, between two partition matroids, still sweeps all subsets.
-Containments of flat lattices are checked flat by flat against the closure
-operator of the larger structure, so no further lattice of a larger
-structure is enumerated.
+since every claim that reads it is skipped there.  A structure within the
+transversal matroid is checked on L's flats by the weak-map and quotient
+criteria.
 """
 
 from __future__ import annotations
@@ -29,7 +26,8 @@ from .approximation import (
     Verdicts,
     closure_operator_verdict,
 )
-from .lattice import FlatLattice, enumerate_lattice
+from .errors import InternalConsistencyError
+from .lattice import FlatLattice
 from .reduction import exclusion, immured_block_indices, reducible_block_indices, reduct
 from .transversal import TransversalMatroid
 from .universe import Covering, ElementSet, Universe, as_covering, bits_of, is_partition
@@ -83,23 +81,10 @@ class RelationReport:
 
 
 def _guard_note(universe: Universe) -> str | None:
-    """Why the subset sweeps are skipped, or None within the guard."""
+    """Why the claims are skipped, or None within the guard."""
     if universe.n <= ENUM_GUARD_N:
         return None
     return f"universe size {universe.n} exceeds enumeration guard {ENUM_GUARD_N}"
-
-
-def _separating_subset(smaller, larger) -> ElementSet | None:
-    """The first subset in mask order that is independent in the smaller
-    structure and dependent in the larger: a sweep over all 2^n subsets."""
-    return next(
-        (
-            x
-            for x in smaller.universe.subsets()
-            if smaller.is_independent(x) and not larger.is_independent(x)
-        ),
-        None,
-    )
 
 
 def _separating_on_flats(smaller, lattice: FlatLattice) -> ElementSet | None:
@@ -124,29 +109,51 @@ def _separating_on_flats(smaller, lattice: FlatLattice) -> ElementSet | None:
     return None
 
 
-def _record_within(
-    report: RelationReport,
-    claims: tuple[str, str],
-    separating: ElementSet | None,
-    smaller_flats,
-    larger,
-    note: str | None = None,
-) -> None:
+def _unclosed_on_flats(
+    smaller, lattice: FlatLattice, separating: ElementSet | None
+) -> ElementSet | None:
+    """A flat of the smaller structure S that is not a flat of the matroid L
+    whose flat lattice is given, or None; ``separating`` is the answer of
+    ``_separating_on_flats``.
+
+    Quotient criterion.  If the weak map holds, every S-flat is an L-flat
+    iff cl_S(F) is in L for every flat F of L.  (=>) cl_S(F) is an S-flat.
+    (<=) Let G be an S-flat with S-basis B.  B is L-independent, so
+    F = cl_L(B) has r_L(F) = |B| = r_S(G).  Then cl_S(F) contains G and
+    r_S(F) <= r_L(F) = r_S(G), so cl_S(F) = G, and G is in L.
+    If the weak map fails, some prefix b1..bj (j < k, the empty one
+    included) of the separating S-independent set b1 < ... < bk has an
+    S-closure that is not L-closed: otherwise each b(j+1), outside the
+    L-flat cl_S(b1..bj), hence outside cl_L(b1..bj), raises the L-rank, and
+    b1..bk is L-independent.  The witness is the first such closure.
+    """
+    if separating is None:
+        sets = lattice.flats
+    else:
+        mask = separating.mask
+        sets = [ElementSet(lattice.universe, mask & (1 << e) - 1) for e in bits_of(mask)]
+    unclosed = next((g for g in map(smaller.closure, sets) if g.mask not in lattice._index), None)
+    if unclosed is None and separating is not None:
+        raise InternalConsistencyError(f"every prefix closure of {separating!r} is a flat")
+    return unclosed
+
+
+def _record_within(report, claims, separating, unclosed, note=None) -> None:
     """Record the claim pair: the smaller structure's independent sets lie
     within the larger's (``separating`` is a set that shows they do not),
-    and its flats are closed in the larger."""
+    and its flats are closed in the larger (``unclosed`` is one that is not)."""
     independents_claim, flats_claim = claims
     witness = None if separating is None else f"{separating!r} separates the families"
     report.verdict(independents_claim, witness is None, witness, note)
-    witness = next(
-        (
-            f"{flat!r} is not closed in the larger structure"
-            for flat in smaller_flats
-            if larger.closure(flat) != flat
-        ),
-        None,
-    )
+    witness = None if unclosed is None else f"{unclosed!r} is not closed in the larger structure"
     report.verdict(flats_claim, witness is None, witness, note)
+
+
+def _record_on_flats(report, claims, smaller, lattice: FlatLattice, note=None) -> None:
+    """Record the claim pair for a structure within the matroid of the lattice."""
+    separating = _separating_on_flats(smaller, lattice)
+    unclosed = _unclosed_on_flats(smaller, lattice, separating)
+    _record_within(report, claims, separating, unclosed, note)
 
 
 def check_containments(
@@ -164,11 +171,6 @@ def check_containments(
     guard_note = _guard_note(universe)
     sh_gate = None if sh_verdict.is_closure else "block-union operator is a closure operator"
     xh_gate = None if xh_verdict.is_closure else "neighborhood-hit operator is a closure operator"
-    if sh_verdict.is_closure and guard_note is None:
-        sh_matroid = sh_verdict.partition_matroid(universe)
-        sh_flats = enumerate_lattice(sh_matroid).flats
-    if xh_verdict.is_closure:
-        xh_matroid = xh_verdict.partition_matroid(universe)
 
     if not report.skipped(
         sh_gate or guard_note,
@@ -176,13 +178,8 @@ def check_containments(
         "sh-flats-within-transversal-flats",
         "indiscernible-neighborhoods-are-transversal-flats",
     ):
-        _record_within(
-            report,
-            ("sh-independents-within-transversal", "sh-flats-within-transversal-flats"),
-            _separating_on_flats(sh_matroid, lattice),
-            sh_flats,
-            transversal,
-        )
+        claims = ("sh-independents-within-transversal", "sh-flats-within-transversal-flats")
+        _record_on_flats(report, claims, sh_verdict.partition_matroid(universe), lattice)
         bad = next(
             (e for e, hood in enumerate(table.indiscernible) if transversal.closure(hood) != hood),
             None,
@@ -194,42 +191,45 @@ def check_containments(
         )
 
     if not report.skipped(xh_gate or guard_note, "xh-vh-operators-coincide"):
-        differ = next((x for x in universe.subsets() if table.xh(x) != table.vh(x)), None)
+        # both operators preserve unions and send {} to {}, so the first
+        # subset in mask order on which they differ is a singleton
+        singletons = map(universe.singleton, range(universe.n))
+        differ = next((x for x in singletons if table.xh(x) != table.vh(x)), None)
         witness = None if differ is None else f"operators differ on {differ!r}"
         report.verdict("xh-vh-operators-coincide", witness is None, witness)
 
     both_gate = None
     if sh_gate or xh_gate:
         both_gate = "both block-union and neighborhood-hit operators are closure operators"
-    if not report.skipped(
-        both_gate or guard_note, "sh-independents-within-xh", "sh-flats-within-xh-flats"
-    ):
-        # both sides are partition matroids: each subset costs two bit counts
-        _record_within(
-            report,
-            ("sh-independents-within-xh", "sh-flats-within-xh-flats"),
-            _separating_subset(sh_matroid, xh_matroid),
-            sh_flats,
-            xh_matroid,
-        )
+    claims = ("sh-independents-within-xh", "sh-flats-within-xh-flats")
+    if not report.skipped(both_gate or guard_note, *claims):
+        # between partition matroids both claims hold iff every xh class lies
+        # in one sh class.  Otherwise one meets the sh class of its lowest
+        # member a and, at b, another: {a, b} is sh-independent and
+        # xh-dependent, and a's sh class is an sh flat whose xh closure has b
+        separating = unclosed = None
+        for xh_class in xh_verdict.classes:
+            low = xh_class.mask & -xh_class.mask
+            home = next(c for c in sh_verdict.classes if c.mask & low)
+            outside = xh_class.mask & ~home.mask
+            if outside:
+                separating, unclosed = ElementSet(universe, low | outside & -outside), home
+                break
+        _record_within(report, claims, separating, unclosed)
 
     partition_gate = None if is_partition(covering) else "covering is not a partition"
     if not report.skipped(partition_gate or guard_note, "partition-structures-coincide"):
-        # on a partition every singleton image is the block of its element,
-        # so all three operators are closure operators
-        vh_matroid = verdicts[UpperOperator.VH].partition_matroid(universe)
-        matroids = (transversal, sh_matroid, xh_matroid, vh_matroid)
-        differ = next(
-            (x for x in universe.subsets() if len({m.is_independent(x) for m in matroids}) > 1),
-            None,
-        )
-        witness = None if differ is None else f"families disagree on {differ!r}"
-        if witness is None:
-            flat_lists = [lattice.flats, sh_flats]
-            flat_lists += [enumerate_lattice(m).flats for m in (xh_matroid, vh_matroid)]
-            flat_sets = {tuple(f.mask for f in flats) for flats in flat_lists}
-            if len(flat_sets) > 1:
-                witness = "flat lattices differ"
+        # a matroid is determined by its flats.  The operators' matroids are
+        # the partition matroid of the k blocks iff their classes are the
+        # blocks; its flats are the 2^k unions of blocks, and they are the
+        # transversal matroid's iff L holds 2^k flats, each such a union
+        blocks = tuple(sorted(covering.blocks, key=ElementSet.sort_key))
+        unions = sum(all(f.mask & b.mask in (0, b.mask) for b in blocks) for f in lattice.flats)
+        witness = None
+        if any(verdicts[kind].classes != blocks for kind in UpperOperator):
+            witness = "operator classes differ from the blocks"
+        elif not unions == len(lattice) == 1 << len(blocks):
+            witness = "flat lattices differ"
         report.verdict("partition-structures-coincide", witness is None, witness)
 
     return report
@@ -253,10 +253,9 @@ def check_deletion_monotonicity(
             tags.append("immured")
         if tags:
             note = f"block {family.block_name(block_index)} is {' and '.join(tags)}"
-    smaller = TransversalMatroid(family.without_block(block_index))
     if not report.skipped(_guard_note(family.universe), *claims):
-        flats = enumerate_lattice(smaller).flats
-        _record_within(report, claims, _separating_on_flats(smaller, lattice), flats, whole, note)
+        smaller = TransversalMatroid(family.without_block(block_index))
+        _record_on_flats(report, claims, smaller, lattice, note)
     return report
 
 
@@ -270,9 +269,7 @@ def check_reduct_exclusion_containments(
     for mode, reduce in (("reduct", reduct), ("exclusion", exclusion)):
         claims = (f"{mode}-independents-within-original", f"{mode}-flats-within-original")
         if not report.skipped(guard_note, *claims):
-            smaller = TransversalMatroid(reduce(covering))
-            flats = enumerate_lattice(smaller).flats
-            _record_within(report, claims, _separating_on_flats(smaller, lattice), flats, whole)
+            _record_on_flats(report, claims, TransversalMatroid(reduce(covering)), lattice)
     return report
 
 

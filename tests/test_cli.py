@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from covlat import FlatLattice, SubmodularSystem, cli, parse_family, relations
+from covlat import FlatLattice, SubmodularSystem, cli, parse_family
 from covlat import lattice as lattice_module
 from covlat.cli import main
 from conftest import CHAIN_A, CHAIN_B, DOUBLED9, MIXED5, NESTED3
@@ -222,25 +222,26 @@ class TestCompare:
     def test_transversal_lattice_only_within_the_guard(
         self, name, transversal_lattices, monkeypatch, capsys
     ):
-        # the golden snapshots of these inputs pin the report itself
-        built = []
+        # the golden snapshots of these inputs pin the report itself; the
+        # relation checks read the one lattice cli enumerates and build none
+        enumerated, constructed = [], []
+        enumerate_lattice, construct = cli.enumerate_lattice, FlatLattice.__init__
 
-        def counted(module):
-            enumerate_lattice = module.enumerate_lattice
+        def count_enumerations(matroid, *args):
+            enumerated.append(type(matroid).__name__)
+            return enumerate_lattice(matroid, *args)
 
-            def count(matroid, *args):
-                built.append((module.__name__, type(matroid).__name__))
-                return enumerate_lattice(matroid, *args)
+        def count_constructions(lattice, *args):
+            constructed.append(lattice)
+            construct(lattice, *args)
 
-            return count
-
-        for module in (cli, relations):
-            monkeypatch.setattr(module, "enumerate_lattice", counted(module))
+        monkeypatch.setattr(cli, "enumerate_lattice", count_enumerations)
+        monkeypatch.setattr(FlatLattice, "__init__", count_constructions)
         assert main(["compare", str(INPUTS / name)]) == 0
         out = capsys.readouterr().out
-        assert built.count(("covlat.cli", "TransversalMatroid")) == transversal_lattices
+        assert enumerated == ["TransversalMatroid"] * transversal_lattices
+        assert len(constructed) == transversal_lattices
         if not transversal_lattices:
-            assert built == []
             assert "exceeds enumeration guard 14" in out
             assert all(line.startswith("SKIP ") for line in out.splitlines())
 

@@ -1,24 +1,39 @@
 import random
+from dataclasses import replace
+from pathlib import Path
 
+import pytest
 from hypothesis import given
 
 from covlat import (
     ElementSet,
+    FlatLattice,
+    InternalConsistencyError,
+    NeighborhoodTable,
     PartitionMatroid,
     SetFamily,
     TransversalMatroid,
     Universe,
+    UpperOperator,
+    as_covering,
     check_containments,
     check_deletion_monotonicity,
     check_reduct_exclusion_containments,
     check_reduction_preservation,
+    closure_operator_verdict,
     enumerate_lattice,
     full_relation_report,
 )
 from covlat import relations
-from covlat.generators import partition_with_nested_block, partition_with_union_block
+from covlat.generators import (
+    partition_with_nested_block,
+    partition_with_union_block,
+    random_covering,
+    random_partition,
+)
 from conftest import (
     cov,
+    density_covering,
     fam,
     relation_inputs,
     subsets,
@@ -26,6 +41,8 @@ from conftest import (
     transversal_and_lattice,
 )
 from strategies import coverings, families, partitions
+
+INPUTS = Path(__file__).resolve().parent / "inputs"
 
 
 def by_claim(report):
@@ -64,6 +81,21 @@ class TestContainments:
         report = check_containments(*relation_inputs(partition))
         claims = by_claim(report)
         assert claims["partition-structures-coincide"].holds
+
+    def test_partition_structures_differ_on_another_lattice_or_classes(self):
+        # handed the lattice or the verdicts of a coarser partition, or of
+        # another one with as many blocks, the claim fails
+        universe = "universe: 1 2 3 4\n"
+        partition = cov(universe + "block: 1 2\nblock: 3\nblock: 4")
+        table, verdicts, transversal, lattice = relation_inputs(partition)
+        for blocks in ("block: 1 2\nblock: 3 4", "block: 1\nblock: 2 3\nblock: 4"):
+            _, other_verdicts, _, other_lattice = relation_inputs(cov(universe + blocks))
+            for args, witness in (
+                ((verdicts, transversal, other_lattice), "flat lattices differ"),
+                ((other_verdicts, transversal, lattice), "operator classes differ from the blocks"),
+            ):
+                record = by_claim(check_containments(table, *args))["partition-structures-coincide"]
+                assert record.holds is False and record.witness == witness
 
     def test_inapplicable_records_carry_preconditions(self, chain_b):
         report = check_containments(*relation_inputs(chain_b))
@@ -104,6 +136,8 @@ class TestWeakMapCriterion:
     def test_agrees_with_subset_sweep(self):
         rng = random.Random(9)
         pairs = failing = 0
+        # quotient failures, keyed by whether the weak map holds
+        unclosed_found = {True: 0, False: 0}
         for _ in range(150):
             universe, (whole, sub, partition) = self.structures(rng)
             # both orientations, so that failing pairs occur
@@ -113,14 +147,34 @@ class TestWeakMapCriterion:
                     smaller.is_independent(x) and not larger.is_independent(x)
                     for x in subsets(universe)
                 )
-                witness = relations._separating_on_flats(smaller, enumerate_lattice(larger))
+                lattice = enumerate_lattice(larger)
+                witness = relations._separating_on_flats(smaller, lattice)
                 assert (witness is not None) == expected
                 if witness is not None:
                     failing += 1
                     assert smaller.is_independent(witness)
                     assert not larger.is_independent(witness)
                 pairs += 1
+                # the quotient criterion against the smaller structure's own flats
+                unclosed = relations._unclosed_on_flats(smaller, lattice, witness)
+                assert (unclosed is not None) == any(
+                    larger.closure(flat) != flat for flat in enumerate_lattice(smaller).flats
+                )
+                if unclosed is not None:
+                    unclosed_found[witness is None] += 1
+                    assert smaller.closure(unclosed) == unclosed
+                    assert larger.closure(unclosed) != unclosed
         assert 0.2 * pairs < failing < 0.8 * pairs
+        assert unclosed_found[True] and unclosed_found[False]
+
+    def test_a_set_that_separates_nothing_is_an_internal_error(self):
+        # every prefix closure of {1 2} is a flat when S is L itself
+        family = fam("universe: 1 2\nblock: 1 2\nblock: 1 2")
+        matroid = TransversalMatroid(family)
+        with pytest.raises(InternalConsistencyError):
+            relations._unclosed_on_flats(
+                matroid, enumerate_lattice(matroid), family.universe.full()
+            )
 
     def test_witness_is_the_greedy_basis_of_the_first_failing_flat(self):
         # one block against two copies of it: the only flats of the one
@@ -130,6 +184,98 @@ class TestWeakMapCriterion:
         smaller, larger = TransversalMatroid(family), TransversalMatroid(family.without_block(1))
         witness = relations._separating_on_flats(smaller, enumerate_lattice(larger))
         assert witness == family.universe.subset(["1", "2"])
+
+
+class TestOperatorClaimsAgainstSweeps:
+    """xh-vh-operators-coincide and the sh-within-xh pair against 2^n sweeps
+    written here, on seeded coverings of at most 7 elements whose gates
+    pass, as built and with a corrupted neighbourhood table."""
+
+    @staticmethod
+    def gated_coverings(need_sh):
+        rng = random.Random(21)
+        found = []
+        while len(found) < 60:
+            if len(found) % 2:
+                covering, _ = partition_with_union_block(rng, max_n=7)
+            else:
+                covering = random_covering(rng, max_n=7, max_m=6)
+            _, verdicts = table_and_verdicts(covering)
+            if verdicts[UpperOperator.XH].is_closure and (
+                verdicts[UpperOperator.SH].is_closure or not need_sh
+            ):
+                found.append(covering)
+        return found
+
+    def test_xh_vh_agrees_with_sweep(self):
+        rng = random.Random(22)
+        failing = 0
+        for covering in self.gated_coverings(need_sh=False):
+            table, verdicts, transversal, lattice = relation_inputs(covering)
+            universe = covering.universe
+            # a grown neighbourhood; the verdicts still say xh is a closure
+            # operator, so the claim is decided on the corrupted table
+            e = rng.randrange(universe.n)
+            grown = table.neighborhood[e] | ElementSet(universe, rng.randrange(1 << universe.n))
+            corrupted = replace(
+                table, neighborhood=table.neighborhood[:e] + (grown,) + table.neighborhood[e + 1 :]
+            )
+            for t in (table, corrupted):
+                differ = next((x for x in subsets(universe) if t.xh(x) != t.vh(x)), None)
+                record = by_claim(check_containments(t, verdicts, transversal, lattice))[
+                    "xh-vh-operators-coincide"
+                ]
+                assert record.applicable
+                assert record.holds is (differ is None)
+                if differ is not None:
+                    failing += 1
+                    assert record.witness == f"operators differ on {differ!r}"
+        assert failing >= 10
+
+    def test_sh_within_xh_agrees_with_sweep(self):
+        rng = random.Random(23)
+        failing = 0
+        for covering in self.gated_coverings(need_sh=True):
+            table = NeighborhoodTable.build(covering)
+            transversal, lattice = transversal_and_lattice(covering)
+            universe = covering.universe
+            # merge the neighbourhood classes of two elements, b outside the
+            # sh class of a where there is one: still a partition, so xh
+            # stays a closure operator, with coarser classes
+            a = rng.randrange(universe.n)
+            outside = [e for e in range(universe.n) if not table.indiscernible[a].has_index(e)]
+            b = rng.choice(outside or [a])
+            merged = table.neighborhood[a] | table.neighborhood[b]
+            corrupted = replace(
+                table,
+                neighborhood=tuple(merged if n & merged else n for n in table.neighborhood),
+            )
+            for t in (table, corrupted):
+                verdicts = {kind: closure_operator_verdict(t, kind) for kind in UpperOperator}
+                assert verdicts[UpperOperator.XH].is_closure
+                sh, xh = (
+                    PartitionMatroid(universe, verdicts[kind].classes)
+                    for kind in (UpperOperator.SH, UpperOperator.XH)
+                )
+                report = check_containments(t, verdicts, transversal, lattice)
+                independents = by_claim(report)["sh-independents-within-xh"]
+                flats = by_claim(report)["sh-flats-within-xh-flats"]
+                separated = [
+                    x for x in subsets(universe) if sh.is_independent(x) and xh.is_dependent(x)
+                ]
+                unclosed = [x for x in subsets(universe) if sh.closure(x) == x != xh.closure(x)]
+                assert independents.holds is (not separated)
+                assert flats.holds is (not unclosed)
+                if separated:
+                    failing += 1
+                    assert any(
+                        independents.witness == f"{x!r} separates the families" for x in separated
+                    )
+                    assert any(
+                        flats.witness == f"{x!r} is not closed in the larger structure"
+                        for x in unclosed
+                    )
+        assert failing >= 10
 
 
 class TestDeletionMonotonicity:
@@ -272,6 +418,28 @@ class TestReductionPreservation:
 
 
 class TestFullReport:
+    def test_builds_no_lattice(self, monkeypatch):
+        # every claim reads the lattice it is handed
+        rng = random.Random(31)
+        inputs = [relation_inputs(cov((INPUTS / "density_14.cov").read_text()))]
+        for n in range(4, 11):
+            inputs.append(relation_inputs(density_covering(rng, n, rng.randint(2, n))))
+            partition = random_partition(rng, max_n=n, min_classes=2)
+            inputs.append(relation_inputs(as_covering(partition)))
+        constructed = []
+        construct = FlatLattice.__init__
+
+        def count_constructions(lattice, *args):
+            constructed.append(lattice)
+            construct(lattice, *args)
+
+        monkeypatch.setattr(FlatLattice, "__init__", count_constructions)
+        for args in inputs:
+            report = full_relation_report(*args)
+            assert report.failures() == []
+            assert by_claim(report)["deletion-shrinks-flats[K1]"].holds
+        assert constructed == []
+
     def test_mixed5_clean(self, mixed5):
         report = full_relation_report(*relation_inputs(mixed5))
         assert report.failures() == []

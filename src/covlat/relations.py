@@ -11,7 +11,9 @@ second lattice or sweeps all subsets.  The caller enumerates L once and
 passes it as ``lattice`` with the matroid; over the guard it may pass None,
 since every claim that reads it is skipped there.  A structure within the
 transversal matroid is checked on L's flats by the weak-map and quotient
-criteria.
+criteria.  The deletions, the reduct and the exclusion are the matroid less
+some blocks: they share one matching of each flat of L, from which each
+derives its rank and closure there.
 """
 
 from __future__ import annotations
@@ -156,6 +158,28 @@ def _record_on_flats(report, claims, smaller, lattice: FlatLattice, note=None) -
     _record_within(report, claims, separating, unclosed, note)
 
 
+def _record_without(report, claims, whole, deleted, subfamily, lattice: FlatLattice, note=None):
+    """Record the claim pair for M \\ D, the matroid of ``subfamily``: the
+    family of ``whole`` (M) less the blocks in the bitmask ``deleted`` (D).
+
+    Both criteria read r_{M \\ D}(F) and cl_{M \\ D}(F) for each flat F of
+    L from the one matching of F that M keeps for every D
+    (``TransversalMatroid.rank_and_closure_without``).  M \\ D is a weak-map
+    image of M, so the rank never exceeds the height when L is M's lattice;
+    if it does, L is not, and the pair is recorded on a fresh matroid of
+    ``subfamily``, whose witnesses are those of ``_record_on_flats``.
+    """
+    unclosed = None
+    for flat, height in zip(lattice.flats, lattice.heights):
+        rank, closed = whole.rank_and_closure_without(flat, deleted)
+        if rank > height:
+            _record_on_flats(report, claims, TransversalMatroid(subfamily), lattice, note)
+            return
+        if unclosed is None and closed.mask not in lattice._index:
+            unclosed = closed
+    _record_within(report, claims, None, unclosed, note)
+
+
 def check_containments(
     table: NeighborhoodTable,
     verdicts: Verdicts,
@@ -254,8 +278,8 @@ def check_deletion_monotonicity(
         if tags:
             note = f"block {family.block_name(block_index)} is {' and '.join(tags)}"
     if not report.skipped(_guard_note(family.universe), *claims):
-        smaller = TransversalMatroid(family.without_block(block_index))
-        _record_on_flats(report, claims, smaller, lattice, note)
+        subfamily = family.without_block(block_index)
+        _record_without(report, claims, whole, 1 << block_index, subfamily, lattice, note)
     return report
 
 
@@ -269,7 +293,13 @@ def check_reduct_exclusion_containments(
     for mode, reduce in (("reduct", reduct), ("exclusion", exclusion)):
         claims = (f"{mode}-independents-within-original", f"{mode}-flats-within-original")
         if not report.skipped(guard_note, *claims):
-            _record_on_flats(report, claims, TransversalMatroid(reduce(covering)), lattice)
+            reduced = reduce(covering)
+            # a covering has no duplicate blocks, so masks name the deleted ones
+            kept = {block.mask for block in reduced.blocks}
+            deleted = sum(
+                1 << j for j, block in enumerate(covering.blocks) if block.mask not in kept
+            )
+            _record_without(report, claims, whole, deleted, reduced, lattice)
     return report
 
 

@@ -18,6 +18,11 @@ unmatched blocks and records the matching's size as the rank of F.  Each
 F + e then costs two list copies, one augmenting path from e, and the
 backward search started from F's unmatched blocks less the one the path
 ended at: no scan of all m blocks and no fresh matching of F + e.
+
+Deleting a set D of blocks turns a maximum matching of X into one of X in
+M \\ D after one augmenting path from each element that lost its block.
+``rank_and_closure_without`` keeps one matching of X and derives the rank
+and the closure of X in every M \\ D from it.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ ENUMERATION_GUARD = 20
 class TransversalMatroid:
     """Independence / rank / closure oracle for the matroid of a family.
 
-    The rank cache is an optimization only; results are identical with the
-    cache removed, and concurrent queries are safe because cache fills are
-    idempotent.
+    The rank cache and the matchings kept by ``rank_and_closure_without``
+    are optimizations only; results are identical with them removed, and
+    concurrent queries are safe because cache fills are idempotent.
     """
 
     def __init__(self, family: SetFamily):
@@ -51,6 +56,7 @@ class TransversalMatroid:
         self._blocks_of: tuple[int, ...] = tuple(blocks_of)
         self._block_masks: tuple[int, ...] = tuple(block.mask for block in family.blocks)
         self._rank_cache: dict[int, int] = {}
+        self._matchings: dict[int, tuple[list[int], list[int], list[int]]] = {}
 
     def _check(self, x: ElementSet) -> None:
         if x.universe != self.universe:
@@ -167,6 +173,60 @@ class TransversalMatroid:
             return self._closure_of(mask | 1 << e, grown_element_to, unmatched)
 
         return closure_with
+
+    def rank_and_closure_without(self, x: ElementSet, deleted: int) -> tuple[int, ElementSet]:
+        """The rank and the closure of x in M \\ D, the transversal matroid of
+        the family less the blocks in the bitmask deleted (D).
+
+        One maximum matching of x in M is found per x and kept, so every D
+        shares it.  Unmatching D's blocks leaves a matching of x in M \\ D;
+        one augmenting path through blocks outside D is then sought from each
+        element that lost its block, and closure's backward search starts
+        from the unmatched blocks outside D.
+
+        Proof.  Only a freed element can start an augmenting path: one from
+        an element that M leaves unmatched would run through blocks outside D
+        and matched edges of M to a block that M leaves unmatched, and
+        augment M inside x.  An element whose search fails stays unmatched:
+        an element with no augmenting path gets none when the matching grows
+        along another path (Kuhn 1955).  So after one search per freed
+        element no augmenting path is left, and by Berge's theorem the
+        matching is a maximum matching of x in M \\ D, whose size is the
+        rank; closure's proof then applies to it with the blocks outside D.
+        Elements that lie only in blocks of D are loops of M \\ D: the search
+        reaches no block of theirs, so they land in the closure.
+        """
+        self._check(x)
+        block_masks = self._block_masks
+        if not 0 <= deleted < 1 << len(block_masks):
+            raise ValidationError(f"deleted-block mask {deleted:#x} names no block of the family")
+        mask = x.mask
+        matching = self._matchings.get(mask)
+        if matching is None:
+            block_to, element_to = self._maximum_matching(mask)
+            free = [block for block, element in enumerate(block_to) if element < 0]
+            matching = self._matchings[mask] = (block_to, element_to, free)
+        block_to, element_to, free = matching
+        block_to, element_to = block_to[:], element_to[:]
+        rank = len(block_to) - len(free)
+        freed = []
+        for block in bits_of(deleted):
+            element = block_to[block]
+            if element >= 0:
+                block_to[block] = element_to[element] = -1
+                freed.append(element)
+        ends = deleted
+        for element in freed:
+            end = self._augment(element, block_to, element_to, deleted)
+            if end < 0:
+                rank -= 1
+            else:
+                ends |= 1 << end
+        unmatched = 0
+        for block in free:
+            if not ends >> block & 1:
+                unmatched |= block_masks[block]
+        return rank, self._closure_of(mask, element_to, unmatched)
 
     def _closure_of(self, mask: int, element_to: list[int], reached: int) -> ElementSet:
         """cl(mask) by closure's backward search, from the element -> block

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from covlat import (
     TransversalMatroid,
     Universe,
     UpperOperator,
+    ValidationError,
     as_covering,
     check_containments,
     check_deletion_monotonicity,
@@ -318,6 +320,56 @@ class TestDeletionMonotonicity:
         notes = [r.note for r in report.records if r.note]
         assert notes and "reducible" in notes[0]
 
+    @pytest.mark.parametrize("index", ["past-the-end", "negative"])
+    def test_a_block_index_outside_the_family_is_refused(self, mixed5, index):
+        whole, lattice = transversal_and_lattice(mixed5)
+        block_index = mixed5.m if index == "past-the-end" else -1
+        with pytest.raises(ValidationError, match=f"no block with index {block_index}$"):
+            check_deletion_monotonicity(whole, block_index, lattice)
+
+    def test_another_lattice_fails_as_fresh_matroids_of_the_deleted_families_do(
+        self, monkeypatch
+    ):
+        # handed the lattice of a subfamily or of another covering, the
+        # deletion, reduct and exclusion checks report what they report on
+        # fresh matroids of the families the deletions leave
+        def reports(whole, lattice):
+            records = []
+            for i in range(whole.family.m):
+                records += check_deletion_monotonicity(whole, i, lattice).records
+            return records + check_reduct_exclusion_containments(whole, lattice).records
+
+        def fresh(report, claims, whole, deleted, subfamily, lattice, note=None):
+            smaller = TransversalMatroid(subfamily)
+            relations._record_on_flats(report, claims, smaller, lattice, note)
+
+        rng = random.Random(41)
+        cases = failing = 0
+        # failing flats claims, keyed by whether the independents claim holds
+        flats_failures = {True: 0, False: 0}
+        for _ in range(30):
+            n = rng.randint(3, 8)
+            covering = density_covering(rng, n, rng.randint(3, n + 1))
+            whole, lattice = transversal_and_lattice(covering)
+            sub = covering.without_block(rng.randrange(covering.m))
+            other = density_covering(rng, n, rng.randint(2, n + 1))
+            for family in (sub, other):
+                foreign = transversal_and_lattice(family)[1]
+                if foreign.flats == lattice.flats:
+                    continue
+                derived = reports(whole, foreign)
+                with monkeypatch.context() as patch:
+                    patch.setattr(relations, "_record_without", fresh)
+                    assert derived == reports(whole, foreign)
+                cases += 1
+                failing += any(record.holds is False for record in derived)
+                for independents, flats in zip(derived[::2], derived[1::2]):
+                    if flats.holds is False:
+                        flats_failures[independents.holds] += 1
+        # a foreign lattice need not break every claim (38 of 42 cases do)
+        assert 0.8 * cases < failing and cases > 30
+        assert flats_failures[True] and flats_failures[False]
+
     @given(families(max_n=5, max_m=5))
     def test_holds_for_every_block(self, family):
         if family.m < 2:
@@ -439,6 +491,47 @@ class TestFullReport:
             assert report.failures() == []
             assert by_claim(report)["deletion-shrinks-flats[K1]"].holds
         assert constructed == []
+
+    def test_matches_each_flat_once_for_every_deleted_family(self, monkeypatch):
+        covering = cov((INPUTS / "density_14.cov").read_text())
+        args = relation_inputs(covering)
+        lattice = args[-1]
+        matched, deletions, reductions, built = [], [], [], []
+        inside = [False]
+        match = TransversalMatroid._maximum_matching
+
+        def counted_match(matroid, mask):
+            if inside[0]:
+                matched.append(mask)
+            return match(matroid, mask)
+
+        def counted(check, calls):
+            def run(*args):
+                calls.append(args)
+                inside[0] = True
+                try:
+                    return check(*args)
+                finally:
+                    inside[0] = False
+
+            return run
+
+        monkeypatch.setattr(TransversalMatroid, "_maximum_matching", counted_match)
+        for name, calls in (
+            ("check_deletion_monotonicity", deletions),
+            ("check_reduct_exclusion_containments", reductions),
+        ):
+            monkeypatch.setattr(relations, name, counted(getattr(relations, name), calls))
+        monkeypatch.setattr(relations, "TransversalMatroid", built.append)
+        report = full_relation_report(*args)
+        assert report.failures() == []
+        assert [block_index for _, block_index, _ in deletions] == list(range(covering.m))
+        assert len(reductions) == 1
+        assert built == []
+        # m deletions, the reduct and the exclusion share one matching per flat
+        counts = Counter(matched)
+        assert set(counts) <= {flat.mask for flat in lattice.flats}
+        assert max(counts.values()) == 1
 
     def test_mixed5_clean(self, mixed5):
         report = full_relation_report(*relation_inputs(mixed5))

@@ -6,12 +6,17 @@ from hypothesis import strategies as st
 
 from covlat import (
     BruteForce,
+    Covering,
     GuardExceeded,
+    SetFamily,
     TransversalMatroid,
     ValidationError,
     ab_decomposition,
     brute_independent,
+    enumerate_lattice,
+    exclusion,
     is_partition,
+    reduct,
 )
 from covlat.lattice import closure_from_rank
 from conftest import cov, density_covering, fam, subsets
@@ -133,6 +138,73 @@ class TestClosure:
                 mask = sum(1 << e for e in rng.sample(range(n), rng.randint(0, n)))
                 x = covering.universe.set_from_mask(mask)
                 assert matroid.closure(x) == closure_from_rank(matroid, x)
+
+
+class TestRankAndClosureWithout:
+    """The rank and the closure derived from the one kept matching of x in M
+    equal a fresh matroid's of the family less the deleted blocks."""
+
+    @staticmethod
+    def _families(rng: random.Random, n: int) -> tuple[SetFamily, ...]:
+        """A density covering and a plain family on n elements; the family
+        repeats its last block, and for n > 1 only its block 0 covers
+        element 0."""
+        m = rng.randint(2, min(n + 1, 6)) if n > 1 else 1
+        covering = density_covering(rng, n, min(m + 1, (1 << n) - 1))
+        masks = [1 | sum(1 << e for e in range(n) if rng.random() < 0.4)]
+        for _ in range(m - 1):
+            masks.append(sum(1 << e for e in range(1, n) if rng.random() < 0.4) or 2)
+        masks.append(masks[-1])
+        universe = covering.universe
+        return covering, SetFamily(universe, map(universe.set_from_mask, masks))
+
+    @staticmethod
+    def _deletions(rng: random.Random, family: SetFamily) -> list[int]:
+        """Each single block, random sets of blocks, and for a covering the
+        blocks its reduct and its exclusion drop; never every block."""
+        everything = (1 << family.m) - 1
+        deletions = {1 << j for j in range(family.m)}
+        deletions.update(rng.randrange(1, everything) for _ in range(4) if family.m > 2)
+        if isinstance(family, Covering):
+            for reduced in (reduct(family), exclusion(family)):
+                kept = {block.mask for block in reduced.blocks}
+                deletions.add(sum(1 << j for j, b in enumerate(family.blocks) if b.mask not in kept))
+        deletions.discard(everything)
+        return sorted(deletions)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_a_fresh_matroid_of_the_subfamily(self, n):
+        rng = random.Random(100 + n)
+        loops_seen = 0
+        for family in self._families(rng, n):
+            matroid = TransversalMatroid(family)
+            universe = family.universe
+            sets = list(enumerate_lattice(matroid).flats)
+            sets += [universe.set_from_mask(rng.randrange(1 << n)) for _ in range(20)]
+            for deleted in self._deletions(rng, family):
+                kept = [b for j, b in enumerate(family.blocks) if not deleted >> j & 1]
+                fresh = TransversalMatroid(SetFamily(universe, kept))
+                loops = universe.full_mask
+                for block in kept:
+                    loops &= ~block.mask
+                loops_seen |= loops
+                for x in sets:
+                    rank, closure = matroid.rank_and_closure_without(x, deleted)
+                    assert (rank, closure) == (fresh.rank(x), fresh.closure(x))
+                    assert closure.mask & loops == loops
+        # deleting block 0 of the plain family leaves element 0 in no block
+        assert loops_seen & 1 or n == 1
+
+    def test_deleting_nothing_is_the_matroid_itself(self, doubled9):
+        matroid = TransversalMatroid(doubled9)
+        for flat in enumerate_lattice(matroid).flats:
+            assert matroid.rank_and_closure_without(flat, 0) == (matroid.rank(flat), flat)
+
+    @pytest.mark.parametrize("deleted", [-1, 1 << 4, 1 << 64])
+    def test_a_block_outside_the_family_is_refused(self, doubled9, deleted):
+        matroid = TransversalMatroid(doubled9)
+        with pytest.raises(ValidationError, match="names no block"):
+            matroid.rank_and_closure_without(doubled9.universe.empty(), deleted)
 
 
 class TestEnumeration:

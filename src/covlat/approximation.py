@@ -283,6 +283,8 @@ class PartitionMatroid:
 
     ``closure`` is computed from the rank function, so tests can compare it
     against the partition upper approximation through an independent route.
+    ``extensions`` uses the closed form instead: a flat is a union of
+    classes, and cl(F + e) adds e's class to it.
     """
 
     def __init__(self, universe: Universe, classes: Sequence[ElementSet]):
@@ -300,6 +302,11 @@ class PartitionMatroid:
             raise ValidationError("classes must partition the universe")
         self.universe = universe
         self.classes = tuple(sorted(classes, key=ElementSet.sort_key))
+        class_of = [0] * universe.n
+        for cls in self.classes:
+            for e in bits_of(cls.mask):
+                class_of[e] = cls.mask
+        self._class_of: tuple[int, ...] = tuple(class_of)
 
     def _check(self, x: ElementSet) -> None:
         if x.universe != self.universe:
@@ -321,7 +328,20 @@ class PartitionMatroid:
         return closure_from_rank(self, x)
 
     def extensions(self, flat: ElementSet) -> Callable[[int], ElementSet]:
-        return lambda e: self.closure(flat.with_index(e))
+        """The map e -> flat + class(e) over the elements e outside a flat.
+        A set that is not a union of classes is not closed, and is refused
+        with ``InternalConsistencyError``."""
+        self._check(flat)
+        mask, class_of = flat.mask, self._class_of
+        if any(class_of[e] & ~mask for e in bits_of(mask)):
+            raise InternalConsistencyError(f"{flat!r} is not closed: it splits a class")
+
+        def closure_with(e: int) -> ElementSet:
+            if mask >> e & 1:
+                raise ValidationError(f"element {self.universe.labels[e]} is already in {flat!r}")
+            return ElementSet(self.universe, mask | class_of[e])
+
+        return closure_with
 
     def base_count(self) -> int:
         """Bases pick one element per class, so the count is the product of

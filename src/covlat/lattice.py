@@ -5,16 +5,24 @@ generation instead of filtering all 2^n subsets, so it only pays for flats
 that exist.  The input is any object exposing ``universe``, ``rank``,
 ``closure`` and ``extensions`` with matroid semantics; that contract is what
 makes cover generation correct.
+
+A ``FlatLattice`` holds its Hasse diagram in compressed sparse row form: one
+array of row offsets and one array of upper ends, a sorted row per flat in
+canonical order.  No Python object is kept per edge; ``hasse_edges`` is a
+read-only view that yields the (lower, upper) pairs on demand.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
-from operator import and_, or_
-from typing import Callable, Protocol, Sequence
+from itertools import accumulate, chain, count, islice, repeat
+from operator import and_, or_, sub
+from typing import Protocol
 
 from .errors import (
     GuardExceeded,
@@ -125,55 +133,119 @@ class GeometricityCheck:
     violation: str | None = None
 
 
+class HasseEdges(Sequence):
+    """Hasse edges as read-only (lower, upper) pairs over compressed rows.
+
+    Row i holds the upper ends of the edges from flat i, at positions
+    ``offsets[i]`` to ``offsets[i + 1]`` of ``uppers``.  The pairs are built
+    as they are read, so the view keeps no object per edge.  It compares
+    equal to the tuple of its pairs.
+    """
+
+    __slots__ = ("_offsets", "_uppers")
+
+    def __init__(self, offsets: array, uppers: array):
+        self._offsets = offsets
+        self._uppers = uppers
+
+    def __len__(self) -> int:
+        return len(self._uppers)
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        if k < 0:
+            k += len(self._uppers)
+        if not 0 <= k < len(self._uppers):
+            raise IndexError("hasse edge index out of range")
+        return bisect_right(self._offsets, k) - 1, self._uppers[k]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        # each lower end repeated once per edge of its row, all in C iterators
+        lengths = map(sub, islice(self._offsets, 1, None), self._offsets)
+        return zip(chain.from_iterable(map(repeat, count(), lengths)), self._uppers)
+
+    def row(self, lower: int) -> array:
+        """The upper ends of the edges from ``lower``, ascending (a copy)."""
+        return self._uppers[self._offsets[lower] : self._offsets[lower + 1]]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, HasseEdges)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"HasseEdges({tuple(self)!r})"
+
+
+def _rows_of(pairs: Iterable[tuple[int, int]], size: int) -> HasseEdges:
+    """(lower, upper) pairs in any order as one row per lower end < size."""
+    rows: list[list[int]] = [[] for _ in range(size)]
+    for lower, upper in pairs:
+        if not 0 <= lower < size:
+            raise ValidationError("hasse edge names no flat")
+        rows[lower].append(upper)
+    offsets = array("l", accumulate(map(len, rows), initial=0))
+    return HasseEdges(offsets, array("l", chain.from_iterable(rows)))
+
+
 class FlatLattice:
     """All flats of a matroid with their Hasse diagram and heights.
 
     Flats are stored in canonical order (cardinality, then index sequence);
     heights are longest-chain distances from the bottom over the stored
     Hasse edges.  Construction builds only what every caller reads: the
-    flats, their index, the sorted edges and the heights.  Joins use a
+    flats, their index, the heights and the Hasse edges as one sorted row of
+    upper ends per flat in two arrays, which ``covers`` searches by
+    bisection and ``upper_covers`` slices.  Joins use a
     ``containment_index`` (the flats over a union are the AND of its
-    elements' bitsets; the join is the lowest, the first in size order); it,
-    the mask of all flats and the edge set behind ``covers`` are built by
-    the first ``join``, ``covers`` or ``is_geometric`` and kept.
+    elements' bitsets; the join is the lowest, the first in size order); it
+    and the mask of all flats are built by the first ``join`` or
+    ``is_geometric`` and kept.
     """
 
-    def __init__(self, flats: list[ElementSet], edges: list[tuple[int, int]]):
+    def __init__(self, flats: Sequence[ElementSet], edges: Iterable[tuple[int, int]]):
+        """``edges`` holds (lower, upper) positions in ``flats``: any iterable
+        of pairs, grouped into rows first, or a ``HasseEdges`` with one row
+        per flat.  Duplicates collapse."""
         if not flats:
             raise ValidationError("a lattice needs at least one flat")
         universe = flats[0].universe
         masks = [f.mask for f in flats]
-        if len(set(masks)) != len(masks):
-            raise ValidationError("duplicate flats")
         size = len(flats)
         keys = canonical_keys(universe.n, masks)
         order = sorted(range(size), key=keys.__getitem__)
-        remap = [0] * size
+        remap = array("l", [0]) * size
         for new, old in enumerate(order):
             remap[old] = new
         self.universe = universe
         self.flats: tuple[ElementSet, ...] = tuple([flats[i] for i in order])
         self._index: dict[int, int] = {f.mask: i for i, f in enumerate(self.flats)}
-        above: list[list[int]] = [[] for _ in range(size)]
-        for lower, upper in edges:
-            if not (0 <= lower < size and 0 <= upper < size):
-                raise ValidationError("hasse edge names no flat")
-            if masks[lower] & ~masks[upper] or lower == upper:
-                raise ValidationError("hasse edge does not go strictly upward")
-            above[remap[lower]].append(remap[upper])
-        # bucketed by lower end, only the few covers of each flat are sorted;
+        if len(self._index) != size:
+            raise ValidationError("duplicate flats")
+        if not isinstance(edges, HasseEdges):
+            edges = _rows_of(edges, size)
+        uppers = edges._uppers
+        if len(edges._offsets) != size + 1:
+            raise ValidationError("hasse edges need one row per flat")
+        if uppers and not (0 <= min(uppers) and max(uppers) < size):
+            raise ValidationError("hasse edge names no flat")
+        # rows in canonical order, each remapped, sorted and deduplicated;
         # edges point to later flats, so lower-index order is topological
-        hasse: list[tuple[int, int]] = []
+        offsets, rows = array("l", [0]), array("l")
         heights = [0] * size
-        for lower, uppers in enumerate(above):
-            if uppers:
-                uppers = sorted(set(uppers))
-                hasse += zip(repeat(lower, len(uppers)), uppers)
+        for lower, old in enumerate(order):
+            ends = edges.row(old)
+            if ends:
+                # a flat lies in each flat of the row iff it lies in their meet
+                if old in ends or masks[old] & ~reduce(and_, map(masks.__getitem__, ends)):
+                    raise ValidationError("hasse edge does not go strictly upward")
+                row = sorted(set(map(remap.__getitem__, ends)))
+                rows.extend(row)
                 height = heights[lower] + 1
-                for upper in uppers:
+                for upper in row:
                     if heights[upper] < height:
                         heights[upper] = height
-        self.hasse_edges: tuple[tuple[int, int], ...] = tuple(hasse)
+            offsets.append(len(rows))
+        self._hasse = HasseEdges(offsets, rows)
         self.heights: tuple[int, ...] = tuple(heights)
         self.bottom = self.flats[0]
         self.top = self.flats[-1]
@@ -181,7 +253,11 @@ class FlatLattice:
             raise ValidationError("lattice lacks a unique bottom or top flat")
         self._containing: list[int] | None = None
         self._everything = 0
-        self._edge_set: set[tuple[int, int]] | None = None
+
+    @property
+    def hasse_edges(self) -> HasseEdges:
+        """The Hasse edges as (lower, upper) positions, sorted; a view."""
+        return self._hasse
 
     def _containment(self) -> list[int]:
         """The containment index of the flats, built on first use."""
@@ -234,35 +310,31 @@ class FlatLattice:
 
     def covers(self, lower: ElementSet, upper: ElementSet) -> bool:
         """True iff (lower, upper) is a Hasse edge of the lattice."""
-        return (self.index_of(lower), self.index_of(upper)) in self._edges()
-
-    def _edges(self) -> set[tuple[int, int]]:
-        """The Hasse edges as a set, built on first use."""
-        if self._edge_set is None:
-            self._edge_set = set(self.hasse_edges)
-        return self._edge_set
+        i, j = self.index_of(lower), self.index_of(upper)
+        offsets, uppers = self._hasse._offsets, self._hasse._uppers
+        stop = offsets[i + 1]
+        k = bisect_left(uppers, j, offsets[i], stop)
+        return k < stop and uppers[k] == j
 
     def upper_covers(self, flat: ElementSet) -> tuple[ElementSet, ...]:
-        i = self.index_of(flat)
-        return tuple(self.flats[u] for l, u in self.hasse_edges if l == i)
+        return tuple(map(self.flats.__getitem__, self._hasse.row(self.index_of(flat))))
 
     def lower_covers(self, flat: ElementSet) -> tuple[ElementSet, ...]:
         i = self.index_of(flat)
-        return tuple(self.flats[l] for l, u in self.hasse_edges if u == i)
+        return tuple(self.flats[l] for l, u in self._hasse if u == i)
 
-    def _true_covers(self) -> set[tuple[int, int]]:
-        """Cover pairs recomputed from inclusion alone (ignoring stored edges)."""
+    def _true_covers(self) -> Iterator[list[int]]:
+        """Each flat's upper covers in order, ascending, recomputed from
+        inclusion alone (ignoring stored edges)."""
         masks = [f.mask for f in self.flats]
         containing = self._containment()
-        pairs: set[tuple[int, int]] = set()
         for i, mask in enumerate(masks):
             above = positions_over(containing, mask, self._everything) & ~(1 << i)
             kept: list[int] = []
             for j in bits_of(above):
                 if all(masks[k] & ~masks[j] for k in kept):
                     kept.append(j)
-            pairs.update((i, j) for j in kept)
-        return pairs
+            yield kept
 
     def is_geometric(self) -> GeometricityCheck:
         """Jordan-Dedekind + semimodular inequality + atomistic, with diagnostics.
@@ -272,17 +344,16 @@ class FlatLattice:
         than silently graded.  All pairs then go through ``first_pair_violation``
         weighted by height, with joins from the containment index.
         """
-        true_covers = self._true_covers()
-        edge_set = self._edges()
-        if edge_set != true_covers:
-            delta = edge_set.symmetric_difference(true_covers)
-            lower, upper = sorted(delta)[0]
-            return GeometricityCheck(
-                False,
-                f"hasse edges disagree with the cover relation near "
-                f"{self.flats[lower]!r} -> {self.flats[upper]!r}",
-            )
-        for lower, upper in self.hasse_edges:
+        for lower, true_row in enumerate(self._true_covers()):
+            row = self._hasse.row(lower).tolist()
+            if row != true_row:
+                upper = min(set(row).symmetric_difference(true_row))
+                return GeometricityCheck(
+                    False,
+                    f"hasse edges disagree with the cover relation near "
+                    f"{self.flats[lower]!r} -> {self.flats[upper]!r}",
+                )
+        for lower, upper in self._hasse:
             if self.heights[upper] != self.heights[lower] + 1:
                 return GeometricityCheck(
                     False,
@@ -339,7 +410,9 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
     ``extensions(F)`` and calls it once per Hasse edge above F; only the
     bottom flat goes through ``closure``.  A transversal oracle finds one
     maximum matching of F there, so each cover costs one augmenting path
-    plus one O(n + m) alternating search.
+    plus one O(n + m) alternating search.  The covers of each flat are
+    collected as one row of two arrays and handed to ``FlatLattice`` as a
+    ``HasseEdges`` view, so no edge tuple is built.
 
     Heights are asserted equal to ranks; a mismatch means the oracle is not
     a matroid and raises ``InternalConsistencyError``.  A transversal
@@ -353,29 +426,31 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
     bottom = matroid.closure(universe.empty())
     discovered: dict[int, int] = {bottom.mask: 0}
     order: list[ElementSet] = [bottom]
-    edges: list[tuple[int, int]] = []
+    # the covers of each flat, one row per flat in discovery order
+    offsets, uppers = array("l", [0]), array("l")
     # order doubles as the breadth-first queue: it grows while it is walked
-    for index, flat in enumerate(order):
-        if flat.mask == universe.full_mask:
-            continue
-        close = matroid.extensions(flat)
-        remaining = universe.full_mask & ~flat.mask
-        while remaining:
-            low = remaining & -remaining
-            cover = close(low.bit_length() - 1)
-            mask = cover.mask
-            # low as well: a closure that missed it must not loop forever
-            remaining &= ~(low | mask)
-            if mask not in discovered:
-                if len(discovered) >= limit:
-                    raise GuardExceeded(
-                        f"flat lattice exceeds the guard of {limit} flats "
-                        f"(at least {len(discovered) + 1} exist)"
-                    )
-                discovered[mask] = len(order)
-                order.append(cover)
-            edges.append((index, discovered[mask]))
-    lattice = FlatLattice(order, edges)
+    for flat in order:
+        if flat.mask != universe.full_mask:
+            close = matroid.extensions(flat)
+            remaining = universe.full_mask & ~flat.mask
+            while remaining:
+                low = remaining & -remaining
+                cover = close(low.bit_length() - 1)
+                mask = cover.mask
+                # low as well: a closure that missed it must not loop forever
+                remaining &= ~(low | mask)
+                if mask not in discovered:
+                    if len(discovered) >= limit:
+                        raise GuardExceeded(
+                            f"flat lattice exceeds the guard of {limit} flats "
+                            f"(at least {len(discovered) + 1} exist)"
+                        )
+                    discovered[mask] = len(order)
+                    order.append(cover)
+                uppers.append(discovered[mask])
+        offsets.append(len(uppers))
+    del discovered  # as large as the lattice's own index: free it first
+    lattice = FlatLattice(order, HasseEdges(offsets, uppers))
     for flat, height in zip(lattice.flats, lattice.heights):
         rank = matroid.rank(flat)
         if rank != height:

@@ -247,20 +247,20 @@ class TestCompare:
 
     def test_compare_reads_no_join_index_or_edge_set(self, monkeypatch, capsys):
         # the relation checks read flats and heights only, so the lattice
-        # never builds what join, covers and is_geometric need
+        # never builds the join index and no caller reads its Hasse edges
         built = []
-        index, edges = lattice_module.containment_index, FlatLattice._edges
+        index, edges = lattice_module.containment_index, FlatLattice.hasse_edges
 
         def counted_index(n, sets):
             built.append("containment_index")
             return index(n, sets)
 
         def counted_edges(lattice):
-            built.append("edge set")
-            return edges(lattice)
+            built.append("hasse_edges")
+            return edges.fget(lattice)
 
         monkeypatch.setattr(lattice_module, "containment_index", counted_index)
-        monkeypatch.setattr(FlatLattice, "_edges", counted_edges)
+        monkeypatch.setattr(FlatLattice, "hasse_edges", property(counted_edges))
         assert main(["compare", str(INPUTS / "density_12.cov")]) == 0
         assert "PASS" in capsys.readouterr().out
         assert built == []

@@ -1,4 +1,7 @@
+import gc
 import random
+import tracemalloc
+from array import array
 from itertools import permutations
 
 import pytest
@@ -24,8 +27,8 @@ from covlat import (
     modular_pair_by_heights,
 )
 from covlat import lattice as lattice_module
-from covlat.lattice import canonical_keys, closure_from_rank
-from conftest import DOUBLED9, cov, density_covering
+from covlat.lattice import HasseEdges, canonical_keys, closure_from_rank
+from conftest import DOUBLED9, MIXED5, cov, density_covering
 from strategies import coverings, families
 
 MIXED5_FLATS = [
@@ -114,12 +117,30 @@ def _partition_matroid():
     return PartitionMatroid(universe, classes)
 
 
+def test_partition_extensions_add_the_class_of_the_element():
+    # the closed form e -> F + class(e) against closure from rank on every
+    # flat; an element of the flat is refused, a set that splits a class is
+    # not closed
+    matroid = _partition_matroid()
+    universe = matroid.universe
+    for flat in enumerate_lattice(matroid).flats:
+        close = matroid.extensions(flat)
+        for e in range(universe.n):
+            if flat.has_index(e):
+                with pytest.raises(ValidationError, match="already in"):
+                    close(e)
+            else:
+                assert close(e) == closure_from_rank(matroid, flat.with_index(e))
+    with pytest.raises(InternalConsistencyError, match="not closed"):
+        matroid.extensions(universe.subset(["a", "d"]))
+
+
 @pytest.mark.parametrize(
     ("build", "closures"),
     [
         (lambda: TransversalMatroid(cov(DOUBLED9)), lambda edges: 1),
         (lambda: TransversalMatroid(density_covering(random.Random(0), 10, 6)), lambda edges: 1),
-        (_partition_matroid, lambda edges: edges + 1),
+        (_partition_matroid, lambda edges: 1),
     ],
     ids=["doubled9", "density10", "partition7"],
 )
@@ -127,8 +148,8 @@ def test_enumeration_closes_once_per_hasse_edge(build, closures):
     # the covers of a flat F partition E - F, so an element a found cover
     # absorbs is never closed again: each non-top flat asks for its
     # extensions once and closes one extension per Hasse edge.  Only the
-    # bottom goes through a transversal closure; the partition matroid's
-    # extensions call its closure, once per edge.
+    # bottom goes through closure: both oracles' extensions close F + e
+    # without it.
     matroid = build()
     calls = {"closure": 0, "extensions": 0, "extension": 0}
     closure, extensions = matroid.closure, matroid.extensions
@@ -590,3 +611,152 @@ def test_json_and_dot_are_deterministic(mixed5_lattice):
     dot = mixed5_lattice.to_dot()
     assert dot.startswith("digraph flats {")
     assert dot.count("->") == len(mixed5_lattice.hasse_edges)
+
+
+# The Hasse edges are stored as one sorted row of upper ends per flat; the
+# queries below are checked against plain scans of the (lower, upper) pairs.
+
+
+def _seeded(seed):
+    lattice = enumerate_lattice(TransversalMatroid(density_covering(random.Random(seed), 9, 5)))
+    return list(lattice.flats), list(lattice.hasse_edges)
+
+
+def _mixed5_pairs():
+    lattice = enumerate_lattice(TransversalMatroid(cov(MIXED5)))
+    return list(lattice.flats), list(lattice.hasse_edges)
+
+
+def _edge_removed():
+    flats, edges = _mixed5_pairs()
+    del edges[3]
+    return flats, edges
+
+
+def _bottom_to_top_added():
+    flats, edges = _mixed5_pairs()
+    return flats, edges + [(0, len(flats) - 1)]
+
+
+def _without_meets():
+    universe = Universe(("a", "b", "c", "d"))
+    flats = [universe.subset(f.split()) for f in ("", "b", "c", "a b c", "b c d", "a b c d")]
+    return flats, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+
+
+CSR_CASES = {
+    "density9-0": lambda: _seeded(0),
+    "density9-1": lambda: _seeded(1),
+    "density9-2": lambda: _seeded(2),
+    "mixed5": _mixed5_pairs,
+    "mixed5-edge-removed": _edge_removed,
+    "mixed5-bottom-to-top": _bottom_to_top_added,
+    "without-meets": _without_meets,
+}
+
+
+def assert_queries_match_edge_scans(lattice, expected):
+    assert lattice.hasse_edges == expected
+    assert len(lattice.hasse_edges) == len(expected)
+    assert list(lattice.hasse_edges) == list(expected)
+    assert [lattice.hasse_edges[k] for k in range(-len(expected), len(expected))] == list(expected) * 2
+    edge_set = set(lattice.hasse_edges)
+    flats = lattice.flats
+    for i, x in enumerate(flats):
+        assert lattice.upper_covers(x) == tuple(flats[u] for l, u in expected if l == i)
+        assert lattice.lower_covers(x) == tuple(flats[l] for l, u in expected if u == i)
+        for j, y in enumerate(flats):
+            assert lattice.covers(x, y) == ((i, j) in edge_set)
+
+
+@pytest.mark.parametrize("case", list(CSR_CASES.values()), ids=list(CSR_CASES))
+def test_csr_queries_match_scans_of_the_pairs(case):
+    # shuffled flats and shuffled pairs with two duplicates: the stored edges
+    # are the pairs in canonical positions, deduplicated and sorted
+    flats, pairs = case()
+    rng = random.Random(len(pairs))
+    order = list(range(len(flats)))
+    rng.shuffle(order)
+    position = {old: new for new, old in enumerate(order)}
+    shuffled = [(position[l], position[u]) for l, u in pairs + pairs[:2]]
+    rng.shuffle(shuffled)
+    lattice = FlatLattice([flats[i] for i in order], shuffled)
+    canonical = {f.mask: k for k, f in enumerate(sorted(flats, key=ElementSet.sort_key))}
+    masks = [flats[i].mask for i in order]
+    expected = tuple(sorted({(canonical[masks[l]], canonical[masks[u]]) for l, u in shuffled}))
+    assert lattice.flats == tuple(sorted(flats, key=ElementSet.sort_key))
+    assert_queries_match_edge_scans(lattice, expected)
+    # the stored view hands the same rows to a rebuild
+    rebuilt = FlatLattice(list(lattice.flats), lattice.hasse_edges)
+    assert_queries_match_edge_scans(rebuilt, expected)
+    assert rebuilt.heights == lattice.heights
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_enumerated_csr_queries_match_scans_of_the_pairs(seed):
+    # the rows enumerate_lattice hands over, against the covers found by
+    # closing every extension of every flat
+    covering = density_covering(random.Random(seed), 9, 5)
+    lattice = enumerate_lattice(TransversalMatroid(covering))
+    _, pairs = closing_every_extension(TransversalMatroid(covering))
+    canonical = {f.mask: k for k, f in enumerate(lattice.flats)}
+    expected = tuple(sorted((canonical[l], canonical[u]) for l, u in pairs))
+    assert_queries_match_edge_scans(lattice, expected)
+
+
+class TestHasseEdgesView:
+    @pytest.fixture
+    def view(self):
+        # rows: 0 -> 1 2, 1 -> 3, 2 -> 3, 3 -> (none)
+        return HasseEdges(array("l", [0, 2, 3, 4, 4]), array("l", [1, 2, 3, 3]))
+
+    def test_reads_as_the_tuple_of_its_pairs(self, view):
+        pairs = ((0, 1), (0, 2), (1, 3), (2, 3))
+        assert view == pairs
+        assert view != pairs[:3]
+        assert view != list(pairs)
+        assert tuple(view) == pairs
+        assert view[-1] == (2, 3)
+        assert view.row(0) == array("l", [1, 2])
+        assert not view.row(3)
+        assert (1, 3) in view and (3, 1) not in view
+        assert repr(view) == f"HasseEdges({pairs!r})"
+
+    @pytest.mark.parametrize("k", [4, -5])
+    def test_index_out_of_range(self, view, k):
+        with pytest.raises(IndexError):
+            view[k]
+
+    def test_rows_must_match_the_flats(self, view):
+        universe = Universe(("a", "b", "c"))
+        flats = [universe.subset(f.split()) for f in ("", "a", "b", "a b", "a b c")]
+        with pytest.raises(ValidationError, match="one row per flat"):
+            FlatLattice(flats, view)
+
+
+def test_lattice_keeps_no_object_per_edge():
+    # bytes still allocated once the (16, 8) lattice is built, and the peak
+    # while it was built, per flat plus edge: an edge costs 8 bytes in an
+    # array, a flat about 170 in its ElementSet, index entry and height;
+    # edge tuples, an edge list or an edge set would cost 56-64 bytes more
+    # per edge.  Queries build nothing.
+    covering = density_covering(random.Random(0), 16, 8)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        lattice = enumerate_lattice(TransversalMatroid(covering))
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+        flats = lattice.flats
+        for x in flats[:40]:
+            lattice.upper_covers(x)
+            for y in flats:
+                lattice.covers(x, y)
+        gc.collect()
+        after_queries = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    items = len(lattice) + len(lattice.hasse_edges)
+    assert retained / items <= 48
+    assert after_queries / items <= 48
+    assert peak / items <= 96

@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under scripts/, run as a user runs them."""
 
+import json
 import os
 import subprocess
 import sys
@@ -35,3 +36,19 @@ def test_run_verification_passes():
     result = run_script("run_verification.py", "--count", "8", "--seed", "0")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("PASS: ")
+
+
+def test_ladder_reports_one_rung():
+    result = run_script("ladder.py", "--n", "10", "--m", "6")
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert set(report) == {"n", "m", "flats", "hasse_edges", "cpu_s", "max_rss_mb"}
+    assert (report["n"], report["m"]) == (10, 6)
+    assert 1 < report["flats"] < report["hasse_edges"]
+    assert report["max_rss_mb"] > 0
+
+
+def test_ladder_refuses_a_lattice_over_the_guard():
+    result = run_script("ladder.py", "--n", "10", "--m", "6", "--max-flats", "5")
+    assert result.returncode == 2
+    assert "exceeds the guard of 5 flats" in result.stderr

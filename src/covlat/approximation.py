@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CriterionNotSatisfied, InternalConsistencyError, ValidationError
 from .lattice import closure_from_rank
@@ -283,8 +283,8 @@ class PartitionMatroid:
 
     ``closure`` is computed from the rank function, so tests can compare it
     against the partition upper approximation through an independent route.
-    ``extensions`` uses the closed form instead: a flat is a union of
-    classes, and cl(F + e) adds e's class to it.
+    ``covers_of`` uses the closed form instead: a flat is a union of
+    classes, and its covers add one class each.
     """
 
     def __init__(self, universe: Universe, classes: Sequence[ElementSet]):
@@ -302,11 +302,6 @@ class PartitionMatroid:
             raise ValidationError("classes must partition the universe")
         self.universe = universe
         self.classes = tuple(sorted(classes, key=ElementSet.sort_key))
-        class_of = [0] * universe.n
-        for cls in self.classes:
-            for e in bits_of(cls.mask):
-                class_of[e] = cls.mask
-        self._class_of: tuple[int, ...] = tuple(class_of)
 
     def _check(self, x: ElementSet) -> None:
         if x.universe != self.universe:
@@ -327,21 +322,15 @@ class PartitionMatroid:
     def closure(self, x: ElementSet) -> ElementSet:
         return closure_from_rank(self, x)
 
-    def extensions(self, flat: ElementSet) -> Callable[[int], ElementSet]:
-        """The map e -> flat + class(e) over the elements e outside a flat.
-        A set that is not a union of classes is not closed, and is refused
-        with ``InternalConsistencyError``."""
+    def covers_of(self, flat: ElementSet) -> list[int]:
+        """The masks flat + c over the classes c outside a flat.  A set that
+        is not a union of classes is not closed, and is refused with
+        ``InternalConsistencyError``."""
         self._check(flat)
-        mask, class_of = flat.mask, self._class_of
-        if any(class_of[e] & ~mask for e in bits_of(mask)):
+        mask = flat.mask
+        if any(cls.mask & mask and cls.mask & ~mask for cls in self.classes):
             raise InternalConsistencyError(f"{flat!r} is not closed: it splits a class")
-
-        def closure_with(e: int) -> ElementSet:
-            if mask >> e & 1:
-                raise ValidationError(f"element {self.universe.labels[e]} is already in {flat!r}")
-            return ElementSet(self.universe, mask | class_of[e])
-
-        return closure_with
+        return [mask | cls.mask for cls in self.classes if not cls.mask & mask]
 
     def base_count(self) -> int:
         """Bases pick one element per class, so the count is the product of

@@ -10,10 +10,10 @@ induced rank has the closed form min over members Y of f(Y) + |X - Y|.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import InternalConsistencyError, ValidationError
-from .lattice import FlatLattice, MatroidOracle, closure_from_rank
+from .lattice import FlatLattice, MatroidOracle, closure_from_rank, covers_by_closure
 from .lattice import containment_index, first_pair_violation
 from .universe import ElementSet, Universe, bits_of
 
@@ -93,8 +93,8 @@ class LatticeInducedMatroid:
     def closure(self, x: ElementSet) -> ElementSet:
         return closure_from_rank(self, x)
 
-    def extensions(self, flat: ElementSet) -> Callable[[int], ElementSet]:
-        return lambda e: self.closure(flat.with_index(e))
+    def covers_of(self, flat: ElementSet) -> list[int]:
+        return covers_by_closure(self, flat)
 
 
 def induced_rank(system: SubmodularSystem, x: ElementSet) -> int:

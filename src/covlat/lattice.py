@@ -3,8 +3,9 @@
 ``enumerate_lattice`` grows the lattice upward from the bottom flat by cover
 generation instead of filtering all 2^n subsets, so it only pays for flats
 that exist.  The input is any object exposing ``universe``, ``rank``,
-``closure`` and ``extensions`` with matroid semantics; that contract is what
-makes cover generation correct.
+``closure`` and ``covers_of`` with matroid semantics; that contract is what
+makes cover generation correct.  An oracle with no faster way to list the
+covers of a flat uses ``covers_by_closure``, one closure per cover.
 
 A ``FlatLattice`` holds its Hasse diagram in compressed sparse row form: one
 array of row offsets and one array of upper ends, a sorted row per flat in
@@ -17,7 +18,7 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, count, islice, repeat
@@ -62,8 +63,8 @@ class MatroidOracle(Protocol):
 
     def closure(self, x: ElementSet) -> ElementSet: ...
 
-    def extensions(self, flat: ElementSet) -> Callable[[int], ElementSet]:
-        """The map e -> cl(flat + e) over the elements e outside a flat."""
+    def covers_of(self, flat: ElementSet) -> list[int]:
+        """The masks of the flats that cover a closed flat."""
 
 
 def closure_from_rank(matroid: MatroidOracle, x: ElementSet) -> ElementSet:
@@ -74,6 +75,25 @@ def closure_from_rank(matroid: MatroidOracle, x: ElementSet) -> ElementSet:
         if matroid.rank(x.with_index(e)) == r:
             mask |= 1 << e
     return ElementSet(matroid.universe, mask)
+
+
+def covers_by_closure(matroid: MatroidOracle, flat: ElementSet) -> list[int]:
+    """The masks of the covers of a flat F, one closure cl(F + e) per cover.
+
+    In a matroid every cl(F + e) with e outside F covers F, and the sets
+    cover - F partition E - F (e lies in cl(F + e), and two covers meet only
+    in F), so the elements of a found cover are dropped from the candidates.
+    """
+    universe = matroid.universe
+    covers = []
+    remaining = universe.full_mask & ~flat.mask
+    while remaining:
+        low = remaining & -remaining
+        mask = matroid.closure(ElementSet(universe, flat.mask | low)).mask
+        # low as well: a closure that missed it must not loop forever
+        remaining &= ~(low | mask)
+        covers.append(mask)
+    return covers
 
 
 def containment_index(n: int, sets: Sequence[ElementSet]) -> list[int]:
@@ -151,7 +171,9 @@ class HasseEdges(Sequence):
     def __len__(self) -> int:
         return len(self._uppers)
 
-    def __getitem__(self, k: int) -> tuple[int, int]:
+    def __getitem__(self, k: int | slice) -> tuple:
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(*k.indices(len(self._uppers)))))
         if k < 0:
             k += len(self._uppers)
         if not 0 <= k < len(self._uppers):
@@ -402,22 +424,20 @@ class FlatLattice:
 def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> FlatLattice:
     """Enumerate all flats of a matroid oracle by upward cover generation.
 
-    The covers of a flat F are exactly the closures of its one-element
-    extensions: in a matroid every cl(F + e) with e outside F covers F.
-    The sets cover - F partition E - F (e lies in cl(F + e), and two covers
-    meet only in F), so once a cover is found its elements are dropped from
-    the candidates.  Each non-top flat asks the oracle once for
-    ``extensions(F)`` and calls it once per Hasse edge above F; only the
-    bottom flat goes through ``closure``.  A transversal oracle finds one
-    maximum matching of F there, so each cover costs one augmenting path
-    plus one O(n + m) alternating search.  The covers of each flat are
-    collected as one row of two arrays and handed to ``FlatLattice`` as a
-    ``HasseEdges`` view, so no edge tuple is built.
+    Each non-top flat F asks the oracle once for ``covers_of(F)``, the masks
+    of the flats that cover F (the closures cl(F + e), e outside F); only the
+    bottom flat goes through ``closure``.  A transversal oracle finds all of
+    them from one maximum matching of F and one post-dominator pass over its
+    blocks, a partition oracle adds each class outside F, and any other
+    oracle may close one extension per cover (``covers_by_closure``).  An
+    ``ElementSet`` is built only for a flat seen for the first time.  The
+    covers of each flat are collected as one row of two arrays and handed to
+    ``FlatLattice`` as a ``HasseEdges`` view, so no edge tuple is built.
 
     Heights are asserted equal to ranks; a mismatch means the oracle is not
     a matroid and raises ``InternalConsistencyError``.  A transversal
     oracle answers those rank calls from the size of the maximum matching
-    that ``extensions`` found from the flat's own mask, so every flat below
+    that ``covers_of`` found from the flat's own mask, so every flat below
     the top is matched once, not twice.  A guard below one flat is refused
     with ``ValidationError``, as it is from the environment.
     """
@@ -431,23 +451,17 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
     # order doubles as the breadth-first queue: it grows while it is walked
     for flat in order:
         if flat.mask != universe.full_mask:
-            close = matroid.extensions(flat)
-            remaining = universe.full_mask & ~flat.mask
-            while remaining:
-                low = remaining & -remaining
-                cover = close(low.bit_length() - 1)
-                mask = cover.mask
-                # low as well: a closure that missed it must not loop forever
-                remaining &= ~(low | mask)
-                if mask not in discovered:
+            for mask in matroid.covers_of(flat):
+                upper = discovered.get(mask)
+                if upper is None:
                     if len(discovered) >= limit:
                         raise GuardExceeded(
                             f"flat lattice exceeds the guard of {limit} flats "
                             f"(at least {len(discovered) + 1} exist)"
                         )
-                    discovered[mask] = len(order)
-                    order.append(cover)
-                uppers.append(discovered[mask])
+                    upper = discovered[mask] = len(order)
+                    order.append(ElementSet(universe, mask))
+                uppers.append(upper)
         offsets.append(len(uppers))
     del discovered  # as large as the lattice's own index: free it first
     lattice = FlatLattice(order, HasseEdges(offsets, uppers))

@@ -12,12 +12,13 @@ it ends at an unmatched block.  One backward search from the unmatched
 blocks finds every block such a path can start at, so a closure costs one
 matching plus O(n + m) bitmask steps instead of n - |X| matchings.
 
-Lattice enumeration closes every one-element extension F + e of a flat F.
-``extensions`` finds one maximum matching of F for all of them, lists F's
-unmatched blocks and records the matching's size as the rank of F.  Each
-F + e then costs two list copies, one augmenting path from e, and the
-backward search started from F's unmatched blocks less the one the path
-ended at: no scan of all m blocks and no fresh matching of F + e.
+Lattice enumeration asks each flat F for its covers, and ``covers_of``
+finds them all from one maximum matching of F: the covers are the parallel
+classes of the contraction M/F, and two elements outside F are parallel
+there iff their alternating paths to F's unmatched blocks cannot be chosen
+vertex-disjoint.  One backward search from those blocks and one
+post-dominator computation over the blocks it reaches group the elements:
+no per-cover augmenting path, list copy or closure.
 
 Deleting a set D of blocks turns a maximum matching of X into one of X in
 M \\ D after one augmenting path from each element that lost its block.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 from .errors import GuardExceeded, InternalConsistencyError, ValidationError
 from .lattice import _positive_guard
@@ -132,22 +132,47 @@ class TransversalMatroid:
         for block, block_mask in enumerate(self._block_masks):
             if block_to[block] < 0:
                 unmatched |= block_mask
-        return self._closure_of(x.mask, element_to, unmatched)
+        reached, _ = self._reach(x.mask, element_to, unmatched)
+        return ElementSet(self.universe, x.mask | self.universe.full_mask & ~reached)
 
-    def extensions(self, flat: ElementSet) -> Callable[[int], ElementSet]:
-        """The map e -> cl(flat + e) over the elements e outside a closed flat.
+    def covers_of(self, flat: ElementSet) -> list[int]:
+        """The masks of the flats that cover a closed flat F, from one
+        maximum matching M of F, whose size is stored as the rank of F.
 
-        One maximum matching M of the flat is found here, and its size is
-        stored as the flat's rank.  For e outside a closed flat,
-        rank(flat + e) = |M| + 1, so by Berge's theorem M has an augmenting
-        path in flat + e, and it starts at e (one that avoids e would augment
-        M inside the flat).  Each call therefore copies M, grows it by one
-        augmenting path from e to a maximum matching of flat + e, and runs
-        closure's backward search on that.  The unmatched blocks of the grown
-        matching are those of M less the one the path ended at.  If no path
-        exists, e was already in cl(flat): the flat was not closed, and the
-        call raises ``InternalConsistencyError`` rather than return a wrong
-        cover.
+        The covers of F are F plus each parallel class of M/F: e and f
+        outside F lie in one cover iff r(F + e + f) = r(F) + 1.  Closure's
+        backward search from M's unmatched blocks finds the reached blocks;
+        an element outside F lies in none of them exactly when it is in
+        cl(F), and then the call raises ``InternalConsistencyError`` rather
+        than return a wrong cover.  On the reached blocks put an arc from b
+        to each other reached block holding M(b), an arc from each unmatched
+        block to a sink t, and an arc from each e outside F to each reached
+        block holding it.  The M-alternating paths from e to unmatched blocks
+        are then the paths from e to t.
+
+        Proof.  r(F + e + f) = |M| + 2 iff e and f have vertex-disjoint
+        alternating paths to unmatched blocks.  If they do, augment M along
+        both.  Conversely, a maximum matching M' of F + e + f has two more
+        edges than M, so M and M' differ in two disjoint M-augmenting paths,
+        each starting at an element M leaves unmatched.  A path starting in
+        F meets only matched elements after its first, which lie in F, so it
+        would augment M inside F; hence the paths start at e and at f.  By
+        Menger's theorem the paths e -> t and f -> t meeting only in t exist
+        iff no single block lies on every path from e and on every path from
+        f to t, that is, post-dominates both.  The post-dominators of a block
+        form its chain to t in the post-dominator tree, and a block
+        post-dominates e iff it lies on the chain of every reached block
+        holding e.  If those chains end at two different children of t they
+        share no block: e is parallel to nothing and its cover is F + e.
+        Otherwise they all end at one child c, which post-dominates e.  A
+        block that post-dominates both e and f lies on chains of e's and of
+        f's that end at its own child of t, so e and f are parallel iff both
+        have all their chains end at the same c.  Each cover is therefore F
+        plus the elements whose reached blocks all lie under one child of t.
+        With one unmatched block every path ends there, so the one cover is
+        E.  Post-dominators are bitsets of blocks, iterated to a fixpoint
+        from the whole reached set; a pass costs O(m) bitmask steps per
+        reached block.
         """
         self._check(flat)
         mask = flat.mask
@@ -155,24 +180,61 @@ class TransversalMatroid:
         block_masks = self._block_masks
         free = [block for block, element in enumerate(block_to) if element < 0]
         self._rank_cache[mask] = len(block_to) - len(free)
-
-        def closure_with(e: int) -> ElementSet:
-            if mask >> e & 1:
-                raise ValidationError(f"element {self.universe.labels[e]} is already in {flat!r}")
-            grown_element_to = element_to[:]
-            end = self._augment(e, block_to[:], grown_element_to, 0)
-            if end < 0:
-                raise InternalConsistencyError(
-                    f"{flat!r} is not closed: element {self.universe.labels[e]} "
-                    "leaves its rank unchanged"
-                )
-            unmatched = 0
-            for block in free:
-                if block != end:
-                    unmatched |= block_masks[block]
-            return self._closure_of(mask | 1 << e, grown_element_to, unmatched)
-
-        return closure_with
+        outside = self.universe.full_mask & ~mask
+        if not outside:
+            return []
+        unmatched = 0
+        for block in free:
+            unmatched |= block_masks[block]
+        covered, matched = self._reach(mask, element_to, unmatched)
+        missed = outside & ~covered
+        if missed:
+            e = (missed & -missed).bit_length() - 1
+            raise InternalConsistencyError(
+                f"{flat!r} is not closed: element {self.universe.labels[e]} "
+                "leaves its rank unchanged"
+            )
+        if len(free) == 1:
+            return [self.universe.full_mask]
+        roots = sum(1 << block for block in free)
+        reached = roots | sum(1 << block for block in matched)
+        # post[b]: the bitset of the blocks on every path from block b to t
+        post = [reached] * len(block_masks)
+        for block in free:
+            post[block] = 1 << block
+        blocks_of = self._blocks_of
+        arcs = [(block, blocks_of[block_to[block]] & reached & ~(1 << block)) for block in matched]
+        changed = True
+        while changed:
+            changed = False
+            for block, after in arcs:
+                common = reached
+                while after:
+                    low = after & -after
+                    after ^= low
+                    common &= post[low.bit_length() - 1]
+                common |= 1 << block
+                if common != post[block]:
+                    post[block] = common
+                    changed = True
+        roots |= sum(1 << block for block in matched if post[block] == 1 << block)
+        # the elements of the reached blocks under each child of t
+        under: dict[int, int] = {}
+        for block in free + matched:
+            root = post[block] & roots
+            under[root] = under.get(root, 0) | block_masks[block]
+        # an element under two children is parallel to nothing
+        once = twice = 0
+        for elements in under.values():
+            twice |= once & elements
+            once |= elements
+        covers = [mask | part for part in (u & outside & ~twice for u in under.values()) if part]
+        alone = outside & twice
+        while alone:
+            low = alone & -alone
+            alone ^= low
+            covers.append(mask | low)
+        return covers
 
     def rank_and_closure_without(self, x: ElementSet, deleted: int) -> tuple[int, ElementSet]:
         """The rank and the closure of x in M \\ D, the transversal matroid of
@@ -226,24 +288,30 @@ class TransversalMatroid:
         for block in free:
             if not ends >> block & 1:
                 unmatched |= block_masks[block]
-        return rank, self._closure_of(mask, element_to, unmatched)
+        reached, _ = self._reach(mask, element_to, unmatched)
+        return rank, ElementSet(self.universe, mask | self.universe.full_mask & ~reached)
 
-    def _closure_of(self, mask: int, element_to: list[int], reached: int) -> ElementSet:
-        """cl(mask) by closure's backward search, from the element -> block
-        list of a maximum matching of mask and the union of its unmatched
-        blocks, where the search starts.
+    def _reach(self, mask: int, element_to: list[int], reached: int) -> tuple[int, list[int]]:
+        """Closure's backward search, from the element -> block list of a
+        maximum matching of mask and the union of its unmatched blocks,
+        where it starts.  Returns the union of the blocks it reaches, so
+        cl(mask) is mask plus every element outside that union, and the
+        matched blocks it reaches, in the order it reaches them.
 
         A member of mask in a reached block is matched, or it would start an
         augmenting path, so the search follows members only."""
         block_masks = self._block_masks
+        found = []
         pending = reached & mask
         while pending:
             low = pending & -pending
             pending ^= low
-            grown = block_masks[element_to[low.bit_length() - 1]] & ~reached
+            block = element_to[low.bit_length() - 1]
+            found.append(block)
+            grown = block_masks[block] & ~reached
             reached |= grown
             pending |= grown & mask
-        return ElementSet(self.universe, mask | self.universe.full_mask & ~reached)
+        return reached, found
 
     def closure_of_empty(self) -> ElementSet:
         """Empty iff the family is a covering; otherwise the set of loops."""

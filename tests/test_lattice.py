@@ -5,7 +5,8 @@ from array import array
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from covlat import (
     BruteForce,
@@ -14,6 +15,7 @@ from covlat import (
     InternalConsistencyError,
     NotAFlatError,
     PartitionMatroid,
+    SetFamily,
     TransversalMatroid,
     Universe,
     UpperOperator,
@@ -27,9 +29,9 @@ from covlat import (
     modular_pair_by_heights,
 )
 from covlat import lattice as lattice_module
-from covlat.lattice import HasseEdges, canonical_keys, closure_from_rank
+from covlat.lattice import HasseEdges, canonical_keys, closure_from_rank, covers_by_closure
 from conftest import DOUBLED9, MIXED5, cov, density_covering
-from strategies import coverings, families
+from strategies import coverings, families, universes
 
 MIXED5_FLATS = [
     [],
@@ -117,66 +119,48 @@ def _partition_matroid():
     return PartitionMatroid(universe, classes)
 
 
-def test_partition_extensions_add_the_class_of_the_element():
-    # the closed form e -> F + class(e) against closure from rank on every
-    # flat; an element of the flat is refused, a set that splits a class is
-    # not closed
+def test_partition_covers_add_one_class_each():
+    # the closed form F + class against one closure from rank per cover, on
+    # every flat; a set that splits a class is not closed
     matroid = _partition_matroid()
     universe = matroid.universe
     for flat in enumerate_lattice(matroid).flats:
-        close = matroid.extensions(flat)
-        for e in range(universe.n):
-            if flat.has_index(e):
-                with pytest.raises(ValidationError, match="already in"):
-                    close(e)
-            else:
-                assert close(e) == closure_from_rank(matroid, flat.with_index(e))
+        covers = matroid.covers_of(flat)
+        assert covers == [flat.mask | c.mask for c in matroid.classes if not c.mask & flat.mask]
+        assert sorted(covers) == sorted(covers_by_closure(matroid, flat))
     with pytest.raises(InternalConsistencyError, match="not closed"):
-        matroid.extensions(universe.subset(["a", "d"]))
+        matroid.covers_of(universe.subset(["a", "d"]))
 
 
 @pytest.mark.parametrize(
-    ("build", "closures"),
+    "build",
     [
-        (lambda: TransversalMatroid(cov(DOUBLED9)), lambda edges: 1),
-        (lambda: TransversalMatroid(density_covering(random.Random(0), 10, 6)), lambda edges: 1),
-        (_partition_matroid, lambda edges: 1),
+        lambda: TransversalMatroid(cov(DOUBLED9)),
+        lambda: TransversalMatroid(density_covering(random.Random(0), 10, 6)),
+        _partition_matroid,
     ],
     ids=["doubled9", "density10", "partition7"],
 )
-def test_enumeration_closes_once_per_hasse_edge(build, closures):
-    # the covers of a flat F partition E - F, so an element a found cover
-    # absorbs is never closed again: each non-top flat asks for its
-    # extensions once and closes one extension per Hasse edge.  Only the
-    # bottom goes through closure: both oracles' extensions close F + e
-    # without it.
+def test_enumeration_closes_once_per_hasse_edge(build):
+    # each non-top flat asks for its covers once, and only the bottom goes
+    # through closure: neither oracle closes an extension F + e to find the
+    # flats above F
     matroid = build()
-    calls = {"closure": 0, "extensions": 0, "extension": 0}
-    closure, extensions = matroid.closure, matroid.extensions
+    calls = {"closure": 0, "covers_of": 0}
+    closure, covers_of = matroid.closure, matroid.covers_of
 
     def counted_closure(x):
         calls["closure"] += 1
         return closure(x)
 
-    def counted_extensions(flat):
-        calls["extensions"] += 1
-        close = extensions(flat)
-
-        def counted_extension(e):
-            calls["extension"] += 1
-            return close(e)
-
-        return counted_extension
+    def counted_covers_of(flat):
+        calls["covers_of"] += 1
+        return covers_of(flat)
 
     matroid.closure = counted_closure
-    matroid.extensions = counted_extensions
+    matroid.covers_of = counted_covers_of
     lattice = enumerate_lattice(matroid)
-    edges = len(lattice.hasse_edges)
-    assert calls == {
-        "closure": closures(edges),
-        "extensions": len(lattice) - 1,
-        "extension": edges,
-    }
+    assert calls == {"closure": 1, "covers_of": len(lattice) - 1}
     flats, edge_masks = closing_every_extension(build())
     assert {f.mask for f in lattice.flats} == flats
     assert {
@@ -184,63 +168,128 @@ def test_enumeration_closes_once_per_hasse_edge(build, closures):
     } == edge_masks
 
 
+def covers_by_rank(matroid, x: ElementSet) -> set[int]:
+    """The distinct closures of x + e over e outside x, each from rank alone."""
+    universe = matroid.universe
+    return {
+        closure_from_rank(matroid, x.with_index(e)).mask
+        for e in range(universe.n)
+        if not x.has_index(e)
+    }
+
+
+@st.composite
+def loopy_families(draw, max_n: int = 6, max_m: int = 4) -> SetFamily:
+    """Families whose blocks may repeat and may leave elements in no block."""
+    universe = draw(universes(max_n))
+    masks = draw(st.lists(st.integers(1, universe.full_mask), min_size=1, max_size=max_m))
+    repeats = draw(st.lists(st.sampled_from(masks), max_size=2))
+    blocks = [ElementSet(universe, mask) for mask in masks + repeats]
+    return SetFamily(universe, draw(st.permutations(blocks)))
+
+
+def assert_covers_match_every_extension(matroid: TransversalMatroid) -> None:
+    flats, edges = closing_every_extension(matroid)
+    above: dict[int, set[int]] = {flat: set() for flat in flats}
+    for lower, upper in edges:
+        above[lower].add(upper)
+    for flat in flats:
+        covers = matroid.covers_of(ElementSet(matroid.universe, flat))
+        assert len(covers) == len(set(covers))
+        assert set(covers) == above[flat]
+
+
+def _loops_and_repeats() -> SetFamily:
+    # c lies in no block (a loop), and {a, b} appears twice
+    universe = Universe(tuple("abcd"))
+    return SetFamily(universe, [universe.subset(b.split()) for b in ("a b", "a b", "b d")])
+
+
+def _one_block() -> SetFamily:
+    universe = Universe(tuple("abc"))
+    return SetFamily(universe, [universe.subset(["a", "c"])])
+
+
+@given(loopy_families())
+@example(_loops_and_repeats())
+@example(_one_block())
+def test_covers_match_closing_every_extension_on_families(family):
+    assert_covers_match_every_extension(TransversalMatroid(family))
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_covers_match_closing_every_extension_on_density_coverings(n):
+    rng = random.Random(n)
+    family = density_covering(rng, n, rng.randint(3, n // 2 + 1))
+    assert_covers_match_every_extension(TransversalMatroid(family))
+
+
 @given(families(max_n=6))
-def test_extension_closures_match_the_rank_and_oracle_closures(family):
+def test_covers_match_the_rank_and_oracle_closures(family):
     matroid = TransversalMatroid(family)
     oracle = BruteForce(family)
     for flat in enumerate_lattice(matroid).flats:
-        close = matroid.extensions(flat)
-        for e in range(family.universe.n):
-            if flat.has_index(e):
-                continue
-            grown = flat.with_index(e)
-            cover = close(e)
-            assert cover == closure_from_rank(matroid, grown)
-            assert cover == oracle.closure(grown)
+        covers = matroid.covers_of(flat)
+        assert len(covers) == len(set(covers))
+        assert set(covers) == covers_by_rank(matroid, flat) == covers_by_rank(oracle, flat)
 
 
-def test_extensions_of_a_set_that_is_not_closed_raise(mixed5):
+def test_covers_of_a_set_that_is_not_closed_raise(mixed5):
     # K4 = {4, 5} is the only block holding 4 or 5, so cl({4}) = {4, 5}
-    # and no augmenting path starts at 5
+    # and no alternating path starts at 5
     universe = mixed5.universe
-    close = TransversalMatroid(mixed5).extensions(universe.subset(["4"]))
-    assert close(universe.index("1")) == universe.subset(["1", "4", "5"])
-    with pytest.raises(InternalConsistencyError, match="not closed"):
-        close(universe.index("5"))
+    with pytest.raises(InternalConsistencyError, match="not closed: element 5"):
+        TransversalMatroid(mixed5).covers_of(universe.subset(["4"]))
 
 
-def test_extensions_refuse_an_element_of_the_flat(mixed5):
-    universe = mixed5.universe
-    close = TransversalMatroid(mixed5).extensions(universe.subset(["4", "5"]))
-    with pytest.raises(ValidationError, match="already in"):
-        close(universe.index("4"))
+@given(loopy_families(), st.data())
+def test_covers_of_any_set_report_not_closed_iff_it_is_not_closed(family, data):
+    # checked against the brute-force closure; a closed set gets its covers
+    x = ElementSet(family.universe, data.draw(st.integers(0, family.universe.full_mask)))
+    matroid = TransversalMatroid(family)
+    oracle = BruteForce(family)
+    if oracle.closure(x) != x:
+        with pytest.raises(InternalConsistencyError, match="not closed"):
+            matroid.covers_of(x)
+    else:
+        assert set(matroid.covers_of(x)) == covers_by_rank(oracle, x)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_extensions_of_any_set_close_refuse_or_report_not_closed(seed):
-    # random sets, most of them not closed: an element of the set is
-    # refused, one of cl(X) - X has no augmenting path, and any other
-    # element closes to cl(X + e), checked against rank alone
+def test_covers_of_random_sets_match_closures_or_report_not_closed(seed):
+    # random sets on n = 10, most of them not closed: covers_of raises iff
+    # cl(X) != X, and otherwise lists the closures of X + e, from rank alone
     rng = random.Random(seed)
     family = density_covering(rng, 10, 6)
     matroid = TransversalMatroid(family)
     universe = family.universe
     not_closed = 0
-    for _ in range(30):
+    for _ in range(60):
         x = ElementSet(universe, rng.getrandbits(universe.n))
-        hull = closure_from_rank(matroid, x)
-        close = matroid.extensions(x)
-        for e in range(universe.n):
-            if x.has_index(e):
-                with pytest.raises(ValidationError, match="already in"):
-                    close(e)
-            elif hull.has_index(e):
-                not_closed += 1
-                with pytest.raises(InternalConsistencyError, match="not closed"):
-                    close(e)
-            else:
-                assert close(e) == closure_from_rank(matroid, x.with_index(e))
-    assert not_closed
+        if closure_from_rank(matroid, x) != x:
+            not_closed += 1
+            with pytest.raises(InternalConsistencyError, match="not closed"):
+                matroid.covers_of(x)
+        else:
+            assert set(matroid.covers_of(x)) == covers_by_rank(matroid, x)
+    assert 0 < not_closed < 60
+
+
+def test_one_unmatched_block_gives_the_whole_universe_as_the_only_cover():
+    # a flat of rank m - 1 leaves one block unmatched, and every element
+    # outside it then lies in the one cover, E; the post-dominator pass is
+    # skipped, so the answer is checked against closures from rank
+    universe = Universe(tuple("abcde"))
+    family = SetFamily(universe, [universe.subset(b.split()) for b in ("a b c", "c d", "d e")])
+    matroid = TransversalMatroid(family)
+    seen = 0
+    for flat in enumerate_lattice(matroid).flats:
+        block_to, _ = matroid._maximum_matching(flat.mask)
+        if block_to.count(-1) == 1:
+            seen += 1
+            assert matroid.covers_of(flat) == [universe.full_mask]
+            assert covers_by_rank(matroid, flat) == {universe.full_mask}
+    assert seen > 1
 
 
 class LyingRank:
@@ -257,8 +306,8 @@ class LyingRank:
     def closure(self, x):
         return self.matroid.closure(x)
 
-    def extensions(self, flat):
-        return self.matroid.extensions(flat)
+    def covers_of(self, flat):
+        return self.matroid.covers_of(flat)
 
 
 @pytest.mark.parametrize("liar", [["1", "2"], ["1", "2", "3", "4", "5"]], ids=["middle", "top"])
@@ -273,7 +322,7 @@ def test_rank_check_reads_a_fresh_matching_of_each_flat(seed):
     # the check reads one rank per flat; each equals the size of a maximum
     # matching of that flat's own mask from a matroid that has seen nothing,
     # and enumeration matches each flat once (the bottom twice: its closure
-    # and its extensions)
+    # and its covers)
     rng = random.Random(seed)
     family = density_covering(rng, rng.randint(8, 14), rng.randint(4, 8))
     matroid = TransversalMatroid(family)
@@ -721,6 +770,26 @@ class TestHasseEdgesView:
         assert not view.row(3)
         assert (1, 3) in view and (3, 1) not in view
         assert repr(view) == f"HasseEdges({pairs!r})"
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            slice(1, 3),
+            slice(None),
+            slice(None, None, 2),
+            slice(-3, -1),
+            slice(None, None, -1),
+            slice(3, 1, -1),
+            slice(-9, 9),
+            slice(5, None),
+            slice(2, 2),
+        ],
+        ids=["1:3", ":", "::2", "-3:-1", "::-1", "3:1:-1", "-9:9", "5:", "2:2"],
+    )
+    def test_slices_read_as_tuple_slices(self, view, k):
+        pairs = ((0, 1), (0, 2), (1, 3), (2, 3))
+        assert view[k] == pairs[k]
+        assert type(view[k]) is tuple
 
     @pytest.mark.parametrize("k", [4, -5])
     def test_index_out_of_range(self, view, k):

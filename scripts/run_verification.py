@@ -3,7 +3,8 @@
 
 Runs the full check battery (oracle equivalence, geometricity, operator
 criteria, round trips, structure relations) and prints a summary; exits
-nonzero if any check fails or no check ran.  Instances that trip a guard
+1 if any check fails or no check ran, and 2 on an invalid bound, as
+`covlat verify --random` does.  Instances that trip a guard
 (the brute-force oracle budget) are skipped and counted in the summary.
 Failing instances are printed in the covering file format so they can be
 replayed with `covlat verify <file>`.
@@ -13,6 +14,7 @@ import argparse
 import sys
 import time
 
+from covlat.errors import ValidationError
 from covlat.verify import verify_random
 
 
@@ -25,7 +27,11 @@ def main() -> int:
     args = parser.parse_args()
 
     start = time.perf_counter()
-    result = verify_random(args.count, args.seed, args.max_n, args.max_m)
+    try:
+        result = verify_random(args.count, args.seed, args.max_n, args.max_m)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - start
 
     for failure in result.failures:

@@ -498,6 +498,59 @@ def modular_pair_by_heights(lattice: FlatLattice, x: ElementSet, y: ElementSet) 
     ) + lattice.height_of(y)
 
 
+def modular_pairs_by_rank(lattice: FlatLattice, matroid: MatroidOracle) -> list[int]:
+    """``is_modular_pair`` on every pair of flats, as one bitset row per
+    flat: bit j of row i is set iff flats i and j satisfy the rank identity.
+    The rows are symmetric and include the diagonal.
+
+    The matroid ranks each flat once.  The rank of X u Y and of X n Y (for
+    i <= j) is that stored rank when the set is a flat, and a ``rank`` call
+    otherwise, so every value is the one ``is_modular_pair`` asks for.
+    """
+    universe, position, masks = lattice.universe, lattice._index, [f.mask for f in lattice.flats]
+    ranks = [matroid.rank(f) for f in lattice.flats]
+
+    def rank_of(mask: int) -> int:
+        k = position.get(mask)
+        return matroid.rank(ElementSet(universe, mask)) if k is None else ranks[k]
+
+    rows = [0] * len(masks)
+    for i, x in enumerate(masks):
+        for j in range(i, len(masks)):
+            if rank_of(x | masks[j]) + rank_of(x & masks[j]) == ranks[i] + ranks[j]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def modular_pairs_by_heights(lattice: FlatLattice) -> list[int]:
+    """``modular_pair_by_heights`` on every pair of flats, as one bitset row
+    per flat, symmetric and with the diagonal, like ``modular_pairs_by_rank``.
+
+    Row i takes the flats over X once from the containment index; the join
+    with Y is the lowest of them over Y - X, as in ``first_pair_violation``,
+    and the meet is the position of X n Y.  A meet that is not a flat raises
+    ``InternalConsistencyError`` as ``meet`` does.  The top lies over every
+    union, so a join always exists, and once every meet is found the flats
+    are intersection-closed, so the lowest flat over a union is the join.
+    """
+    masks, heights, position = [f.mask for f in lattice.flats], lattice.heights, lattice._index
+    index = lattice._containment()
+    rows = [0] * len(masks)
+    for i, x in enumerate(masks):
+        above_x = positions_over(index, x, lattice._everything)
+        for j in range(i, len(masks)):
+            meet = position.get(x & masks[j])
+            if meet is None:
+                raise InternalConsistencyError("intersection of flats is not a flat")
+            above = positions_over(index, masks[j] & ~x, above_x)
+            join = (above & -above).bit_length() - 1
+            if heights[join] + heights[meet] == heights[i] + heights[j]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
 def modular_pair_by_definition(lattice: FlatLattice, a: ElementSet, b: ElementSet) -> bool:
     """Order-theoretic modular pair: for every flat z <= b,
     b ^ (a v z) = (b ^ a) v z."""

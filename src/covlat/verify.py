@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, count
 
 from .approximation import (
     NeighborhoodTable,
@@ -40,14 +41,13 @@ from .lattice import (
     FlatLattice,
     MatroidOracle,
     enumerate_lattice,
-    is_modular_element,
-    is_modular_pair,
-    modular_pair_by_heights,
+    modular_pairs_by_heights,
+    modular_pairs_by_rank,
 )
 from .oracle import BruteForce, brute_operator_axioms
 from .relations import ENUM_GUARD_N, full_relation_report
 from .transversal import TransversalMatroid, ab_decomposition
-from .universe import Covering, Partition, SetFamily, Universe, as_partition, is_partition
+from .universe import Covering, SetFamily, Universe, as_partition, is_partition
 
 ALL_OPERATORS = (UpperOperator.SH, UpperOperator.XH, UpperOperator.VH)
 
@@ -72,12 +72,23 @@ def _refuse_over_sweep_guard(name: str, universe: Universe) -> None:
         )
 
 
+def _checked(name: str, ok: bool, detail: str) -> CheckResult:
+    """A row that keeps its detail only when it fails."""
+    return CheckResult(name, ok, "" if ok else detail)
+
+
+def _first_witness(name: str, detail: str, witnesses) -> CheckResult:
+    """Pass iff ``witnesses`` yields nothing; a failure formats the first."""
+    bad = next(iter(witnesses), None)
+    return _checked(name, bad is None, detail.format(bad))
+
+
 def _agree_on_subsets(name: str, universe: Universe, mine, theirs) -> CheckResult:
     """Pass iff ``mine`` and ``theirs`` agree on every subset; a failure
     names the first subset, in mask order, where they differ."""
     _refuse_over_sweep_guard(name, universe)
-    bad = next((x for x in universe.subsets() if mine(x) != theirs(x)), None)
-    return CheckResult(name, bad is None, "" if bad is None else f"differs on {bad!r}")
+    bad = (x for x in universe.subsets() if mine(x) != theirs(x))
+    return _first_witness(name, "differs on {!r}", bad)
 
 
 def verify_oracle_equivalence(
@@ -94,13 +105,8 @@ def verify_oracle_equivalence(
     ]
     lattice_flats = tuple(f.mask for f in lattice.flats)
     oracle_flats = tuple(f.mask for f in oracle.flats())
-    results.append(
-        CheckResult(
-            "flat enumeration agrees with oracle",
-            lattice_flats == oracle_flats,
-            "flat sets differ" if lattice_flats != oracle_flats else "",
-        )
-    )
+    same = lattice_flats == oracle_flats
+    results.append(_checked("flat enumeration agrees with oracle", same, "flat sets differ"))
     return results
 
 
@@ -113,28 +119,15 @@ def verify_lattice_structure(
     if isinstance(family, Covering):
         predicted = {a.mask for a in ab_decomposition(family).predicted_atoms()}
         actual = {a.mask for a in lattice.atoms()}
+        same = predicted == actual
         results.append(
-            CheckResult(
-                "atoms match the block-difference prediction",
-                predicted == actual,
-                "" if predicted == actual else "atom sets differ",
-            )
+            _checked("atoms match the block-difference prediction", same, "atom sets differ")
         )
         universe = family.universe
-        bad = next(
-            (
-                e
-                for e in range(universe.n)
-                if matroid.closure(universe.singleton(e)).mask not in actual
-            ),
-            None,
-        )
+        closures = (matroid.closure(universe.singleton(e)).mask for e in range(universe.n))
+        bad = (label for label, mask in zip(universe.labels, closures) if mask not in actual)
         results.append(
-            CheckResult(
-                "singleton closures are atoms",
-                bad is None,
-                "" if bad is None else f"closure of {universe.labels[bad]} is not an atom",
-            )
+            _first_witness("singleton closures are atoms", "closure of {} is not an atom", bad)
         )
     return results
 
@@ -145,30 +138,28 @@ def verify_operator_criteria(table: NeighborhoodTable, verdicts: Verdicts) -> li
     results = []
     for kind, verdict in verdicts.items():
         axioms_hold, witness = brute_operator_axioms(covering, kind)
-        ok = verdict.is_closure == axioms_hold
         results.append(
-            CheckResult(
+            _checked(
                 f"{kind.value} criterion matches exhaustive axiom check",
-                ok,
-                "" if ok else f"criterion={verdict.is_closure} axioms={axioms_hold} ({witness})",
+                verdict.is_closure == axioms_hold,
+                f"criterion={verdict.is_closure} axioms={axioms_hold} ({witness})",
             )
         )
     tra = tra_condition(table)
     sh_closure = verdicts[UpperOperator.SH].is_closure
     results.append(
-        CheckResult(
+        _checked(
             "co-blocking transitivity matches the sh criterion",
             tra == sh_closure,
-            "" if tra == sh_closure else f"tra={tra} sh={sh_closure}",
+            f"tra={tra} sh={sh_closure}",
         )
     )
     if equ_condition(covering):
-        ok = forms_partition(table.neighborhood)
         results.append(
-            CheckResult(
+            _checked(
                 "equal block counts force a neighborhood partition",
-                ok,
-                "" if ok else "neighborhoods do not form a partition",
+                forms_partition(table.neighborhood),
+                "neighborhoods do not form a partition",
             )
         )
     return results
@@ -193,26 +184,22 @@ def verify_induced_matroids(
                 matroid.is_independent,
             )
         )
-        violations = []
-        for a in range(universe.n):
-            for b in range(universe.n):
-                if a == b:
-                    continue
-                x, y = universe.singleton(a), universe.singleton(b)
-                same_class = any(
-                    cls.has_index(a) and cls.has_index(b) for cls in matroid.classes
-                )
-                covers = lattice.covers(
-                    matroid.closure(x), matroid.closure(x | y)
-                )
-                if covers == same_class:
-                    violations.append((a, b))
+        # each singleton (a == b) and each unordered pair is closed once
+        closed = {
+            1 << a | 1 << b: matroid.closure(universe.set_from_mask(1 << a | 1 << b))
+            for a, b in combinations_with_replacement(range(universe.n), 2)
+        }
+        # every pair is read: a closure that is not a flat raises wherever it is
+        bad = [
+            (a, b)
+            for a in range(universe.n)
+            for b in range(universe.n)
+            if a != b
+            and lattice.covers(closed[1 << a], closed[1 << a | 1 << b])
+            == any(cls.has_index(a) and cls.has_index(b) for cls in matroid.classes)
+        ]
         results.append(
-            CheckResult(
-                f"{kind.value} pair-closure cover criterion",
-                not violations,
-                "" if not violations else f"fails on {violations[0]}",
-            )
+            _first_witness(f"{kind.value} pair-closure cover criterion", "fails on {}", bad)
         )
     if is_partition(covering):
         partition = as_partition(covering)
@@ -228,61 +215,40 @@ def verify_induced_matroids(
     return results
 
 
+def _lowest_pairs(flats, positions, masks):
+    """The flats at each position with a nonzero mask and at its lowest bit."""
+    for i, mask in zip(positions, masks):
+        if mask:
+            yield flats[i], flats[(mask & -mask).bit_length() - 1]
+
+
 def verify_modularity(
     matroid: TransversalMatroid,
     lattice: FlatLattice,
     induced: dict[UpperOperator, tuple[PartitionMatroid, FlatLattice]],
 ) -> list[CheckResult]:
     """Atoms are modular elements and atom pairs are modular pairs, with the
-    rank identity cross-checked against the height identity."""
+    rank identity cross-checked against the height identity, all read from
+    each lattice's ``modular_pairs_by_rank`` and ``modular_pairs_by_heights``
+    rows.  The rows are symmetric, so the first row with a bit set in a tested
+    mask has none below its own position: that bit is the first pair (i, j >= i)."""
     results = []
     targets: list[tuple[str, MatroidOracle, FlatLattice]] = [("transversal", matroid, lattice)]
     targets += [(kind.value, m, lat) for kind, (m, lat) in induced.items()]
     for label, m, lat in targets:
-        atoms = lat.atoms()
-        cross_bad = next(
-            (
-                (x, y)
-                for i, x in enumerate(lat.flats)
-                for y in lat.flats[i:]
-                if is_modular_pair(lat, m, x, y) != modular_pair_by_heights(lat, x, y)
-            ),
-            None,
-        )
-        results.append(
-            CheckResult(
-                f"{label}: rank and height modularity agree",
-                cross_bad is None,
-                "" if cross_bad is None else f"disagree on {cross_bad}",
-            )
-        )
-        pair_bad = next(
-            (
-                (a, b)
-                for i, a in enumerate(atoms)
-                for b in atoms[i:]
-                if not is_modular_pair(lat, m, a, b)
-            ),
-            None,
-        )
-        results.append(
-            CheckResult(
-                f"{label}: atom pairs are modular pairs",
-                pair_bad is None,
-                "" if pair_bad is None else f"fails on {pair_bad}",
-            )
-        )
-        elem_bad = next(
-            (a for a in atoms if not is_modular_element(lat, m, a)),
-            None,
-        )
-        results.append(
-            CheckResult(
-                f"{label}: atoms are modular elements",
-                elem_bad is None,
-                "" if elem_bad is None else f"fails on {elem_bad!r}",
-            )
-        )
+        flats, by_rank = lat.flats, modular_pairs_by_rank(lat, m)
+        differ = map(int.__xor__, by_rank, modular_pairs_by_heights(lat))
+        atoms = [k for k, height in enumerate(lat.heights) if height == 1]
+        atom_bits, everything = sum(1 << k for k in atoms), (1 << len(flats)) - 1
+        crossed = _lowest_pairs(flats, count(), differ)
+        unpaired = _lowest_pairs(flats, atoms, (atom_bits & ~by_rank[k] for k in atoms))
+        nonmodular = (flats[k] for k in atoms if by_rank[k] != everything)
+        for name, detail, bad in (
+            ("rank and height modularity agree", "disagree on {}", crossed),
+            ("atom pairs are modular pairs", "fails on {}", unpaired),
+            ("atoms are modular elements", "fails on {!r}", nonmodular),
+        ):
+            results.append(_first_witness(f"{label}: {name}", detail, bad))
     return results
 
 
@@ -301,9 +267,7 @@ def verify_round_trip(
         system = SubmodularSystem.from_flat_lattice(lattice)
         rebuilt = LatticeInducedMatroid(system)
         name = "matroid from lattice has the original independent sets"
-        if isinstance(family, Partition) or (
-            isinstance(family, Covering) and is_partition(family)
-        ):
+        if isinstance(family, Covering) and is_partition(family):
             name += " (partition)"
         results.append(
             _agree_on_subsets(name, universe, rebuilt.is_independent, matroid.is_independent)

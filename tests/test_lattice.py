@@ -29,9 +29,16 @@ from covlat import (
     modular_pair_by_heights,
 )
 from covlat import lattice as lattice_module
-from covlat.lattice import HasseEdges, canonical_keys, closure_from_rank, covers_by_closure
+from covlat.lattice import (
+    HasseEdges,
+    canonical_keys,
+    closure_from_rank,
+    covers_by_closure,
+    modular_pairs_by_heights,
+    modular_pairs_by_rank,
+)
 from conftest import DOUBLED9, MIXED5, cov, density_covering
-from strategies import coverings, families, universes
+from strategies import coverings, families, partitions, universes
 
 MIXED5_FLATS = [
     [],
@@ -627,6 +634,51 @@ class TestModularity:
         assert is_modular_element(mixed5_lattice, matroid, u.subset(["4", "5"]))
         assert is_modular_element(mixed5_lattice, matroid, mixed5_lattice.bottom)
         assert is_modular_element(mixed5_lattice, matroid, mixed5_lattice.top)
+
+    @given(
+        st.one_of(
+            families(max_n=6).map(TransversalMatroid),
+            coverings(max_n=6).map(TransversalMatroid),
+            partitions(max_n=6).map(lambda p: PartitionMatroid(p.universe, p.blocks)),
+        )
+    )
+    def test_rows_match_the_per_pair_identities(self, matroid):
+        lattice = enumerate_lattice(matroid)
+        flats = lattice.flats
+        by_rank = modular_pairs_by_rank(lattice, matroid)
+        by_heights = modular_pairs_by_heights(lattice)
+        assert len(by_rank) == len(by_heights) == len(flats)
+        for i, x in enumerate(flats):
+            assert by_rank[i] >> len(flats) == by_heights[i] >> len(flats) == 0
+            for j, y in enumerate(flats):
+                assert by_rank[i] >> j & 1 == is_modular_pair(lattice, matroid, x, y)
+                assert by_heights[i] >> j & 1 == modular_pair_by_heights(lattice, x, y)
+
+    def test_rank_rows_rank_each_flat_and_each_union_that_is_no_flat_once(self, doubled9):
+        matroid = TransversalMatroid(doubled9)
+        lattice = enumerate_lattice(matroid)
+        asked = []
+        rank = matroid.rank
+        matroid.rank = lambda x: asked.append(x.mask) or rank(x)
+        rows = modular_pairs_by_rank(lattice, matroid)
+        masks = [f.mask for f in lattice.flats]
+        unions = [x | masks[j] for i, x in enumerate(masks) for j in range(i, len(masks))]
+        assert asked == masks + [u for u in unions if u not in lattice._index]
+        # doubled9's lattice has pairs that are not modular (see above)
+        assert any(row != (1 << len(masks)) - 1 for row in rows)
+
+    def test_height_rows_refuse_a_family_without_meets(self):
+        # the family of TestGeometricity.test_family_without_meets_is_caught:
+        # {a b c} n {b c d} = {b c} is no flat
+        universe = Universe(("a", "b", "c", "d"))
+        flats = [universe.subset(f.split()) for f in ("", "b", "c", "a b c", "b c d", "a b c d")]
+        edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+        lattice = FlatLattice(flats, edges)
+        missing = "^intersection of flats is not a flat$"
+        with pytest.raises(InternalConsistencyError, match=missing):
+            lattice.meet(flats[3], flats[4])
+        with pytest.raises(InternalConsistencyError, match=missing):
+            modular_pairs_by_heights(lattice)
 
     @given(coverings(max_n=5))
     def test_three_modularity_routes_agree(self, covering):

@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from covlat import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -36,6 +40,18 @@ def test_run_verification_passes():
     result = run_script("run_verification.py", "--count", "8", "--seed", "0")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("PASS: ")
+
+
+@pytest.mark.parametrize("bound", ["--count", "--max-n", "--max-m"])
+def test_run_verification_refuses_a_bound_below_one_as_the_cli_does(bound, capsys):
+    result = run_script("run_verification.py", bound, "0")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: campaign bounds must be at least 1: ")
+    assert "Traceback" not in result.stderr
+    if bound == "--count":
+        assert cli.main(["verify", "--random", "0"]) == 2
+        assert capsys.readouterr().err == result.stderr
 
 
 def test_ladder_reports_one_rung():

@@ -23,13 +23,8 @@ from .approximation import (
     partition_upper,
     tra_condition,
 )
-from .bridge import (
-    LatticeInducedMatroid,
-    SubmodularSystem,
-    independent_iff_flat_bound,
-    induced_rank,
-)
-from .errors import GuardExceeded, ValidationError
+from .bridge import SubmodularSystem, induced_rank
+from .errors import GuardExceeded, InternalConsistencyError, ValidationError
 from .generators import (
     partition_with_nested_block,
     partition_with_union_block,
@@ -47,9 +42,10 @@ from .lattice import (
 from .oracle import BruteForce, brute_operator_axioms
 from .relations import ENUM_GUARD_N, full_relation_report
 from .transversal import TransversalMatroid, ab_decomposition
-from .universe import Covering, SetFamily, Universe, as_partition, is_partition
+from .universe import Covering, ElementSet, SetFamily, Universe, as_partition, is_partition
 
 ALL_OPERATORS = (UpperOperator.SH, UpperOperator.XH, UpperOperator.VH)
+FLAT_BOUND_ROW = "flat bound criterion matches independence"
 
 
 @dataclass(frozen=True)
@@ -252,6 +248,48 @@ def verify_modularity(
     return results
 
 
+def _min_plus_ranks(n: int, bounds) -> list[int]:
+    """g(X) = min over (Y, v) in ``bounds`` of v + |X - Y|, for every mask X
+    of n elements, in two passes of one sweep per element.
+
+    The first makes u(X), the least v over the members Y containing X.  The
+    second lowers each X holding e to at most the entry of X - e plus one
+    in its sweep over e, so after the sweeps over a set K of elements, X
+    reads the least u(X') + |X - X'| over the subsets X' of X with X - X'
+    in K.  After all n sweeps that is g(X).  Each u(X') + |X - X'| is some
+    v + |X - X'| with Y containing X', so it is at least v + |X - Y| >= g(X);
+    and the Y that attains g(X) gives X' = X n Y, with u(X') <= v and
+    |X - X'| = |X - Y|.  The sentinel, the largest v plus n + 1, exceeds
+    every v + |X - Y|, so it stays only where there are no bounds: then
+    every g(X) is over |X|.
+    """
+    size = 1 << n
+    bounds = list(bounds)
+    table = [max((v for _, v in bounds), default=0) + n + 1] * size
+    for y, v in bounds:
+        table[y] = min(table[y], v)
+    steps = [1 << e for e in range(n)]
+    halves = [(s, s + h, s + 2 * h) for h in steps for s in range(0, size, 2 * h)]
+    for lo, mid, hi in halves:
+        table[lo:mid] = map(min, table[lo:mid], table[mid:hi])
+    for lo, mid, hi in halves:
+        table[mid:hi] = map(min, table[mid:hi], [v + 1 for v in table[lo:mid]])
+    return table
+
+
+def _greedy_sets(n: int, ranks: list[int]) -> list[int]:
+    """For every mask X, the set that the ascending greedy of
+    ``LatticeInducedMatroid.rank`` keeps from X, with S independent iff
+    ranks[S] >= |S|.  The greedy meets the highest element h of X last:
+    it keeps G, the set it keeps from X - h, and adds h iff G + h is
+    independent."""
+    kept = [0]
+    for e in range(n):
+        h = 1 << e
+        kept += [k | h if ranks[k | h] > k.bit_count() else k for k in kept]
+    return kept
+
+
 def verify_round_trip(
     family: SetFamily, matroid: TransversalMatroid, lattice: FlatLattice
 ) -> list[CheckResult]:
@@ -260,32 +298,51 @@ def verify_round_trip(
     The lattice-to-matroid construction needs the empty set among the flats,
     so it only applies when the family covers the universe; the flat-bound
     independence criterion holds for every matroid and is always checked.
+    Each row reads its lattice side from one ``_min_plus_ranks`` table: X is
+    independent iff g(X) >= |X|, as f(T) >= |X n T| iff f(T) + |X - T| >= |X|.
+    ``induced_rank``'s greedy cross-check is one ``_greedy_sets`` lookup per
+    mask; ``induced_rank`` itself, with its per-call check, is asked once.
     """
     universe = family.universe
+    covers = family.covers_universe()
+    name = "matroid from lattice has the original independent sets"
+    if isinstance(family, Covering) and is_partition(family):
+        name += " (partition)"
+    _refuse_over_sweep_guard(name if covers else FLAT_BOUND_ROW, universe)
     results = []
-    if family.covers_universe():
+    if covers:
         system = SubmodularSystem.from_flat_lattice(lattice)
-        rebuilt = LatticeInducedMatroid(system)
-        name = "matroid from lattice has the original independent sets"
-        if isinstance(family, Covering) and is_partition(family):
-            name += " (partition)"
+        ranks = _min_plus_ranks(universe.n, ((s.mask, system.f(s)) for s in system.sets))
+        greedy = _greedy_sets(universe.n, ranks)
+
+        def checked_rank(x: ElementSet) -> int:
+            best, kept = ranks[x.mask], greedy[x.mask].bit_count()
+            if best != kept:
+                raise InternalConsistencyError(
+                    f"induced rank {best} of {x!r} disagrees with the matroid rank {kept}"
+                )
+            return best
+
         results.append(
-            _agree_on_subsets(name, universe, rebuilt.is_independent, matroid.is_independent)
+            _agree_on_subsets(
+                name, universe, lambda x: ranks[x.mask] >= len(x), matroid.is_independent
+            )
         )
         results.append(
             _agree_on_subsets(
-                "induced rank equals the original rank",
-                universe,
-                lambda x: induced_rank(system, x),
-                matroid.rank,
+                "induced rank equals the original rank", universe, checked_rank, matroid.rank
             )
         )
+        if results[-1].passed:
+            reference = induced_rank(system, universe.full())
+            if reference != ranks[-1]:
+                raise InternalConsistencyError(
+                    f"induced rank {reference} of the universe disagrees with its table {ranks[-1]}"
+                )
+    flat_ranks = _min_plus_ranks(universe.n, ((y.mask, matroid.rank(y)) for y in lattice.flats))
     results.append(
         _agree_on_subsets(
-            "flat bound criterion matches independence",
-            universe,
-            lambda x: independent_iff_flat_bound(matroid, x, lattice.flats),
-            matroid.is_independent,
+            FLAT_BOUND_ROW, universe, lambda x: flat_ranks[x.mask] >= len(x), matroid.is_independent
         )
     )
     return results

@@ -1,7 +1,20 @@
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
-from covlat import verify
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from covlat import bridge, verify
 from covlat.approximation import NeighborhoodTable
+from covlat.bridge import (
+    LatticeInducedMatroid,
+    SubmodularSystem,
+    independence_from_lattice,
+    independent_iff_flat_bound,
+    induced_rank,
+)
 from covlat.generators import (
     partition_with_nested_block,
     partition_with_union_block,
@@ -9,7 +22,7 @@ from covlat.generators import (
     random_family,
     random_partition,
 )
-from covlat.errors import CovlatError
+from covlat.errors import CovlatError, GuardExceeded
 from covlat.lattice import (
     closure_from_rank,
     enumerate_lattice,
@@ -19,9 +32,10 @@ from covlat.lattice import (
 )
 from covlat.relations import check_reduction_preservation
 from covlat.transversal import TransversalMatroid
-from covlat.universe import as_covering, parse_family
+from covlat.universe import Covering, ElementSet, as_covering, is_partition, parse_family
 from covlat.verify import CheckResult, verify_covering, verify_family, verify_random
 from conftest import table_and_verdicts
+from strategies import families
 
 
 def test_checks_run_counts_every_suite_once():
@@ -244,3 +258,220 @@ def test_lying_rank_oracles_fail_the_rows_the_per_pair_scans_fail():
     # each of the four checks both passes and fails, witnesses compared above
     assert len(seen) == 8 and min(seen.values()) >= 10, seen
     assert raised >= 10
+
+
+class LyingRanks(OffByOne):
+    """OffByOne whose independence also follows its lying rank."""
+
+    def is_independent(self, x):
+        return self.rank(x) == len(x)
+
+
+def per_subset_round_trip(family, matroid, lattice):
+    """``verify_round_trip`` asking every subset for the lattice-bound
+    independence, ``induced_rank`` and the flat bound, as a reference."""
+    universe = family.universe
+
+    def agree(name, mine, theirs):
+        bad = next((x for x in universe.subsets() if mine(x) != theirs(x)), None)
+        return CheckResult(name, bad is None, "" if bad is None else f"differs on {bad!r}")
+
+    results = []
+    if family.covers_universe():
+        system = SubmodularSystem.from_flat_lattice(lattice)
+        rebuilt = LatticeInducedMatroid(system)
+        name = "matroid from lattice has the original independent sets"
+        if isinstance(family, Covering) and is_partition(family):
+            name += " (partition)"
+        results.append(agree(name, rebuilt.is_independent, matroid.is_independent))
+        results.append(
+            agree(
+                "induced rank equals the original rank",
+                lambda x: induced_rank(system, x),
+                matroid.rank,
+            )
+        )
+    results.append(
+        agree(
+            "flat bound criterion matches independence",
+            lambda x: independent_iff_flat_bound(matroid, x, lattice.flats),
+            matroid.is_independent,
+        )
+    )
+    return results
+
+
+def round_trip_instance(rng: random.Random):
+    """A family, covering or partition with n <= 6, its transversal matroid
+    lying by one on one to three masks (flats, unions of two flats, pairs
+    of elements, any subset) with even odds, and its lattice with, at odds
+    of one in four each, one height moved by one or one flat dropped."""
+    draw = rng.randrange(3)
+    if draw == 0:
+        family = random_family(rng, 6, 5)
+    elif draw == 1:
+        family = random_covering(rng, 6, 5)
+    else:
+        family = random_partition(rng, 6)
+    n = family.universe.n
+    honest = TransversalMatroid(family)
+    lattice = enumerate_lattice(honest)
+    flats, heights = list(lattice.flats), list(lattice.heights)
+    masks = [f.mask for f in flats]
+    candidates = [rng.choice(masks) | rng.choice(masks) for _ in range(2)]
+    candidates += [1 << rng.randrange(n) | 1 << rng.randrange(n), rng.randrange(1 << n)]
+    candidates += [rng.choice(masks)] * 2
+    lies = {mask: rng.choice((-1, 1)) for mask in rng.sample(candidates, rng.randint(1, 3))}
+    matroid = LyingRanks(honest, lies if rng.random() < 0.5 else {})
+    change = rng.randrange(4)
+    k = rng.randrange(len(flats))
+    if change == 0:
+        heights[k] = max(0, heights[k] + rng.choice((-1, 1)))
+    elif change == 1 and len(flats) > 1:
+        del flats[k], heights[k]
+    shown = SimpleNamespace(universe=family.universe, flats=tuple(flats), heights=tuple(heights))
+    return family, matroid, shown
+
+
+def test_round_trip_tables_give_the_per_subset_rows():
+    rng = random.Random(18)
+    seen: dict[tuple[str, bool], int] = {}
+    raised = 0
+    for _ in range(1200):
+        family, matroid, lattice = round_trip_instance(rng)
+        rows = outcome(lambda: verify.verify_round_trip(family, matroid, lattice))
+        assert rows == outcome(lambda: per_subset_round_trip(family, matroid, lattice))
+        if isinstance(rows, tuple):
+            raised += 1
+            continue
+        for r in rows:
+            row = r.name.split(" ")[0]
+            seen[row, r.passed] = seen.get((row, r.passed), 0) + 1
+    # the three rows each pass and fail, witnesses compared above
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
+    assert raised >= 10
+
+
+class ClosedFormRanks:
+    """A rank oracle reading a system's closed form, min over members Y of
+    f(Y) + |x - Y|, with independence derived from it."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def rank(self, x):
+        return min(self.system.f(y) + len(x - y) for y in self.system.sets)
+
+    def is_independent(self, x):
+        return self.rank(x) == len(x)
+
+
+def test_round_trip_raises_where_the_greedy_rank_first_disagrees(monkeypatch):
+    # weights corrupted after validation can make the lattice-bound predicate
+    # no matroid, so its greedy rank and the closed form part; against ranks
+    # that follow the closed form, the rank row's sweep meets no other
+    # difference first and raises induced_rank's error at its first such mask
+    rng = random.Random(5)
+    build = SubmodularSystem.from_flat_lattice
+    raised = 0
+    for _ in range(200):
+        family = random_covering(rng, 6, 5) if rng.random() < 0.5 else random_partition(rng, 6)
+        lattice = enumerate_lattice(TransversalMatroid(family))
+        system = build(lattice)
+        for member in rng.sample(system.sets[1:], min(2, len(system.sets) - 1)):
+            system._values[member.mask] = rng.randrange(system.f(member) + 2)
+        monkeypatch.setattr(SubmodularSystem, "from_flat_lattice", classmethod(lambda c, _: system))
+        matroid = ClosedFormRanks(system)
+        rows = outcome(lambda: verify.verify_round_trip(family, matroid, lattice))
+        assert rows == outcome(lambda: per_subset_round_trip(family, matroid, lattice))
+        if isinstance(rows, tuple):
+            errors = (outcome(lambda: induced_rank(system, x)) for x in family.universe.subsets())
+            assert rows == next(error for error in errors if isinstance(error, tuple))
+            raised += 1
+    assert raised >= 10
+
+
+def check_min_plus_identities(universe, members: dict[int, int]):
+    """On every subset X of the universe, g(X) from ``_min_plus_ranks`` over
+    these (member mask, weight) pairs is the closed form, g(X) >= |X| is the
+    lattice-bound independence and the flat bound, and the greedy table
+    keeps as many elements as ``LatticeInducedMatroid.rank``."""
+    n = universe.n
+    sets = [ElementSet(universe, mask) for mask in members]
+    system = SimpleNamespace(universe=universe, sets=sets, f=lambda s: members[s.mask])
+    weights = SimpleNamespace(rank=system.f)
+    ranks = verify._min_plus_ranks(n, members.items())
+    greedy = verify._greedy_sets(n, ranks)
+    rebuilt = LatticeInducedMatroid(system)
+    for x in universe.subsets():
+        assert ranks[x.mask] == min(v + (x.mask & ~y).bit_count() for y, v in members.items())
+        independent = ranks[x.mask] >= len(x)
+        assert independent == independence_from_lattice(system, x)
+        assert independent == independent_iff_flat_bound(weights, x, sets)
+        assert greedy[x.mask].bit_count() == rebuilt.rank(x)
+    return ranks
+
+
+@given(families(max_n=6), st.data())
+def test_min_plus_tables_read_the_per_set_functions(family, data):
+    # families cover the universe or leave loops; on flats weighted by rank
+    # the table is the rank of any matroid, and on a covering's system it is
+    # induced_rank, which also checks it against the greedy rank
+    universe = family.universe
+    matroid = TransversalMatroid(family)
+    lattice = enumerate_lattice(matroid)
+    ranks = check_min_plus_identities(universe, {y.mask: matroid.rank(y) for y in lattice.flats})
+    assert all(ranks[x.mask] == matroid.rank(x) for x in universe.subsets())
+    if family.covers_universe():
+        system = SubmodularSystem.from_flat_lattice(lattice)
+        assert all(ranks[x.mask] == induced_rank(system, x) for x in universe.subsets())
+    weight = st.integers(0, universe.n + 1)
+    members = data.draw(st.dictionaries(st.integers(0, universe.full_mask), weight, max_size=8))
+    members.setdefault(universe.full_mask, data.draw(weight))
+    check_min_plus_identities(universe, members)
+
+
+def test_round_trip_refuses_over_the_guard_before_building(monkeypatch):
+    path = Path(__file__).resolve().parent / "inputs" / "density_15.cov"
+    family = parse_family(path.read_text())
+    matroid = TransversalMatroid(family)
+    lattice = enumerate_lattice(matroid)
+
+    def never(*args, **kwargs):
+        raise AssertionError("built before the guard refused")
+
+    monkeypatch.setattr(SubmodularSystem, "__init__", never)
+    with pytest.raises(GuardExceeded) as refused:
+        verify.verify_round_trip(family, matroid, lattice)
+    assert str(refused.value) == (
+        "matroid from lattice has the original independent sets: "
+        "universe size 15 exceeds enumeration guard 14"
+    )
+
+
+def test_round_trip_asks_induced_rank_once_per_covering_and_nothing_per_subset(
+    mixed5, monkeypatch
+):
+    calls: dict[str, int] = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "induced_rank", counted("induced_rank", verify.induced_rank))
+    for name in ("independence_from_lattice", "independent_iff_flat_bound"):
+        monkeypatch.setattr(bridge, name, counted(name, getattr(bridge, name)))
+    monkeypatch.setattr(LatticeInducedMatroid, "rank", counted("rank", LatticeInducedMatroid.rank))
+    loops = parse_family("universe: 1 2 3\nblock: 1 2\n")
+    for family, expected in (
+        # one induced_rank of the universe: one greedy rank, one test per element
+        (mixed5, {"induced_rank": 1, "rank": 1, "independence_from_lattice": 5}),
+        (loops, {}),
+    ):
+        calls.clear()
+        matroid = TransversalMatroid(family)
+        rows = verify.verify_round_trip(family, matroid, enumerate_lattice(matroid))
+        assert all(r.passed for r in rows) and calls == expected

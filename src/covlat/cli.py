@@ -307,6 +307,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.random is not None:
+        if args.file is not None or args.round_trip:
+            raise ValidationError("verify --random takes neither a covering file nor --round-trip")
         campaign = verify_random(args.random, args.seed, args.max_n, args.max_m)
         for failure in campaign.failures:
             print(failure.line())

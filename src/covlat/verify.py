@@ -165,37 +165,46 @@ def verify_induced_matroids(
     table: NeighborhoodTable,
     induced: dict[UpperOperator, tuple[PartitionMatroid, FlatLattice]],
 ) -> list[CheckResult]:
-    """Induced partition matroids against their definitional independence."""
+    """Induced partition matroids against their definitional independence.
+
+    Each kind's sweep reads one table of its operator's images, one per
+    subset: x is independent iff no e in x lies in the image of x - e.
+    Kinds that share a (matroid, lattice) pair share one pair-closure scan;
+    every kind still gets its own rows."""
     covering = table.covering
     results = []
     universe = covering.universe
+    scans: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for kind, (matroid, lattice) in induced.items():
+        name = f"{kind.value} matroid matches the definitional independence"
+        _refuse_over_sweep_guard(name, universe)
+        images = [table.apply(kind, x).mask for x in universe.subsets()]
         results.append(
             _agree_on_subsets(
-                f"{kind.value} matroid matches the definitional independence",
+                name,
                 universe,
-                lambda x: all(
-                    not table.apply(kind, x.without_index(e)).has_index(e) for e in x.indices()
-                ),
+                lambda x: not any(images[x.mask ^ 1 << e] >> e & 1 for e in x.indices()),
                 matroid.is_independent,
             )
         )
-        # each singleton (a == b) and each unordered pair is closed once
-        closed = {
-            1 << a | 1 << b: matroid.closure(universe.set_from_mask(1 << a | 1 << b))
-            for a, b in combinations_with_replacement(range(universe.n), 2)
-        }
-        # every pair is read: a closure that is not a flat raises wherever it is
-        bad = [
-            (a, b)
-            for a in range(universe.n)
-            for b in range(universe.n)
-            if a != b
-            and lattice.covers(closed[1 << a], closed[1 << a | 1 << b])
-            == any(cls.has_index(a) and cls.has_index(b) for cls in matroid.classes)
-        ]
+        key = id(matroid), id(lattice)
+        if key not in scans:
+            # each singleton (a == b) and each unordered pair is closed once
+            closed = {
+                1 << a | 1 << b: matroid.closure(universe.set_from_mask(1 << a | 1 << b))
+                for a, b in combinations_with_replacement(range(universe.n), 2)
+            }
+            # every pair is read: a closure that is not a flat raises wherever it is
+            scans[key] = [
+                (a, b)
+                for a in range(universe.n)
+                for b in range(universe.n)
+                if a != b
+                and lattice.covers(closed[1 << a], closed[1 << a | 1 << b])
+                == any(cls.has_index(a) and cls.has_index(b) for cls in matroid.classes)
+            ]
         results.append(
-            _first_witness(f"{kind.value} pair-closure cover criterion", "fails on {}", bad)
+            _first_witness(f"{kind.value} pair-closure cover criterion", "fails on {}", scans[key])
         )
     if is_partition(covering):
         partition = as_partition(covering)
@@ -227,24 +236,32 @@ def verify_modularity(
     rank identity cross-checked against the height identity, all read from
     each lattice's ``modular_pairs_by_rank`` and ``modular_pairs_by_heights``
     rows.  The rows are symmetric, so the first row with a bit set in a tested
-    mask has none below its own position: that bit is the first pair (i, j >= i)."""
+    mask has none below its own position: that bit is the first pair (i, j >= i).
+    Targets that share a (matroid, lattice) pair are decided once, and each
+    gets its own labelled rows."""
     results = []
     targets: list[tuple[str, MatroidOracle, FlatLattice]] = [("transversal", matroid, lattice)]
     targets += [(kind.value, m, lat) for kind, (m, lat) in induced.items()]
+    decided: dict[tuple[int, int], list[CheckResult]] = {}
     for label, m, lat in targets:
-        flats, by_rank = lat.flats, modular_pairs_by_rank(lat, m)
-        differ = map(int.__xor__, by_rank, modular_pairs_by_heights(lat))
-        atoms = [k for k, height in enumerate(lat.heights) if height == 1]
-        atom_bits, everything = sum(1 << k for k in atoms), (1 << len(flats)) - 1
-        crossed = _lowest_pairs(flats, count(), differ)
-        unpaired = _lowest_pairs(flats, atoms, (atom_bits & ~by_rank[k] for k in atoms))
-        nonmodular = (flats[k] for k in atoms if by_rank[k] != everything)
-        for name, detail, bad in (
-            ("rank and height modularity agree", "disagree on {}", crossed),
-            ("atom pairs are modular pairs", "fails on {}", unpaired),
-            ("atoms are modular elements", "fails on {!r}", nonmodular),
-        ):
-            results.append(_first_witness(f"{label}: {name}", detail, bad))
+        key = id(m), id(lat)
+        if key not in decided:
+            flats, by_rank = lat.flats, modular_pairs_by_rank(lat, m)
+            differ = map(int.__xor__, by_rank, modular_pairs_by_heights(lat))
+            atoms = [k for k, height in enumerate(lat.heights) if height == 1]
+            atom_bits, everything = sum(1 << k for k in atoms), (1 << len(flats)) - 1
+            crossed = _lowest_pairs(flats, count(), differ)
+            unpaired = _lowest_pairs(flats, atoms, (atom_bits & ~by_rank[k] for k in atoms))
+            nonmodular = (flats[k] for k in atoms if by_rank[k] != everything)
+            decided[key] = [
+                _first_witness(name, detail, bad)
+                for name, detail, bad in (
+                    ("rank and height modularity agree", "disagree on {}", crossed),
+                    ("atom pairs are modular pairs", "fails on {}", unpaired),
+                    ("atoms are modular elements", "fails on {!r}", nonmodular),
+                )
+            ]
+        results += [CheckResult(f"{label}: {r.name}", r.passed, r.detail) for r in decided[key]]
     return results
 
 
@@ -379,16 +396,20 @@ def verify_family(family: SetFamily) -> list[CheckResult]:
 
 def verify_covering(covering: Covering) -> list[CheckResult]:
     """Every suite, on one matroid, lattice, table and verdict per operator,
-    and one partition matroid and lattice per closure operator."""
+    and one partition matroid and lattice per distinct class partition:
+    closure operators with equal classes share them, and so share their
+    pair-closure scan and modularity tables.  Each still gets its own rows."""
     results, matroid, lattice = _transversal_suites(covering)
     table = NeighborhoodTable.build(covering)
     verdicts = {kind: closure_operator_verdict(table, kind) for kind in ALL_OPERATORS}
-    matroids = {
-        kind: verdict.partition_matroid(covering.universe)
-        for kind, verdict in verdicts.items()
-        if verdict.is_closure
-    }
-    induced = {kind: (m, enumerate_lattice(m)) for kind, m in matroids.items()}
+    shared: dict[tuple[ElementSet, ...], tuple[PartitionMatroid, FlatLattice]] = {}
+    induced = {}
+    for kind, verdict in verdicts.items():
+        if verdict.is_closure:
+            if verdict.classes not in shared:
+                m = verdict.partition_matroid(covering.universe)
+                shared[verdict.classes] = m, enumerate_lattice(m)
+            induced[kind] = shared[verdict.classes]
     results += verify_operator_criteria(table, verdicts)
     results += verify_induced_matroids(table, induced)
     results += verify_modularity(matroid, lattice, induced)

@@ -341,6 +341,28 @@ class TestVerify:
         assert main(["verify"]) == 2
 
     @pytest.mark.parametrize(
+        "extra",
+        [["FILE"], ["--round-trip"], ["FILE", "--round-trip"]],
+        ids=["file", "round-trip", "file-and-round-trip"],
+    )
+    def test_campaign_with_a_file_or_round_trip_is_an_input_error(
+        self, extra, mixed5_file, capsys, monkeypatch
+    ):
+        # --random runs its own instances: a file or --round-trip beside it
+        # would be silently ignored, so both are refused before any campaign
+        def never(*args, **kwargs):
+            raise AssertionError("campaign ran")
+
+        monkeypatch.setattr(cli, "verify_random", never)
+        argv = [mixed5_file if arg == "FILE" else arg for arg in extra]
+        assert main(["verify", *argv, "--random", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: verify --random takes neither a covering file nor --round-trip\n"
+        )
+
+    @pytest.mark.parametrize(
         "bound",
         [
             ["--random", "4", "--max-n", "0"],

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement, count
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covlat import bridge, verify
-from covlat.approximation import NeighborhoodTable
+from covlat.approximation import NeighborhoodTable, UpperOperator, partition_upper
 from covlat.bridge import (
     LatticeInducedMatroid,
     SubmodularSystem,
@@ -29,10 +30,19 @@ from covlat.lattice import (
     is_modular_element,
     is_modular_pair,
     modular_pair_by_heights,
+    modular_pairs_by_heights,
+    modular_pairs_by_rank,
 )
 from covlat.relations import check_reduction_preservation
 from covlat.transversal import TransversalMatroid
-from covlat.universe import Covering, ElementSet, as_covering, is_partition, parse_family
+from covlat.universe import (
+    Covering,
+    ElementSet,
+    as_covering,
+    as_partition,
+    is_partition,
+    parse_family,
+)
 from covlat.verify import CheckResult, verify_covering, verify_family, verify_random
 from conftest import table_and_verdicts
 from strategies import families
@@ -62,38 +72,74 @@ def test_checks_run_counts_every_suite_once():
     assert verify_random(8, 1, max_n=5, max_m=4).checks_run == expected
 
 
-def test_verify_covering_builds_each_structure_once(monkeypatch):
-    built = []
-    verdicts = []
-    tables = []
-    families = []
+def counted_builds(monkeypatch) -> dict[str, list]:
+    """Record the arguments of every lattice, verdict, table, transversal
+    matroid and height-table build that ``verify`` makes."""
+    calls: dict[str, list] = {
+        name: [] for name in ("lattices", "verdicts", "tables", "families", "heights")
+    }
 
-    def counted(calls, fn):
+    def counted(name, fn):
         def wrapper(*args):
-            calls.append(args)
+            calls[name].append(args)
             return fn(*args)
 
         return wrapper
 
-    monkeypatch.setattr(verify, "enumerate_lattice", counted(built, verify.enumerate_lattice))
+    monkeypatch.setattr(verify, "enumerate_lattice", counted("lattices", verify.enumerate_lattice))
     monkeypatch.setattr(
-        verify, "closure_operator_verdict", counted(verdicts, verify.closure_operator_verdict)
+        verify, "closure_operator_verdict", counted("verdicts", verify.closure_operator_verdict)
+    )
+    monkeypatch.setattr(
+        verify, "modular_pairs_by_heights", counted("heights", verify.modular_pairs_by_heights)
     )
     build = NeighborhoodTable.build.__func__
-    monkeypatch.setattr(NeighborhoodTable, "build", classmethod(counted(tables, build)))
+    monkeypatch.setattr(NeighborhoodTable, "build", classmethod(counted("tables", build)))
     init = TransversalMatroid.__init__
-    monkeypatch.setattr(TransversalMatroid, "__init__", counted(families, init))
+    monkeypatch.setattr(TransversalMatroid, "__init__", counted("families", init))
+    return calls
+
+
+def test_verify_covering_builds_each_structure_once(monkeypatch):
+    calls = counted_builds(monkeypatch)
     partition = as_covering(parse_family("universe: 1 2 3 4\nblock: 1 2\nblock: 3\nblock: 4\n"))
     assert all(r.passed for r in verify.verify_covering(partition))
-    # the transversal matroid, then the sh, xh and vh partition matroids
-    assert len(built) == 4
-    assert len({id(matroid) for (matroid,) in built}) == 4
-    assert len(verdicts) == 3
+    # the transversal matroid, then one partition matroid that sh, xh and vh
+    # share: their classes are all {1 2} {3} {4}
+    built = calls["lattices"]
+    assert len(built) == 2
+    assert len({id(matroid) for (matroid,) in built}) == 2
+    # one height table per lattice
+    assert len(calls["heights"]) == 2
+    assert len(calls["verdicts"]) == 3
     # no block is reducible or immured, so no shrunk covering gets a table
-    assert len(tables) == 1
+    assert len(calls["tables"]) == 1
     # relations reuse the covering's matroid; their own builds are of other
     # families (one block deleted, the reduct, the exclusion)
-    assert sum(1 for _, family in families if family is partition) == 1
+    assert sum(1 for _, family in calls["families"] if family is partition) == 1
+
+
+def test_verify_covering_builds_one_structure_per_distinct_partition(monkeypatch):
+    calls = counted_builds(monkeypatch)
+    covering = as_covering(parse_family("universe: 1 2 3\nblock: 2\nblock: 1 2 3\nblock: 1 3\n"))
+    _, verdicts = table_and_verdicts(covering)
+    classes = {kind.value: [repr(c) for c in v.classes] for kind, v in verdicts.items()}
+    assert classes == {"sh": ["{1 2 3}"], "xh": ["{2}", "{1 3}"], "vh": ["{2}", "{1 3}"]}
+    rows = verify.verify_covering(covering)
+    # the transversal matroid, the sh matroid, and one matroid xh and vh share
+    assert len(calls["lattices"]) == len({id(m) for (m,) in calls["lattices"]}) == 3
+    assert len(calls["heights"]) == 3
+    # every kind keeps its own induced-matroid and modularity rows
+    for kind in ("sh", "xh", "vh"):
+        names = [r.name for r in rows if r.name.startswith(kind)]
+        assert names == [
+            f"{kind} criterion matches exhaustive axiom check",
+            f"{kind} matroid matches the definitional independence",
+            f"{kind} pair-closure cover criterion",
+            f"{kind}: rank and height modularity agree",
+            f"{kind}: atom pairs are modular pairs",
+            f"{kind}: atoms are modular elements",
+        ]
 
 
 class OffByOne:
@@ -199,11 +245,23 @@ def outcome(suite):
         return type(exc).__name__, str(exc)
 
 
+def lying(rng: random.Random, matroid, wrapper=OffByOne):
+    """The matroid's lattice and the matroid wrapped to lie with even odds,
+    off by one on one or two masks drawn from its flats, unions of two
+    flats and pairs of elements.  The lattice is the honest matroid's."""
+    n = matroid.universe.n
+    lattice = enumerate_lattice(matroid)
+    masks = [f.mask for f in lattice.flats]
+    candidates = [rng.choice(masks) | rng.choice(masks) for _ in range(3)]
+    candidates += [1 << rng.randrange(n) | 1 << rng.randrange(n) for _ in range(3)]
+    candidates.append(rng.choice(masks))
+    lies = {mask: rng.choice((-1, 1)) for mask in rng.sample(candidates, rng.randint(1, 2))}
+    return wrapper(matroid, lies if rng.random() < 0.5 else {}), lattice
+
+
 def lying_instance(rng: random.Random):
     """A covering's table, its transversal matroid and lattice and its
-    partition matroids and lattices; each matroid lies with even odds, off
-    by one on one or two masks drawn from its flats, unions of two flats and
-    pairs of elements.  The lattices are the honest matroids'."""
+    partition matroids and lattices, each matroid ``lying``."""
     draw = rng.randrange(3)
     if draw == 0:
         covering = random_covering(rng, 6, 6)
@@ -211,24 +269,13 @@ def lying_instance(rng: random.Random):
         covering = as_covering(random_partition(rng, 6))
     else:
         covering = partition_with_union_block(rng, 6)[0]
-    n = covering.universe.n
     table, verdicts = table_and_verdicts(covering)
-
-    def lying(matroid):
-        lattice = enumerate_lattice(matroid)
-        masks = [f.mask for f in lattice.flats]
-        candidates = [rng.choice(masks) | rng.choice(masks) for _ in range(3)]
-        candidates += [1 << rng.randrange(n) | 1 << rng.randrange(n) for _ in range(3)]
-        candidates.append(rng.choice(masks))
-        lies = {mask: rng.choice((-1, 1)) for mask in rng.sample(candidates, rng.randint(1, 2))}
-        return OffByOne(matroid, lies if rng.random() < 0.5 else {}), lattice
-
     induced = {
-        kind: lying(verdict.partition_matroid(covering.universe))
+        kind: lying(rng, verdict.partition_matroid(covering.universe))
         for kind, verdict in verdicts.items()
         if verdict.is_closure
     }
-    return table, *lying(TransversalMatroid(covering)), induced
+    return table, *lying(rng, TransversalMatroid(covering)), induced
 
 
 def test_lying_rank_oracles_fail_the_rows_the_per_pair_scans_fail():
@@ -265,6 +312,152 @@ class LyingRanks(OffByOne):
 
     def is_independent(self, x):
         return self.rank(x) == len(x)
+
+
+def per_kind_induced_matroids(table, induced):
+    """``verify_induced_matroids`` with nothing shared between kinds, as a
+    reference: each kind applies its operator to x - e for every e in every
+    subset x, and runs its own pair-closure scan."""
+    covering = table.covering
+    results = []
+    universe = covering.universe
+    for kind, (matroid, lattice) in induced.items():
+        results.append(
+            verify._agree_on_subsets(
+                f"{kind.value} matroid matches the definitional independence",
+                universe,
+                lambda x: all(
+                    not table.apply(kind, x.without_index(e)).has_index(e) for e in x.indices()
+                ),
+                matroid.is_independent,
+            )
+        )
+        closed = {
+            1 << a | 1 << b: matroid.closure(universe.set_from_mask(1 << a | 1 << b))
+            for a, b in combinations_with_replacement(range(universe.n), 2)
+        }
+        bad = [
+            (a, b)
+            for a in range(universe.n)
+            for b in range(universe.n)
+            if a != b
+            and lattice.covers(closed[1 << a], closed[1 << a | 1 << b])
+            == any(cls.has_index(a) and cls.has_index(b) for cls in matroid.classes)
+        ]
+        results.append(
+            verify._first_witness(f"{kind.value} pair-closure cover criterion", "fails on {}", bad)
+        )
+    if is_partition(covering):
+        partition = as_partition(covering)
+        matroid, _ = induced[UpperOperator.SH]
+        results.append(
+            verify._agree_on_subsets(
+                "partition matroid closure equals the upper approximation",
+                universe,
+                matroid.closure,
+                lambda x: partition_upper(partition, x),
+            )
+        )
+    return results
+
+
+def per_kind_modularity(matroid, lattice, induced):
+    """``verify_modularity`` with both modularity tables built for every
+    target, shared or not, as a reference."""
+    results = []
+    targets = [("transversal", matroid, lattice)]
+    targets += [(kind.value, m, lat) for kind, (m, lat) in induced.items()]
+    for label, m, lat in targets:
+        flats, by_rank = lat.flats, modular_pairs_by_rank(lat, m)
+        differ = map(int.__xor__, by_rank, modular_pairs_by_heights(lat))
+        atoms = [k for k, height in enumerate(lat.heights) if height == 1]
+        atom_bits, everything = sum(1 << k for k in atoms), (1 << len(flats)) - 1
+        crossed = verify._lowest_pairs(flats, count(), differ)
+        unpaired = verify._lowest_pairs(flats, atoms, (atom_bits & ~by_rank[k] for k in atoms))
+        nonmodular = (flats[k] for k in atoms if by_rank[k] != everything)
+        for name, detail, bad in (
+            ("rank and height modularity agree", "disagree on {}", crossed),
+            ("atom pairs are modular pairs", "fails on {}", unpaired),
+            ("atoms are modular elements", "fails on {!r}", nonmodular),
+        ):
+            results.append(verify._first_witness(f"{label}: {name}", detail, bad))
+    return results
+
+
+def shared_instance(rng: random.Random):
+    """A covering, partition, or partition with a union or nested block,
+    n <= 6; its table; its transversal matroid and lattice ``lying``; and
+    its induced structures as ``verify_covering`` shares them, one
+    ``lying`` ``LyingRanks`` pair per distinct class partition, held by
+    every kind that has those classes."""
+    draw = rng.randrange(4)
+    if draw == 0:
+        covering = random_covering(rng, 6, 6)
+    elif draw == 1:
+        covering = as_covering(random_partition(rng, 6))
+    else:
+        build = partition_with_union_block if draw == 2 else partition_with_nested_block
+        covering = build(rng, 6)[0]
+    table, verdicts = table_and_verdicts(covering)
+    shared, induced = {}, {}
+    for kind, verdict in verdicts.items():
+        if verdict.is_closure:
+            if verdict.classes not in shared:
+                matroid = verdict.partition_matroid(covering.universe)
+                shared[verdict.classes] = lying(rng, matroid, LyingRanks)
+            induced[kind] = shared[verdict.classes]
+    return table, *lying(rng, TransversalMatroid(covering)), induced
+
+
+def test_shared_partition_structures_give_the_per_kind_rows():
+    rng = random.Random(19)
+    seen: dict[tuple[str, bool], int] = {}
+    raised = shared = distinct = 0
+    for _ in range(600):
+        table, matroid, lattice, induced = shared_instance(rng)
+        pairs = {id(pair) for pair in induced.values()}
+        shared += len(pairs) < len(induced)
+        distinct += len(pairs) > 1
+        rows = outcome(lambda: verify.verify_modularity(matroid, lattice, induced))
+        assert rows == outcome(lambda: per_kind_modularity(matroid, lattice, induced))
+        induced_rows = outcome(lambda: verify.verify_induced_matroids(table, induced))
+        assert induced_rows == outcome(lambda: per_kind_induced_matroids(table, induced))
+        if isinstance(induced_rows, tuple):
+            raised += 1
+        else:
+            rows += induced_rows
+        for r in rows:
+            if r.name.startswith(("sh", "xh", "vh")):
+                seen[r.name, r.passed] = seen.get((r.name, r.passed), 0) + 1
+    # each of the five per-kind rows of each kind passes and fails, witnesses
+    # compared above; kinds share a structure, or hold two, in many instances
+    assert len(seen) == 30 and min(seen.values()) >= 10, seen
+    assert raised >= 10 and shared >= 100 and distinct >= 50, (raised, shared, distinct)
+
+
+def test_induced_matroids_refuse_over_the_guard_before_any_image(monkeypatch):
+    path = Path(__file__).resolve().parent / "inputs" / "partition_20.cov"
+    covering = as_covering(parse_family(path.read_text()))
+    table, verdicts = table_and_verdicts(covering)
+    induced = {}
+    for kind, verdict in verdicts.items():
+        matroid = verdict.partition_matroid(covering.universe)
+        induced[kind] = matroid, enumerate_lattice(matroid)
+    applied = []
+    apply = NeighborhoodTable.apply
+
+    def counted(self, kind, x):
+        applied.append(kind)
+        return apply(self, kind, x)
+
+    monkeypatch.setattr(NeighborhoodTable, "apply", counted)
+    with pytest.raises(GuardExceeded) as refused:
+        verify.verify_induced_matroids(table, induced)
+    assert str(refused.value) == (
+        "sh matroid matches the definitional independence: "
+        "universe size 20 exceeds enumeration guard 14"
+    )
+    assert applied == []
 
 
 def per_subset_round_trip(family, matroid, lattice):

@@ -23,7 +23,7 @@ from .approximation import (
 from .errors import CovlatError, CriterionNotSatisfied, GuardExceeded, ParseError, ValidationError
 from .lattice import _positive_guard, enumerate_lattice
 from .reduction import exclusion, reduct, reduction_report
-from .relations import ENUM_GUARD_N, full_relation_report
+from .relations import full_relation_report
 from .transversal import TransversalMatroid, ab_decomposition
 from .universe import Covering, SetFamily, as_covering, is_partition, parse_family
 from .verify import verify_covering, verify_family, verify_family_round_trip, verify_random
@@ -275,8 +275,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     table = NeighborhoodTable.build(covering)
     verdicts = {kind: closure_operator_verdict(table, kind) for kind in UpperOperator}
     matroid = TransversalMatroid(covering)
-    # every claim that reads the lattice is skipped over the guard
-    lattice = enumerate_lattice(matroid) if covering.universe.n <= ENUM_GUARD_N else None
+    try:
+        lattice = enumerate_lattice(matroid)
+    except GuardExceeded:
+        lattice = None  # the claims that read it are skipped with the guard's text
     report = full_relation_report(table, verdicts, matroid, lattice)
 
     def render(data: dict):
@@ -309,7 +311,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.random is not None:
         if args.file is not None or args.round_trip:
             raise ValidationError("verify --random takes neither a covering file nor --round-trip")
-        campaign = verify_random(args.random, args.seed, args.max_n, args.max_m)
+        seed = 0 if args.seed is None else args.seed
+        max_n = 6 if args.max_n is None else args.max_n
+        max_m = 6 if args.max_m is None else args.max_m
+        campaign = verify_random(args.random, seed, max_n, max_m)
         for failure in campaign.failures:
             print(failure.line())
         print(
@@ -318,6 +323,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{campaign.skipped} instances skipped by a guard"
         )
         return 0 if campaign.passed else CHECK_FAILED
+    if (args.seed, args.max_n, args.max_m) != (None, None, None):
+        raise ValidationError("verify --seed, --max-n and --max-m need --random")
     if args.file is None:
         raise ValidationError("verify needs a covering file or --random")
     family = _read_family(args.file)
@@ -384,9 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--round-trip", action="store_true")
     p.add_argument("--random", type=int, default=None, metavar="COUNT")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--max-m", type=int, default=6)
+    p.add_argument("--seed", type=int, help="with --random (default 0)")
+    p.add_argument("--max-n", type=int, help="with --random (default 6)")
+    p.add_argument("--max-m", type=int, help="with --random (default 6)")
     p.set_defaults(handler=cmd_verify)
 
     return parser

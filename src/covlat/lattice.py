@@ -421,6 +421,12 @@ class FlatLattice:
         return "\n".join(lines) + "\n"
 
 
+def lattice_guard_exceeded(limit: int) -> GuardExceeded:
+    """The refusal of a lattice over ``limit`` flats, at the first flat past it."""
+    text = f"flat lattice exceeds the guard of {limit} flats (at least {limit + 1} exist)"
+    return GuardExceeded(text)
+
+
 def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> FlatLattice:
     """Enumerate all flats of a matroid oracle by upward cover generation.
 
@@ -455,10 +461,7 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
                 upper = discovered.get(mask)
                 if upper is None:
                     if len(discovered) >= limit:
-                        raise GuardExceeded(
-                            f"flat lattice exceeds the guard of {limit} flats "
-                            f"(at least {len(discovered) + 1} exist)"
-                        )
+                        raise lattice_guard_exceeded(limit)
                     upper = discovered[mask] = len(order)
                     order.append(ElementSet(universe, mask))
                 uppers.append(upper)

@@ -4,21 +4,20 @@ and for how deletion, reducts and exclusions affect them.
 
 Each check produces ``ClaimRecord`` rows.  A claim whose precondition fails
 is reported as inapplicable with the failed precondition, never with a
-verdict.  Claims run only within an enumeration guard on the universe size,
-and each is decided on the covering's transversal matroid, its flat lattice
-L, the operators' classes and the neighbourhood table: no claim enumerates a
-second lattice or sweeps all subsets.  The caller enumerates L once and
-passes it as ``lattice`` with the matroid; over the guard it may pass None,
-since every claim that reads it is skipped there.  A structure within the
+verdict.  Each claim is decided on the covering's transversal matroid, its
+flat lattice L, the operators' classes and the neighbourhood table: no claim
+enumerates a second lattice or sweeps all subsets.  The caller enumerates L
+once and passes it as ``lattice`` with the matroid, or None over the lattice
+guard, which skips exactly the claims that read L.  A structure within the
 transversal matroid is checked on L's flats by the weak-map and quotient
 criteria.  The deletions, the reduct and the exclusion are the matroid less
-some blocks: they share one matching of each flat of L, from which each
-derives its rank and closure there.
+some blocks: each pass over L finds one matching of each flat, from which
+every deletion it checks derives its rank and closure there.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cache
 
 from .approximation import (
@@ -29,12 +28,10 @@ from .approximation import (
     closure_operator_verdict,
 )
 from .errors import InternalConsistencyError
-from .lattice import FlatLattice
+from .lattice import FlatLattice, default_max_flats, lattice_guard_exceeded
 from .reduction import exclusion, immured_block_indices, reducible_block_indices, reduct
 from .transversal import TransversalMatroid
-from .universe import Covering, ElementSet, Universe, as_covering, bits_of, is_partition
-
-ENUM_GUARD_N = 14
+from .universe import Covering, ElementSet, as_covering, bits_of, is_partition
 
 
 @dataclass(frozen=True)
@@ -82,11 +79,9 @@ class RelationReport:
         return {"claims": [r.to_dict() for r in self.records]}
 
 
-def _guard_note(universe: Universe) -> str | None:
-    """Why the claims are skipped, or None within the guard."""
-    if universe.n <= ENUM_GUARD_N:
-        return None
-    return f"universe size {universe.n} exceeds enumeration guard {ENUM_GUARD_N}"
+def _lattice_gate(lattice: FlatLattice | None) -> str | None:
+    """Why the claims that read L are skipped: L is None only over the guard."""
+    return None if lattice is not None else str(lattice_guard_exceeded(default_max_flats()))
 
 
 def _separating_on_flats(smaller, lattice: FlatLattice) -> ElementSet | None:
@@ -158,26 +153,36 @@ def _record_on_flats(report, claims, smaller, lattice: FlatLattice, note=None) -
     _record_within(report, claims, separating, unclosed, note)
 
 
-def _record_without(report, claims, whole, deleted, subfamily, lattice: FlatLattice, note=None):
-    """Record the claim pair for M \\ D, the matroid of ``subfamily``: the
-    family of ``whole`` (M) less the blocks in the bitmask ``deleted`` (D).
+def _record_without(report, whole, lattice: FlatLattice | None, deletions) -> None:
+    """Record the claim pair of each (claims, D, subfamily, note) in
+    ``deletions`` for M \\ D, the matroid of ``subfamily``: the family of
+    ``whole`` (M) less the blocks in the bitmask D.  Without L, skip them.
 
-    Both criteria read r_{M \\ D}(F) and cl_{M \\ D}(F) for each flat F of
-    L from the one matching of F that M keeps for every D
-    (``TransversalMatroid.rank_and_closure_without``).  M \\ D is a weak-map
-    image of M, so the rank never exceeds the height when L is M's lattice;
-    if it does, L is not, and the pair is recorded on a fresh matroid of
-    ``subfamily``, whose witnesses are those of ``_record_on_flats``.
+    One pass over the flats F of L finds one matching of each, from which
+    both criteria read r_{M \\ D}(F) and cl_{M \\ D}(F) for every D
+    (``TransversalMatroid.ranks_and_closures_without``).  M \\ D is a
+    weak-map image of M, so the rank exceeds no height if L is M's lattice;
+    if it does, that pair is recorded on a fresh matroid of the subfamily.
     """
-    unclosed = None
+    gate = _lattice_gate(lattice)
+    if gate is not None:
+        for claims, _, _, _ in deletions:
+            report.skipped(gate, *claims)
+        return
+    masks = [deleted for _, deleted, _, _ in deletions]
+    foreign = [False] * len(masks)
+    unclosed: list[ElementSet | None] = [None] * len(masks)
     for flat, height in zip(lattice.flats, lattice.heights):
-        rank, closed = whole.rank_and_closure_without(flat, deleted)
-        if rank > height:
+        for k, (rank, closed) in enumerate(whole.ranks_and_closures_without(flat, masks)):
+            if rank > height:
+                foreign[k] = True
+            elif unclosed[k] is None and closed.mask not in lattice._index:
+                unclosed[k] = closed
+    for (claims, _, subfamily, note), over, closed in zip(deletions, foreign, unclosed):
+        if over:
             _record_on_flats(report, claims, TransversalMatroid(subfamily), lattice, note)
-            return
-        if unclosed is None and closed.mask not in lattice._index:
-            unclosed = closed
-    _record_within(report, claims, None, unclosed, note)
+        else:
+            _record_within(report, claims, None, closed, note)
 
 
 def check_containments(
@@ -192,18 +197,14 @@ def check_containments(
     universe = covering.universe
     sh_verdict = verdicts[UpperOperator.SH]
     xh_verdict = verdicts[UpperOperator.XH]
-    guard_note = _guard_note(universe)
+    lattice_gate = _lattice_gate(lattice)
     sh_gate = None if sh_verdict.is_closure else "block-union operator is a closure operator"
     xh_gate = None if xh_verdict.is_closure else "neighborhood-hit operator is a closure operator"
 
-    if not report.skipped(
-        sh_gate or guard_note,
-        "sh-independents-within-transversal",
-        "sh-flats-within-transversal-flats",
-        "indiscernible-neighborhoods-are-transversal-flats",
-    ):
-        claims = ("sh-independents-within-transversal", "sh-flats-within-transversal-flats")
+    claims = ("sh-independents-within-transversal", "sh-flats-within-transversal-flats")
+    if not report.skipped(sh_gate or lattice_gate, *claims):
         _record_on_flats(report, claims, sh_verdict.partition_matroid(universe), lattice)
+    if not report.skipped(sh_gate, "indiscernible-neighborhoods-are-transversal-flats"):
         bad = next(
             (e for e, hood in enumerate(table.indiscernible) if transversal.closure(hood) != hood),
             None,
@@ -214,7 +215,7 @@ def check_containments(
             None if bad is None else f"I({universe.labels[bad]}) is not a flat",
         )
 
-    if not report.skipped(xh_gate or guard_note, "xh-vh-operators-coincide"):
+    if not report.skipped(xh_gate, "xh-vh-operators-coincide"):
         # both operators preserve unions and send {} to {}, so the first
         # subset in mask order on which they differ is a singleton
         singletons = map(universe.singleton, range(universe.n))
@@ -222,11 +223,9 @@ def check_containments(
         witness = None if differ is None else f"operators differ on {differ!r}"
         report.verdict("xh-vh-operators-coincide", witness is None, witness)
 
-    both_gate = None
-    if sh_gate or xh_gate:
-        both_gate = "both block-union and neighborhood-hit operators are closure operators"
+    both_gate = "both block-union and neighborhood-hit operators are closure operators"
     claims = ("sh-independents-within-xh", "sh-flats-within-xh-flats")
-    if not report.skipped(both_gate or guard_note, *claims):
+    if not report.skipped(both_gate if sh_gate or xh_gate else None, *claims):
         # between partition matroids both claims hold iff every xh class lies
         # in one sh class.  Otherwise one meets the sh class of its lowest
         # member a and, at b, another: {a, b} is sh-independent and
@@ -242,7 +241,7 @@ def check_containments(
         _record_within(report, claims, separating, unclosed)
 
     partition_gate = None if is_partition(covering) else "covering is not a partition"
-    if not report.skipped(partition_gate or guard_note, "partition-structures-coincide"):
+    if not report.skipped(partition_gate or lattice_gate, "partition-structures-coincide"):
         # a matroid is determined by its flats.  The operators' matroids are
         # the partition matroid of the k blocks iff their classes are the
         # blocks; its flats are the 2^k unions of blocks, and they are the
@@ -260,26 +259,27 @@ def check_containments(
 
 
 def check_deletion_monotonicity(
-    whole: TransversalMatroid, block_index: int, lattice: FlatLattice | None
+    whole: TransversalMatroid, lattice: FlatLattice | None
 ) -> RelationReport:
-    """Deleting any block shrinks the independence family and the flat set."""
+    """Deleting any block shrinks the independence family and the flat set:
+    one claim pair per block, suffixed [name], all decided in one pass."""
     report = RelationReport()
     family = whole.family
     claims = ("deletion-shrinks-independents", "deletion-shrinks-flats")
     if report.skipped("family has fewer than two blocks" if family.m < 2 else None, *claims):
         return report
-    note = None
+    tagged: dict[str, tuple[int, ...]] = {}
     if isinstance(family, Covering):
-        tags = []
-        if block_index in reducible_block_indices(family):
-            tags.append("reducible")
-        if block_index in immured_block_indices(family):
-            tags.append("immured")
-        if tags:
-            note = f"block {family.block_name(block_index)} is {' and '.join(tags)}"
-    if not report.skipped(_guard_note(family.universe), *claims):
-        subfamily = family.without_block(block_index)
-        _record_without(report, claims, whole, 1 << block_index, subfamily, lattice, note)
+        tagged["reducible"] = reducible_block_indices(family)
+        tagged["immured"] = immured_block_indices(family)
+    deletions = []
+    for i in range(family.m):
+        name = family.block_name(i)
+        tags = [tag for tag, indices in tagged.items() if i in indices]
+        note = f"block {name} is {' and '.join(tags)}" if tags else None
+        named = tuple(f"{claim}[{name}]" for claim in claims)
+        deletions.append((named, 1 << i, family.without_block(i), note))
+    _record_without(report, whole, lattice, deletions)
     return report
 
 
@@ -289,17 +289,15 @@ def check_reduct_exclusion_containments(
     """Reducts and exclusions only shrink the structures of the original."""
     report = RelationReport()
     covering = whole.family
-    guard_note = _guard_note(covering.universe)
+    deletions = []
     for mode, reduce in (("reduct", reduct), ("exclusion", exclusion)):
+        reduced = reduce(covering)
+        # a covering has no duplicate blocks, so masks name the deleted ones
+        kept = {block.mask for block in reduced.blocks}
+        deleted = sum(1 << j for j, b in enumerate(covering.blocks) if b.mask not in kept)
         claims = (f"{mode}-independents-within-original", f"{mode}-flats-within-original")
-        if not report.skipped(guard_note, *claims):
-            reduced = reduce(covering)
-            # a covering has no duplicate blocks, so masks name the deleted ones
-            kept = {block.mask for block in reduced.blocks}
-            deleted = sum(
-                1 << j for j, block in enumerate(covering.blocks) if block.mask not in kept
-            )
-            _record_without(report, claims, whole, deleted, reduced, lattice)
+        deletions.append((claims, deleted, reduced, None))
+    _record_without(report, whole, lattice, deletions)
     return report
 
 
@@ -382,12 +380,9 @@ def full_relation_report(
     lattice: FlatLattice | None,
 ) -> RelationReport:
     """Everything: containments, per-block deletion, reducts, preservation."""
-    covering = table.covering
     report = check_containments(table, verdicts, transversal, lattice)
-    if covering.m > 1:
-        for i in range(covering.m):
-            for record in check_deletion_monotonicity(transversal, i, lattice).records:
-                report.add(replace(record, claim=f"{record.claim}[{covering.block_name(i)}]"))
+    if table.covering.m > 1:
+        report.extend(check_deletion_monotonicity(transversal, lattice))
     report.extend(check_reduct_exclusion_containments(transversal, lattice))
     report.extend(check_reduction_preservation(table, verdicts))
     return report

@@ -22,8 +22,8 @@ no per-cover augmenting path, list copy or closure.
 
 Deleting a set D of blocks turns a maximum matching of X into one of X in
 M \\ D after one augmenting path from each element that lost its block.
-``rank_and_closure_without`` keeps one matching of X and derives the rank
-and the closure of X in every M \\ D from it.
+``ranks_and_closures_without`` finds one matching of X and derives the rank
+and the closure of X in each given M \\ D from it.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ ENUMERATION_GUARD = 20
 class TransversalMatroid:
     """Independence / rank / closure oracle for the matroid of a family.
 
-    The rank cache and the matchings kept by ``rank_and_closure_without``
-    are optimizations only; results are identical with them removed, and
-    concurrent queries are safe because cache fills are idempotent.
+    The rank cache is an optimization only; results are identical with it
+    removed.
     """
 
     def __init__(self, family: SetFamily):
@@ -56,7 +55,6 @@ class TransversalMatroid:
         self._blocks_of: tuple[int, ...] = tuple(blocks_of)
         self._block_masks: tuple[int, ...] = tuple(block.mask for block in family.blocks)
         self._rank_cache: dict[int, int] = {}
-        self._matchings: dict[int, tuple[list[int], list[int], list[int]]] = {}
 
     def _check(self, x: ElementSet) -> None:
         if x.universe != self.universe:
@@ -124,16 +122,9 @@ class TransversalMatroid:
         path runs e, b1, M(b1), b2, ..., bk with bk unmatched, which says
         exactly that e lies in the reached block b1 (Edmonds 1965).  Each
         reached block is entered once, so after the matching the search is
-        O(n + m) bitmask steps.
+        O(n + m) bitmask steps.  It is the closure in M less no blocks.
         """
-        self._check(x)
-        block_to, element_to = self._maximum_matching(x.mask)
-        unmatched = 0
-        for block, block_mask in enumerate(self._block_masks):
-            if block_to[block] < 0:
-                unmatched |= block_mask
-        reached, _ = self._reach(x.mask, element_to, unmatched)
-        return ElementSet(self.universe, x.mask | self.universe.full_mask & ~reached)
+        return self.ranks_and_closures_without(x, [0])[0][1]
 
     def covers_of(self, flat: ElementSet) -> list[int]:
         """The masks of the flats that cover a closed flat F, from one
@@ -236,12 +227,14 @@ class TransversalMatroid:
             covers.append(mask | low)
         return covers
 
-    def rank_and_closure_without(self, x: ElementSet, deleted: int) -> tuple[int, ElementSet]:
+    def ranks_and_closures_without(
+        self, x: ElementSet, deletions: list[int]
+    ) -> list[tuple[int, ElementSet]]:
         """The rank and the closure of x in M \\ D, the transversal matroid of
-        the family less the blocks in the bitmask deleted (D).
+        the family less the blocks in D, for each bitmask D in deletions.
 
-        One maximum matching of x in M is found per x and kept, so every D
-        shares it.  Unmatching D's blocks leaves a matching of x in M \\ D;
+        One maximum matching of x in M is found, and every D starts from a
+        copy of it.  Unmatching D's blocks leaves a matching of x in M \\ D;
         one augmenting path through blocks outside D is then sought from each
         element that lost its block, and closure's backward search starts
         from the unmatched blocks outside D.
@@ -260,36 +253,36 @@ class TransversalMatroid:
         """
         self._check(x)
         block_masks = self._block_masks
-        if not 0 <= deleted < 1 << len(block_masks):
-            raise ValidationError(f"deleted-block mask {deleted:#x} names no block of the family")
         mask = x.mask
-        matching = self._matchings.get(mask)
-        if matching is None:
-            block_to, element_to = self._maximum_matching(mask)
-            free = [block for block, element in enumerate(block_to) if element < 0]
-            matching = self._matchings[mask] = (block_to, element_to, free)
-        block_to, element_to, free = matching
-        block_to, element_to = block_to[:], element_to[:]
-        rank = len(block_to) - len(free)
-        freed = []
-        for block in bits_of(deleted):
-            element = block_to[block]
-            if element >= 0:
-                block_to[block] = element_to[element] = -1
-                freed.append(element)
-        ends = deleted
-        for element in freed:
-            end = self._augment(element, block_to, element_to, deleted)
-            if end < 0:
-                rank -= 1
-            else:
-                ends |= 1 << end
-        unmatched = 0
-        for block in free:
-            if not ends >> block & 1:
-                unmatched |= block_masks[block]
-        reached, _ = self._reach(mask, element_to, unmatched)
-        return rank, ElementSet(self.universe, mask | self.universe.full_mask & ~reached)
+        m_block_to, m_element_to = self._maximum_matching(mask)
+        free = [block for block, element in enumerate(m_block_to) if element < 0]
+        results = []
+        for deleted in deletions:
+            if not 0 <= deleted < 1 << len(block_masks):
+                raise ValidationError(f"deleted-block mask {deleted:#x} names no block")
+            block_to, element_to = m_block_to[:], m_element_to[:]
+            rank = len(block_to) - len(free)
+            freed = []
+            for block in bits_of(deleted):
+                element = block_to[block]
+                if element >= 0:
+                    block_to[block] = element_to[element] = -1
+                    freed.append(element)
+            ends = deleted
+            for element in freed:
+                end = self._augment(element, block_to, element_to, deleted)
+                if end < 0:
+                    rank -= 1
+                else:
+                    ends |= 1 << end
+            unmatched = 0
+            for block in free:
+                if not ends >> block & 1:
+                    unmatched |= block_masks[block]
+            reached, _ = self._reach(mask, element_to, unmatched)
+            closure = ElementSet(self.universe, mask | self.universe.full_mask & ~reached)
+            results.append((rank, closure))
+        return results
 
     def _reach(self, mask: int, element_to: list[int], reached: int) -> tuple[int, list[int]]:
         """Closure's backward search, from the element -> block list of a

@@ -40,11 +40,12 @@ from .lattice import (
     modular_pairs_by_rank,
 )
 from .oracle import BruteForce, brute_operator_axioms
-from .relations import ENUM_GUARD_N, full_relation_report
+from .relations import full_relation_report
 from .transversal import TransversalMatroid, ab_decomposition
 from .universe import Covering, ElementSet, SetFamily, Universe, as_partition, is_partition
 
 ALL_OPERATORS = (UpperOperator.SH, UpperOperator.XH, UpperOperator.VH)
+SWEEP_GUARD_N = 14
 FLAT_BOUND_ROW = "flat bound criterion matches independence"
 
 
@@ -62,9 +63,9 @@ class CheckResult:
 
 def _refuse_over_sweep_guard(name: str, universe: Universe) -> None:
     """Universes over the enumeration guard are refused before any 2^n sweep."""
-    if universe.n > ENUM_GUARD_N:
+    if universe.n > SWEEP_GUARD_N:
         raise GuardExceeded(
-            f"{name}: universe size {universe.n} exceeds enumeration guard {ENUM_GUARD_N}"
+            f"{name}: universe size {universe.n} exceeds enumeration guard {SWEEP_GUARD_N}"
         )
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from covlat import FlatLattice, SubmodularSystem, cli, parse_family
+from covlat import FlatLattice, SubmodularSystem, TransversalMatroid, cli, parse_family
 from covlat import lattice as lattice_module
 from covlat.cli import main
 from conftest import CHAIN_A, CHAIN_B, DOUBLED9, MIXED5, NESTED3
@@ -215,13 +215,8 @@ class TestCompare:
         data = json.loads(capsys.readouterr().out)
         assert any(c["claim"] == "xh-vh-operators-coincide" for c in data["claims"])
 
-    @pytest.mark.parametrize(
-        "name,transversal_lattices",
-        [("density_14.cov", 1), ("density_15.cov", 0), ("partition_20.cov", 0)],
-    )
-    def test_transversal_lattice_only_within_the_guard(
-        self, name, transversal_lattices, monkeypatch, capsys
-    ):
+    @pytest.mark.parametrize("name", ["density_14.cov", "density_15.cov", "partition_20.cov"])
+    def test_compare_enumerates_one_transversal_lattice(self, name, monkeypatch, capsys):
         # the golden snapshots of these inputs pin the report itself; the
         # relation checks read the one lattice cli enumerates and build none
         enumerated, constructed = [], []
@@ -235,15 +230,71 @@ class TestCompare:
             constructed.append(lattice)
             construct(lattice, *args)
 
+        monkeypatch.delenv("COVLAT_MAX_LATTICE_SIZE", raising=False)
         monkeypatch.setattr(cli, "enumerate_lattice", count_enumerations)
         monkeypatch.setattr(FlatLattice, "__init__", count_constructions)
         assert main(["compare", str(INPUTS / name)]) == 0
         out = capsys.readouterr().out
-        assert enumerated == ["TransversalMatroid"] * transversal_lattices
-        assert len(constructed) == transversal_lattices
-        if not transversal_lattices:
-            assert "exceeds enumeration guard 14" in out
-            assert all(line.startswith("SKIP ") for line in out.splitlines())
+        assert enumerated == ["TransversalMatroid"]
+        assert len(constructed) == 1
+        assert "guard" not in out and "FAIL" not in out
+
+    def test_claims_that_read_the_lattice_skip_over_the_lattice_guard(self, monkeypatch, capsys):
+        # 32 flats over a guard of 8: compare still exits 0, skips exactly
+        # the claims that read L with the guard's refusal, and decides the rest
+        monkeypatch.setenv("COVLAT_MAX_LATTICE_SIZE", "8")
+        assert main(["compare", str(INPUTS / "partition_20.cov")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        refusal = "flat lattice exceeds the guard of 8 flats (at least 9 exist)"
+        skipped = [line[5 : line.index(":")] for line in lines if line.endswith(refusal)]
+        deletions = [
+            f"deletion-shrinks-{kind}[K{i}]"
+            for i in range(1, 6)
+            for kind in ("independents", "flats")
+        ]
+        reductions = [
+            f"{mode}-{kind}-within-original"
+            for mode in ("reduct", "exclusion")
+            for kind in ("independents", "flats")
+        ]
+        assert skipped == [
+            "sh-independents-within-transversal",
+            "sh-flats-within-transversal-flats",
+            "partition-structures-coincide",
+            *deletions,
+            *reductions,
+        ]
+        assert [line[5:] for line in lines if line.startswith("PASS ")] == [
+            "indiscernible-neighborhoods-are-transversal-flats",
+            "xh-vh-operators-coincide",
+            "sh-independents-within-xh",
+            "sh-flats-within-xh-flats",
+        ]
+        assert lines[-3:] == [
+            "SKIP sh-closure-survives-immured-removal: covering has no immured block",
+            "SKIP xh-closure-survives-reducible-removal: covering has no reducible block",
+            "SKIP vh-closure-survives-reducible-removal: covering has no reducible block",
+        ]
+        assert len(lines) == len(skipped) + 4 + 3
+
+    def test_matches_each_flat_of_the_lattice_once_per_pass(self, monkeypatch, capsys):
+        # density_14.cov: 1,805 flats and 8 blocks.  The enumeration matches
+        # 1,806 times (each flat, and the top again for its rank); the
+        # deletion pass and the reduct/exclusion pass match each flat once.
+        # Matchings kept across the passes made it 3,611, and matching each
+        # flat again for each of the 10 deleted families 19,856
+        calls = []
+        match = TransversalMatroid._maximum_matching
+
+        def counted(matroid, mask):
+            calls.append(mask)
+            return match(matroid, mask)
+
+        monkeypatch.delenv("COVLAT_MAX_LATTICE_SIZE", raising=False)
+        monkeypatch.setattr(TransversalMatroid, "_maximum_matching", counted)
+        assert main(["compare", str(INPUTS / "density_14.cov")]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert len(calls) == 1_806 + 2 * 1_805 == 5_416
 
     def test_compare_reads_no_join_index_or_edge_set(self, monkeypatch, capsys):
         # the relation checks read flats and heights only, so the lattice
@@ -361,6 +412,54 @@ class TestVerify:
         assert captured.err == (
             "error: verify --random takes neither a covering file nor --round-trip\n"
         )
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["FILE", "--seed", "5"],
+            ["FILE", "--max-n", "2"],
+            ["FILE", "--max-m", "2"],
+            ["--seed", "5"],
+        ],
+        ids=["seed", "max-n", "max-m", "seed-without-file"],
+    )
+    def test_campaign_options_without_random_are_an_input_error(
+        self, extra, mixed5_file, capsys, monkeypatch
+    ):
+        # --seed, --max-n and --max-m shape the campaign alone: beside a file
+        # they would be silently ignored, so they are refused before any suite
+        def never(*args, **kwargs):
+            raise AssertionError("suite ran")
+
+        monkeypatch.setattr(cli, "verify_covering", never)
+        argv = [mixed5_file if arg == "FILE" else arg for arg in extra]
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: verify --seed, --max-n and --max-m need --random\n"
+
+    @pytest.mark.parametrize(
+        "options,expected",
+        [
+            ([], (0, 6, 6)),
+            (["--seed", "4", "--max-m", "3"], (4, 6, 3)),
+            (["--max-n", "5"], (0, 5, 6)),
+        ],
+    )
+    def test_campaign_defaults_apply_to_options_not_given(
+        self, options, expected, capsys, monkeypatch
+    ):
+        calls = []
+
+        def recorded(count, seed, max_n, max_m):
+            calls.append((count, seed, max_n, max_m))
+            return verify_random(1, seed, max_n, max_m)
+
+        verify_random = cli.verify_random
+        monkeypatch.setattr(cli, "verify_random", recorded)
+        assert main(["verify", "--random", "3", *options]) == 0
+        assert calls == [(3, *expected)]
+        assert capsys.readouterr().out.startswith("PASS random campaign")
 
     @pytest.mark.parametrize(
         "bound",

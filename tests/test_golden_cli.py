@@ -3,7 +3,7 @@
 Each case runs one of ``check``, ``compare`` and ``lattice`` in text or JSON
 format on one ``data/*.cov`` file, or ``compare`` on one of the larger
 coverings in ``tests/inputs/*.cov`` (n = 12, 14, 15 and 20; the last two lie
-over the relation checks' enumeration guard), and compares stdout, stderr and
+over the verify suites' 14-element sweep guard), and compares stdout, stderr and
 the exit code with ``tests/golden/<command>-<format>-<file>.json``.  The
 larger inputs stay out of ``data/``, which the benchmark reads.  Regenerate
 the snapshots (only when an output change is intended) with::

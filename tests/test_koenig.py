@@ -126,8 +126,9 @@ def test_block_deletions_match_koenig_on_every_flat(n):
     universe = family.universe
     sets = list(enumerate_lattice(matroid).flats)
     sets += [universe.set_from_mask(rng.getrandbits(n)) for _ in range(30)]
-    for deleted in deletions(family):
-        koenig = Koenig(family, deleted)
-        for x in sets:
-            rank, closure = matroid.rank_and_closure_without(x, deleted)
+    masks = deletions(family)
+    koenigs = [Koenig(family, deleted) for deleted in masks]
+    for x in sets:
+        derived = matroid.ranks_and_closures_without(x, masks)
+        for (rank, closure), koenig in zip(derived, koenigs, strict=True):
             assert (rank, closure.mask) == koenig.rank_and_closure(x.mask)

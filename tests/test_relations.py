@@ -16,7 +16,6 @@ from covlat import (
     TransversalMatroid,
     Universe,
     UpperOperator,
-    ValidationError,
     as_covering,
     check_containments,
     check_deletion_monotonicity,
@@ -51,9 +50,8 @@ def by_claim(report):
     return {r.claim: r for r in report.records}
 
 
-def deletion(family, block_index):
-    whole, lattice = transversal_and_lattice(family)
-    return check_deletion_monotonicity(whole, block_index, lattice)
+def deletion(family):
+    return check_deletion_monotonicity(*transversal_and_lattice(family))
 
 
 class TestContainments:
@@ -293,8 +291,12 @@ class TestDeletionMonotonicity:
         assert actual == expected_independents
         # the full family is free: every subset is independent
         assert all(matroid.is_independent(x) for x in subsets(u))
-        report = deletion(family3, 2)
-        assert all(r.holds for r in report.records if r.applicable)
+        report = deletion(family3)
+        assert [r.claim for r in report.records][4:] == [
+            "deletion-shrinks-independents[K3]",
+            "deletion-shrinks-flats[K3]",
+        ]
+        assert all(r.holds for r in report.records)
 
     def test_flat_containment_golden(self, family3):
         shrunk = TransversalMatroid(family3.without_block(2))
@@ -307,25 +309,23 @@ class TestDeletionMonotonicity:
 
     def test_duplicate_block_deletion(self):
         family = fam("universe: 1 2 3\nblock: 1 2\nblock: 1 2\nblock: 3")
-        report = deletion(family, 0)
-        assert all(r.holds for r in report.records if r.applicable)
+        report = deletion(family)
+        assert len(report.records) == 6
+        assert all(r.holds for r in report.records)
 
     def test_single_block_family_is_skipped(self):
         family = fam("universe: 1\nblock: 1")
-        report = deletion(family, 0)
-        assert all(not r.applicable for r in report.records)
+        report = deletion(family)
+        assert [(r.claim, r.applicable) for r in report.records] == [
+            ("deletion-shrinks-independents", False),
+            ("deletion-shrinks-flats", False),
+        ]
 
     def test_block_classification_noted(self, nested3):
-        report = deletion(nested3, 2)
-        notes = [r.note for r in report.records if r.note]
-        assert notes and "reducible" in notes[0]
-
-    @pytest.mark.parametrize("index", ["past-the-end", "negative"])
-    def test_a_block_index_outside_the_family_is_refused(self, mixed5, index):
-        whole, lattice = transversal_and_lattice(mixed5)
-        block_index = mixed5.m if index == "past-the-end" else -1
-        with pytest.raises(ValidationError, match=f"no block with index {block_index}$"):
-            check_deletion_monotonicity(whole, block_index, lattice)
+        report = deletion(nested3)
+        notes = {r.claim: r.note for r in report.records}
+        assert notes["deletion-shrinks-flats[K1]"] == "block K1 is immured"
+        assert notes["deletion-shrinks-flats[K3]"] == "block K3 is reducible"
 
     def test_another_lattice_fails_as_fresh_matroids_of_the_deleted_families_do(
         self, monkeypatch
@@ -334,14 +334,13 @@ class TestDeletionMonotonicity:
         # deletion, reduct and exclusion checks report what they report on
         # fresh matroids of the families the deletions leave
         def reports(whole, lattice):
-            records = []
-            for i in range(whole.family.m):
-                records += check_deletion_monotonicity(whole, i, lattice).records
+            records = check_deletion_monotonicity(whole, lattice).records
             return records + check_reduct_exclusion_containments(whole, lattice).records
 
-        def fresh(report, claims, whole, deleted, subfamily, lattice, note=None):
-            smaller = TransversalMatroid(subfamily)
-            relations._record_on_flats(report, claims, smaller, lattice, note)
+        def fresh(report, whole, lattice, deletions):
+            for claims, _, subfamily, note in deletions:
+                smaller = TransversalMatroid(subfamily)
+                relations._record_on_flats(report, claims, smaller, lattice, note)
 
         rng = random.Random(41)
         cases = failing = 0
@@ -374,10 +373,9 @@ class TestDeletionMonotonicity:
     def test_holds_for_every_block(self, family):
         if family.m < 2:
             return
-        whole, lattice = transversal_and_lattice(family)
-        for k in range(family.m):
-            report = check_deletion_monotonicity(whole, k, lattice)
-            assert report.failures() == []
+        report = deletion(family)
+        assert len(report.records) == 2 * family.m
+        assert report.failures() == []
 
 
 class TestReductExclusionContainments:
@@ -493,45 +491,44 @@ class TestFullReport:
         assert constructed == []
 
     def test_matches_each_flat_once_for_every_deleted_family(self, monkeypatch):
+        # the deletion check and the reduct/exclusion check each make one
+        # pass over L: one matching per flat serves every family they delete
         covering = cov((INPUTS / "density_14.cov").read_text())
         args = relation_inputs(covering)
         lattice = args[-1]
-        matched, deletions, reductions, built = [], [], [], []
-        inside = [False]
+        matched: dict[str, Counter] = {}
+        current = [None]
         match = TransversalMatroid._maximum_matching
 
         def counted_match(matroid, mask):
-            if inside[0]:
-                matched.append(mask)
+            if current[0] is not None:
+                matched[current[0]][mask] += 1
             return match(matroid, mask)
 
-        def counted(check, calls):
+        def counted(name, check):
             def run(*args):
-                calls.append(args)
-                inside[0] = True
+                assert name not in matched
+                matched[name] = Counter()
+                current[0] = name
                 try:
                     return check(*args)
                 finally:
-                    inside[0] = False
+                    current[0] = None
 
             return run
 
+        checks = ("check_deletion_monotonicity", "check_reduct_exclusion_containments")
         monkeypatch.setattr(TransversalMatroid, "_maximum_matching", counted_match)
-        for name, calls in (
-            ("check_deletion_monotonicity", deletions),
-            ("check_reduct_exclusion_containments", reductions),
-        ):
-            monkeypatch.setattr(relations, name, counted(getattr(relations, name), calls))
+        for name in checks:
+            monkeypatch.setattr(relations, name, counted(name, getattr(relations, name)))
+        built = []
         monkeypatch.setattr(relations, "TransversalMatroid", built.append)
         report = full_relation_report(*args)
         assert report.failures() == []
-        assert [block_index for _, block_index, _ in deletions] == list(range(covering.m))
-        assert len(reductions) == 1
+        assert sum("deletion-shrinks" in r.claim for r in report.records) == 2 * covering.m
         assert built == []
-        # m deletions, the reduct and the exclusion share one matching per flat
-        counts = Counter(matched)
-        assert set(counts) <= {flat.mask for flat in lattice.flats}
-        assert max(counts.values()) == 1
+        once = Counter(flat.mask for flat in lattice.flats)
+        assert matched == {name: once for name in checks}
 
     def test_mixed5_clean(self, mixed5):
         report = full_relation_report(*relation_inputs(mixed5))

@@ -141,8 +141,8 @@ class TestClosure:
 
 
 class TestRankAndClosureWithout:
-    """The rank and the closure derived from the one kept matching of x in M
-    equal a fresh matroid's of the family less the deleted blocks."""
+    """The ranks and the closures derived from one matching of x in M equal
+    a fresh matroid's of the family less each set of deleted blocks."""
 
     @staticmethod
     def _families(rng: random.Random, n: int) -> tuple[SetFamily, ...]:
@@ -181,30 +181,35 @@ class TestRankAndClosureWithout:
             universe = family.universe
             sets = list(enumerate_lattice(matroid).flats)
             sets += [universe.set_from_mask(rng.randrange(1 << n)) for _ in range(20)]
-            for deleted in self._deletions(rng, family):
+            deletions = self._deletions(rng, family)
+            fresh, loops = [], []
+            for deleted in deletions:
                 kept = [b for j, b in enumerate(family.blocks) if not deleted >> j & 1]
-                fresh = TransversalMatroid(SetFamily(universe, kept))
-                loops = universe.full_mask
+                fresh.append(TransversalMatroid(SetFamily(universe, kept)))
+                loops.append(universe.full_mask)
                 for block in kept:
-                    loops &= ~block.mask
-                loops_seen |= loops
-                for x in sets:
-                    rank, closure = matroid.rank_and_closure_without(x, deleted)
-                    assert (rank, closure) == (fresh.rank(x), fresh.closure(x))
-                    assert closure.mask & loops == loops
+                    loops[-1] &= ~block.mask
+                loops_seen |= loops[-1]
+            for x in sets:
+                derived = matroid.ranks_and_closures_without(x, deletions)
+                assert len(derived) == len(deletions)
+                for (rank, closure), other, lost in zip(derived, fresh, loops):
+                    assert (rank, closure) == (other.rank(x), other.closure(x))
+                    assert closure.mask & lost == lost
         # deleting block 0 of the plain family leaves element 0 in no block
         assert loops_seen & 1 or n == 1
 
     def test_deleting_nothing_is_the_matroid_itself(self, doubled9):
         matroid = TransversalMatroid(doubled9)
         for flat in enumerate_lattice(matroid).flats:
-            assert matroid.rank_and_closure_without(flat, 0) == (matroid.rank(flat), flat)
+            assert matroid.ranks_and_closures_without(flat, [0]) == [(matroid.rank(flat), flat)]
+            assert matroid.ranks_and_closures_without(flat, []) == []
 
     @pytest.mark.parametrize("deleted", [-1, 1 << 4, 1 << 64])
     def test_a_block_outside_the_family_is_refused(self, doubled9, deleted):
         matroid = TransversalMatroid(doubled9)
         with pytest.raises(ValidationError, match="names no block"):
-            matroid.rank_and_closure_without(doubled9.universe.empty(), deleted)
+            matroid.ranks_and_closures_without(doubled9.universe.empty(), [0, deleted])
 
 
 class TestEnumeration:

@@ -3,11 +3,15 @@ verify.
 
 Exit codes are a stable contract: 0 on success, 1 when a claim, criterion or
 guard fails, 2 on input errors.
+
+``main(argv)`` may be called many times in one process: it builds its parser
+once and dispatches to the module attribute ``cmd_<command>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -61,6 +65,8 @@ def _fmt_sets(sets) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.max_lattice_size is not None:
+        _positive_guard("max_flats", args.max_lattice_size)
     covering = _read_covering(args.file)
     table = NeighborhoodTable.build(covering)
     universe = covering.universe
@@ -339,6 +345,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covlat",
@@ -354,38 +361,32 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.add_argument("--skip-lattice", action="store_true")
     p.add_argument("--max-lattice-size", type=int, default=None)
-    p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("matroid", help="matroid statistics")
     p.add_argument("file")
     p.add_argument("--kind", choices=("transversal", "sh", "xh", "vh"), default="transversal")
     p.add_argument("--guard", type=int, default=20, help="enumeration guard on |E|")
     add_format(p)
-    p.set_defaults(handler=cmd_matroid)
 
     p = sub.add_parser("lattice", help="flat lattice as text, JSON or DOT")
     p.add_argument("file")
     p.add_argument("--kind", choices=("transversal", "sh", "xh", "vh"), default="transversal")
     p.add_argument("--max-lattice-size", type=int, default=None)
     add_format(p, choices=("text", "json", "dot"))
-    p.set_defaults(handler=cmd_lattice)
 
     p = sub.add_parser("closure", help="apply an upper approximation operator")
     p.add_argument("file")
     p.add_argument("--operator", choices=("sh", "xh", "vh"), required=True)
     p.add_argument("--set", required=True, help="whitespace-separated element labels")
-    p.set_defaults(handler=cmd_closure)
 
     p = sub.add_parser("compare", help="structure relationship report")
     p.add_argument("file")
     add_format(p)
-    p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("reduce", help="write the reduct or exclusion of a covering")
     p.add_argument("file")
     p.add_argument("--mode", choices=("reduct", "exclusion"), required=True)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(handler=cmd_reduce)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("file", nargs="?", default=None)
@@ -394,16 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="with --random (default 0)")
     p.add_argument("--max-n", type=int, help="with --random (default 6)")
     p.add_argument("--max-m", type=int, help="with --random (default 6)")
-    p.set_defaults(handler=cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # looked up at call time, so a replaced module attribute is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

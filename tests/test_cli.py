@@ -175,11 +175,13 @@ class TestLattice:
     def test_guard_exceeded_exits_one(self, mixed5_file, capsys):
         assert main(["lattice", mixed5_file, "--max-lattice-size", "3"]) == 1
         assert "3" in capsys.readouterr().err
-        # a guard below one flat is an input error, as it is from the environment
-        for command in ("lattice", "check"):
+        # a guard below one flat is an input error, as it is from the environment,
+        # also where check skips the lattice
+        for command in (["lattice"], ["check"], ["check", "--skip-lattice"]):
             for value in ("0", "-3"):
-                assert main([command, mixed5_file, "--max-lattice-size", value]) == 2
+                assert main([*command, mixed5_file, "--max-lattice-size", value]) == 2
                 captured = capsys.readouterr()
+                assert captured.out == ""
                 assert "max_flats must be a positive integer" in captured.err
 
     def test_env_var_guard(self, mixed5_file, capsys, monkeypatch):
@@ -476,6 +478,62 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "campaign bounds must be at least 1" in captured.err
+
+
+class TestOneParser:
+    """main(argv) is called many times in one process by the tests and the
+    benchmark: it builds one parser and dispatches by command name."""
+
+    MIXED = str(DATA / "mixed_pairs.cov")
+
+    def test_the_parser_is_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for argv in (
+            ["check", self.MIXED],
+            ["compare", self.MIXED],
+            ["matroid", self.MIXED, "--kind", "sh"],
+            ["lattice", self.MIXED, "--format", "json"],
+            ["check", self.MIXED, "--format", "json"],
+        ):
+            assert main(argv) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+    def test_defaults_do_not_leak_between_calls(self, capsys):
+        assert main(["check", self.MIXED, "--format", "json"]) == 0
+        json.loads(capsys.readouterr().out)
+        assert main(["check", self.MIXED]) == 0
+        assert capsys.readouterr().out.startswith("universe (")
+        assert main(["check", self.MIXED, "--skip-lattice"]) == 0
+        assert "lattice: skipped" in capsys.readouterr().out
+        assert main(["check", self.MIXED]) == 0
+        out = capsys.readouterr().out
+        assert "lattice: skipped" not in out
+        assert re.search(r"^lattice: \d+ flats, rank \d+, \d+ atoms$", out, re.M)
+
+    def test_help_exits_zero_and_later_calls_still_work(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0
+        assert "--skip-lattice" in capsys.readouterr().out
+        assert main(["check", self.MIXED, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["m"] > 0
+
+    def test_dispatch_reads_the_module_attribute_at_call_time(self, monkeypatch, capsys):
+        # the benchmark tracer replaces cli.cmd_check and cli.cmd_compare
+        # after import; the replacement must be the handler that runs
+        assert main(["compare", self.MIXED]) == 0
+        capsys.readouterr()
+        calls = []
+
+        def replaced(args):
+            calls.append((args.command, args.file))
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_compare", replaced)
+        assert main(["compare", self.MIXED]) == 0
+        assert calls == [("compare", self.MIXED)]
+        assert capsys.readouterr().out == ""
 
 
 def test_data_files_parse():

@@ -6,7 +6,9 @@ The covering is `density_covering(random.Random(0), n, m)` from
 bench/workloads.py, the generator the benchmark uses.  The last line of
 output is one JSON object with the flats, the Hasse edges, the CPU seconds
 of the enumeration and the process's maximum resident set size in MB.
-Exits 2 if the lattice exceeds the --max-flats guard.
+Exits 2 if the lattice exceeds the --max-flats guard, and 2 with
+`error: ...` on stderr if --n is outside 1..64 or --max-flats is below 1,
+as `scripts/run_verification.py` does on an invalid bound.
 """
 
 import argparse
@@ -22,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import density_covering  # noqa: E402
 
 from covlat import TransversalMatroid, enumerate_lattice  # noqa: E402
-from covlat.errors import GuardExceeded  # noqa: E402
+from covlat.errors import GuardExceeded, ValidationError  # noqa: E402
 
 
 def main() -> int:
@@ -32,10 +34,13 @@ def main() -> int:
     parser.add_argument("--max-flats", type=int, default=None, help="lattice size guard")
     args = parser.parse_args()
 
-    covering = density_covering(random.Random(0), args.n, args.m)
-    start = time.process_time()
     try:
+        covering = density_covering(random.Random(0), args.n, args.m)
+        start = time.process_time()
         lattice = enumerate_lattice(TransversalMatroid(covering), args.max_flats)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except GuardExceeded as exc:
         print(f"({args.n},{args.m}): {exc}", file=sys.stderr)
         return 2

@@ -322,15 +322,15 @@ class PartitionMatroid:
     def closure(self, x: ElementSet) -> ElementSet:
         return closure_from_rank(self, x)
 
-    def covers_of(self, flat: ElementSet) -> list[int]:
-        """The masks flat + c over the classes c outside a flat.  A set that
-        is not a union of classes is not closed, and is refused with
-        ``InternalConsistencyError``."""
+    def covers_of(self, flat: ElementSet) -> tuple[int, list[int]]:
+        """The rank of a flat and the masks flat + c over the classes c
+        outside it.  A set that is not a union of classes is not closed, and
+        is refused with ``InternalConsistencyError``."""
         self._check(flat)
         mask = flat.mask
         if any(cls.mask & mask and cls.mask & ~mask for cls in self.classes):
             raise InternalConsistencyError(f"{flat!r} is not closed: it splits a class")
-        return [mask | cls.mask for cls in self.classes if not cls.mask & mask]
+        return self.rank(flat), [mask | cls.mask for cls in self.classes if not cls.mask & mask]
 
     def base_count(self) -> int:
         """Bases pick one element per class, so the count is the product of

@@ -93,7 +93,7 @@ class LatticeInducedMatroid:
     def closure(self, x: ElementSet) -> ElementSet:
         return closure_from_rank(self, x)
 
-    def covers_of(self, flat: ElementSet) -> list[int]:
+    def covers_of(self, flat: ElementSet) -> tuple[int, list[int]]:
         return covers_by_closure(self, flat)
 
 

@@ -4,8 +4,9 @@
 generation instead of filtering all 2^n subsets, so it only pays for flats
 that exist.  The input is any object exposing ``universe``, ``rank``,
 ``closure`` and ``covers_of`` with matroid semantics; that contract is what
-makes cover generation correct.  An oracle with no faster way to list the
-covers of a flat uses ``covers_by_closure``, one closure per cover.
+makes cover generation correct.  ``covers_of`` returns a flat's rank with
+the masks of its covers.  An oracle with no faster way to list the covers
+of a flat uses ``covers_by_closure``, one closure per cover.
 
 A ``FlatLattice`` holds its Hasse diagram in compressed sparse row form: one
 array of row offsets and one array of upper ends, a sorted row per flat in
@@ -63,8 +64,8 @@ class MatroidOracle(Protocol):
 
     def closure(self, x: ElementSet) -> ElementSet: ...
 
-    def covers_of(self, flat: ElementSet) -> list[int]:
-        """The masks of the flats that cover a closed flat."""
+    def covers_of(self, flat: ElementSet) -> tuple[int, list[int]]:
+        """The rank of a closed flat and the masks of the flats that cover it."""
 
 
 def closure_from_rank(matroid: MatroidOracle, x: ElementSet) -> ElementSet:
@@ -77,8 +78,8 @@ def closure_from_rank(matroid: MatroidOracle, x: ElementSet) -> ElementSet:
     return ElementSet(matroid.universe, mask)
 
 
-def covers_by_closure(matroid: MatroidOracle, flat: ElementSet) -> list[int]:
-    """The masks of the covers of a flat F, one closure cl(F + e) per cover.
+def covers_by_closure(matroid: MatroidOracle, flat: ElementSet) -> tuple[int, list[int]]:
+    """The rank of a flat F and the masks of its covers, one closure cl(F + e) per cover.
 
     In a matroid every cl(F + e) with e outside F covers F, and the sets
     cover - F partition E - F (e lies in cl(F + e), and two covers meet only
@@ -93,7 +94,7 @@ def covers_by_closure(matroid: MatroidOracle, flat: ElementSet) -> list[int]:
         # low as well: a closure that missed it must not loop forever
         remaining &= ~(low | mask)
         covers.append(mask)
-    return covers
+    return matroid.rank(flat), covers
 
 
 def containment_index(n: int, sets: Sequence[ElementSet]) -> list[int]:
@@ -430,46 +431,46 @@ def lattice_guard_exceeded(limit: int) -> GuardExceeded:
 def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> FlatLattice:
     """Enumerate all flats of a matroid oracle by upward cover generation.
 
-    Each non-top flat F asks the oracle once for ``covers_of(F)``, the masks
-    of the flats that cover F (the closures cl(F + e), e outside F); only the
-    bottom flat goes through ``closure``.  A transversal oracle finds all of
-    them from one maximum matching of F and one post-dominator pass over its
-    blocks, a partition oracle adds each class outside F, and any other
-    oracle may close one extension per cover (``covers_by_closure``).  An
-    ``ElementSet`` is built only for a flat seen for the first time.  The
+    Each flat F asks the oracle once for ``covers_of(F)``: the rank of F and
+    the masks of the flats that cover F (the closures cl(F + e), e outside
+    F; none for the top).  Only the bottom flat goes through ``closure``,
+    and ``rank`` is never called.  A transversal oracle finds the rank and
+    the covers from one maximum matching of F and one post-dominator pass
+    over its blocks, a partition oracle adds each class outside F, and any
+    other oracle may close one extension per cover (``covers_by_closure``).
+    An ``ElementSet`` is built only for a flat seen for the first time.  The
     covers of each flat are collected as one row of two arrays and handed to
     ``FlatLattice`` as a ``HasseEdges`` view, so no edge tuple is built.
 
-    Heights are asserted equal to ranks; a mismatch means the oracle is not
-    a matroid and raises ``InternalConsistencyError``.  A transversal
-    oracle answers those rank calls from the size of the maximum matching
-    that ``covers_of`` found from the flat's own mask, so every flat below
-    the top is matched once, not twice.  A guard below one flat is refused
-    with ``ValidationError``, as it is from the environment.
+    Heights are asserted equal to the reported ranks; a mismatch means the
+    oracle is not a matroid and raises ``InternalConsistencyError``.  A
+    guard below one flat is refused with ``ValidationError``, as it is from
+    the environment.
     """
     limit = default_max_flats() if max_flats is None else _positive_guard("max_flats", max_flats)
     universe = matroid.universe
     bottom = matroid.closure(universe.empty())
     discovered: dict[int, int] = {bottom.mask: 0}
     order: list[ElementSet] = [bottom]
+    ranks = array("b")
     # the covers of each flat, one row per flat in discovery order
     offsets, uppers = array("l", [0]), array("l")
     # order doubles as the breadth-first queue: it grows while it is walked
     for flat in order:
-        if flat.mask != universe.full_mask:
-            for mask in matroid.covers_of(flat):
-                upper = discovered.get(mask)
-                if upper is None:
-                    if len(discovered) >= limit:
-                        raise lattice_guard_exceeded(limit)
-                    upper = discovered[mask] = len(order)
-                    order.append(ElementSet(universe, mask))
-                uppers.append(upper)
+        rank, covers = matroid.covers_of(flat)
+        ranks.append(rank)
+        for mask in covers:
+            upper = discovered.get(mask)
+            if upper is None:
+                if len(discovered) >= limit:
+                    raise lattice_guard_exceeded(limit)
+                upper = discovered[mask] = len(order)
+                order.append(ElementSet(universe, mask))
+            uppers.append(upper)
         offsets.append(len(uppers))
     del discovered  # as large as the lattice's own index: free it first
     lattice = FlatLattice(order, HasseEdges(offsets, uppers))
-    for flat, height in zip(lattice.flats, lattice.heights):
-        rank = matroid.rank(flat)
+    for flat, rank, height in zip(order, ranks, map(lattice.height_of, order)):
         if rank != height:
             raise InternalConsistencyError(
                 f"height {height} of {flat!r} disagrees with rank {rank}"

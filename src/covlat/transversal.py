@@ -12,13 +12,13 @@ it ends at an unmatched block.  One backward search from the unmatched
 blocks finds every block such a path can start at, so a closure costs one
 matching plus O(n + m) bitmask steps instead of n - |X| matchings.
 
-Lattice enumeration asks each flat F for its covers, and ``covers_of``
-finds them all from one maximum matching of F: the covers are the parallel
-classes of the contraction M/F, and two elements outside F are parallel
-there iff their alternating paths to F's unmatched blocks cannot be chosen
-vertex-disjoint.  One backward search from those blocks and one
-post-dominator computation over the blocks it reaches group the elements:
-no per-cover augmenting path, list copy or closure.
+Lattice enumeration asks each flat F for its rank and covers.  ``covers_of``
+finds both from one maximum matching of F: its size is the rank, and the
+covers are the parallel classes of the contraction M/F, where two elements
+outside F are parallel iff their alternating paths to F's unmatched blocks
+cannot be chosen vertex-disjoint.  One backward search from those blocks
+and one post-dominator computation over the blocks it reaches group the
+elements: no per-cover augmenting path, list copy or closure.
 
 Deleting a set D of blocks turns a maximum matching of X into one of X in
 M \\ D after one augmenting path from each element that lost its block.
@@ -40,10 +40,7 @@ ENUMERATION_GUARD = 20
 
 class TransversalMatroid:
     """Independence / rank / closure oracle for the matroid of a family.
-
-    The rank cache is an optimization only; results are identical with it
-    removed.
-    """
+    Nothing is kept between calls: each answer comes from a fresh matching."""
 
     def __init__(self, family: SetFamily):
         self.family = family
@@ -54,7 +51,6 @@ class TransversalMatroid:
                 blocks_of[e] |= 1 << j
         self._blocks_of: tuple[int, ...] = tuple(blocks_of)
         self._block_masks: tuple[int, ...] = tuple(block.mask for block in family.blocks)
-        self._rank_cache: dict[int, int] = {}
 
     def _check(self, x: ElementSet) -> None:
         if x.universe != self.universe:
@@ -63,12 +59,8 @@ class TransversalMatroid:
     def rank(self, x: ElementSet) -> int:
         """Maximum matching size between the members of x and their blocks."""
         self._check(x)
-        cached = self._rank_cache.get(x.mask)
-        if cached is None:
-            block_to, _ = self._maximum_matching(x.mask)
-            cached = len(block_to) - block_to.count(-1)
-            self._rank_cache[x.mask] = cached
-        return cached
+        block_to, _ = self._maximum_matching(x.mask)
+        return len(block_to) - block_to.count(-1)
 
     def is_independent(self, x: ElementSet) -> bool:
         return self.rank(x) == len(x)
@@ -126,9 +118,9 @@ class TransversalMatroid:
         """
         return self.ranks_and_closures_without(x, [0])[0][1]
 
-    def covers_of(self, flat: ElementSet) -> list[int]:
-        """The masks of the flats that cover a closed flat F, from one
-        maximum matching M of F, whose size is stored as the rank of F.
+    def covers_of(self, flat: ElementSet) -> tuple[int, list[int]]:
+        """The rank of a closed flat F and the masks of the flats that cover
+        it, from one maximum matching M of F, whose size is the rank.
 
         The covers of F are F plus each parallel class of M/F: e and f
         outside F lie in one cover iff r(F + e + f) = r(F) + 1.  Closure's
@@ -170,10 +162,10 @@ class TransversalMatroid:
         block_to, element_to = self._maximum_matching(mask)
         block_masks = self._block_masks
         free = [block for block, element in enumerate(block_to) if element < 0]
-        self._rank_cache[mask] = len(block_to) - len(free)
+        rank = len(block_to) - len(free)
         outside = self.universe.full_mask & ~mask
         if not outside:
-            return []
+            return rank, []
         unmatched = 0
         for block in free:
             unmatched |= block_masks[block]
@@ -186,7 +178,7 @@ class TransversalMatroid:
                 "leaves its rank unchanged"
             )
         if len(free) == 1:
-            return [self.universe.full_mask]
+            return rank, [self.universe.full_mask]
         roots = sum(1 << block for block in free)
         reached = roots | sum(1 << block for block in matched)
         # post[b]: the bitset of the blocks on every path from block b to t
@@ -225,7 +217,7 @@ class TransversalMatroid:
             low = alone & -alone
             alone ^= low
             covers.append(mask | low)
-        return covers
+        return rank, covers
 
     def ranks_and_closures_without(
         self, x: ElementSet, deletions: list[int]

@@ -99,8 +99,10 @@ def test_covers_of_every_flat_are_koenig_closed_one_rank_up_and_split_the_rest(n
     for flat in enumerate_lattice(matroid).flats:
         rank, closure = koenig.rank_and_closure(flat.mask)
         assert closure == flat.mask
+        reported, covers = matroid.covers_of(flat)
+        assert reported == rank
         added = 0
-        for cover in matroid.covers_of(flat):
+        for cover in covers:
             assert koenig.rank_and_closure(cover) == (rank + 1, cover)
             part = cover & ~flat.mask
             assert part and not part & added

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import tracemalloc
 from array import array
 from itertools import permutations
@@ -29,6 +30,7 @@ from covlat import (
     modular_pair_by_heights,
 )
 from covlat import lattice as lattice_module
+from covlat.bridge import LatticeInducedMatroid, SubmodularSystem
 from covlat.lattice import (
     HasseEdges,
     canonical_keys,
@@ -132,9 +134,10 @@ def test_partition_covers_add_one_class_each():
     matroid = _partition_matroid()
     universe = matroid.universe
     for flat in enumerate_lattice(matroid).flats:
-        covers = matroid.covers_of(flat)
+        rank, covers = matroid.covers_of(flat)
+        assert rank == matroid.rank(flat)
         assert covers == [flat.mask | c.mask for c in matroid.classes if not c.mask & flat.mask]
-        assert sorted(covers) == sorted(covers_by_closure(matroid, flat))
+        assert sorted(covers) == sorted(covers_by_closure(matroid, flat)[1])
     with pytest.raises(InternalConsistencyError, match="not closed"):
         matroid.covers_of(universe.subset(["a", "d"]))
 
@@ -149,9 +152,9 @@ def test_partition_covers_add_one_class_each():
     ids=["doubled9", "density10", "partition7"],
 )
 def test_enumeration_closes_once_per_hasse_edge(build):
-    # each non-top flat asks for its covers once, and only the bottom goes
-    # through closure: neither oracle closes an extension F + e to find the
-    # flats above F
+    # each flat, the top included, asks for its covers once, and only the
+    # bottom goes through closure: neither oracle closes an extension F + e
+    # to find the flats above F
     matroid = build()
     calls = {"closure": 0, "covers_of": 0}
     closure, covers_of = matroid.closure, matroid.covers_of
@@ -167,7 +170,7 @@ def test_enumeration_closes_once_per_hasse_edge(build):
     matroid.closure = counted_closure
     matroid.covers_of = counted_covers_of
     lattice = enumerate_lattice(matroid)
-    assert calls == {"closure": 1, "covers_of": len(lattice) - 1}
+    assert calls == {"closure": 1, "covers_of": len(lattice)}
     flats, edge_masks = closing_every_extension(build())
     assert {f.mask for f in lattice.flats} == flats
     assert {
@@ -201,7 +204,7 @@ def assert_covers_match_every_extension(matroid: TransversalMatroid) -> None:
     for lower, upper in edges:
         above[lower].add(upper)
     for flat in flats:
-        covers = matroid.covers_of(ElementSet(matroid.universe, flat))
+        _, covers = matroid.covers_of(ElementSet(matroid.universe, flat))
         assert len(covers) == len(set(covers))
         assert set(covers) == above[flat]
 
@@ -236,7 +239,8 @@ def test_covers_match_the_rank_and_oracle_closures(family):
     matroid = TransversalMatroid(family)
     oracle = BruteForce(family)
     for flat in enumerate_lattice(matroid).flats:
-        covers = matroid.covers_of(flat)
+        rank, covers = matroid.covers_of(flat)
+        assert rank == oracle.rank(flat)
         assert len(covers) == len(set(covers))
         assert set(covers) == covers_by_rank(matroid, flat) == covers_by_rank(oracle, flat)
 
@@ -259,7 +263,7 @@ def test_covers_of_any_set_report_not_closed_iff_it_is_not_closed(family, data):
         with pytest.raises(InternalConsistencyError, match="not closed"):
             matroid.covers_of(x)
     else:
-        assert set(matroid.covers_of(x)) == covers_by_rank(oracle, x)
+        assert set(matroid.covers_of(x)[1]) == covers_by_rank(oracle, x)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -278,7 +282,7 @@ def test_covers_of_random_sets_match_closures_or_report_not_closed(seed):
             with pytest.raises(InternalConsistencyError, match="not closed"):
                 matroid.covers_of(x)
         else:
-            assert set(matroid.covers_of(x)) == covers_by_rank(matroid, x)
+            assert set(matroid.covers_of(x)[1]) == covers_by_rank(matroid, x)
     assert 0 < not_closed < 60
 
 
@@ -294,13 +298,43 @@ def test_one_unmatched_block_gives_the_whole_universe_as_the_only_cover():
         block_to, _ = matroid._maximum_matching(flat.mask)
         if block_to.count(-1) == 1:
             seen += 1
-            assert matroid.covers_of(flat) == [universe.full_mask]
+            assert matroid.covers_of(flat) == (len(block_to) - 1, [universe.full_mask])
             assert covers_by_rank(matroid, flat) == {universe.full_mask}
     assert seen > 1
 
 
+def sizes_of(matroid) -> dict[str, int]:
+    return {key: sys.getsizeof(value) for key, value in vars(matroid).items()}
+
+
+@given(families(), coverings(max_n=5, max_m=4), partitions())
+def test_every_oracle_reports_its_rank_with_the_covers(family, covering, partition):
+    # covers_of(F) is (rank(F), covers) on every flat of all three oracles,
+    # the top's covers are empty, and the covers are covers_by_closure's;
+    # the transversal matroid keeps no state across any of its calls
+    transversal = TransversalMatroid(family)
+    state = sizes_of(transversal)
+    induced = LatticeInducedMatroid(
+        SubmodularSystem.from_flat_lattice(enumerate_lattice(TransversalMatroid(covering)))
+    )
+    by_classes = PartitionMatroid(partition.universe, partition.blocks)
+    for matroid in (transversal, induced, by_classes):
+        lattice = enumerate_lattice(matroid)
+        for flat in lattice.flats:
+            rank, covers = matroid.covers_of(flat)
+            assert rank == matroid.rank(flat) == lattice.height_of(flat)
+            closed_rank, closed = covers_by_closure(matroid, flat)
+            assert closed_rank == rank and set(covers) == set(closed)
+        assert matroid.covers_of(lattice.top)[1] == []
+    for x in family.universe.subsets():
+        transversal.rank(x)
+        transversal.closure(x)
+    assert sizes_of(transversal) == state
+
+
 class LyingRank:
-    """A transversal oracle whose rank is one too high on a single flat."""
+    """A transversal oracle whose rank is one too high on a single flat,
+    both from ``rank`` and in what ``covers_of`` reports."""
 
     def __init__(self, matroid: TransversalMatroid, liar: ElementSet):
         self.universe = matroid.universe
@@ -314,7 +348,8 @@ class LyingRank:
         return self.matroid.closure(x)
 
     def covers_of(self, flat):
-        return self.matroid.covers_of(flat)
+        rank, covers = self.matroid.covers_of(flat)
+        return rank + (flat.mask == self.liar.mask), covers
 
 
 @pytest.mark.parametrize("liar", [["1", "2"], ["1", "2", "3", "4", "5"]], ids=["middle", "top"])
@@ -326,29 +361,31 @@ def test_rank_check_catches_an_oracle_that_lies_on_one_flat(mixed5, liar):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_rank_check_reads_a_fresh_matching_of_each_flat(seed):
-    # the check reads one rank per flat; each equals the size of a maximum
-    # matching of that flat's own mask from a matroid that has seen nothing,
-    # and enumeration matches each flat once (the bottom twice: its closure
-    # and its covers)
+    # the check reads the rank that covers_of reports with each flat's
+    # covers; each equals the size of a maximum matching of that flat's own
+    # mask from a fresh matroid, rank is never called, and enumeration
+    # matches each flat once (the bottom twice: its closure and its covers)
     rng = random.Random(seed)
     family = density_covering(rng, rng.randint(8, 14), rng.randint(4, 8))
     matroid = TransversalMatroid(family)
     read: dict[int, int] = {}
-    rank, maximum_matching = matroid.rank, matroid._maximum_matching
-    matchings = []
+    covers_of, maximum_matching = matroid.covers_of, matroid._maximum_matching
+    matchings, ranked = [], []
 
-    def recorded_rank(x):
-        read[x.mask] = rank(x)
-        return read[x.mask]
+    def recorded_covers_of(flat):
+        read[flat.mask], covers = covers_of(flat)
+        return read[flat.mask], covers
 
     def counted_matching(mask):
         matchings.append(mask)
         return maximum_matching(mask)
 
-    matroid.rank = recorded_rank
+    matroid.covers_of = recorded_covers_of
+    matroid.rank = ranked.append
     matroid._maximum_matching = counted_matching
     lattice = enumerate_lattice(matroid)
     assert set(read) == {flat.mask for flat in lattice.flats}
+    assert ranked == []
     fresh = TransversalMatroid(family)
     for flat, height in zip(lattice.flats, lattice.heights):
         block_to, _ = fresh._maximum_matching(flat.mask)

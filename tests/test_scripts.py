@@ -68,3 +68,19 @@ def test_ladder_refuses_a_lattice_over_the_guard():
     result = run_script("ladder.py", "--n", "10", "--m", "6", "--max-flats", "5")
     assert result.returncode == 2
     assert "exceeds the guard of 5 flats" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", "10", "--max-flats", "0"], "max_flats must be a positive integer"),
+        (["--n", "0"], "a universe needs at least one element"),
+        (["--n", "70"], "universe size 70 exceeds the cap of 64"),
+    ],
+    ids=["max-flats-0", "n-0", "n-70"],
+)
+def test_ladder_refuses_an_invalid_size_or_guard_as_an_input_error(args, message):
+    result = run_script("ladder.py", "--m", "6", *args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"

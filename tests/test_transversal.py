@@ -2,7 +2,6 @@ import random
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from covlat import (
     BruteForce,
@@ -331,11 +330,3 @@ class TestABDecomposition:
     def test_b_empty_iff_partition(self, covering):
         assert (not ab_decomposition(covering).b_part) == is_partition(covering)
 
-
-@given(families(max_n=5, max_m=4), st.integers())
-def test_rank_cache_is_transparent(family, seed):
-    cached = TransversalMatroid(family)
-    for x in subsets(family.universe):
-        fresh = TransversalMatroid(family)
-        assert cached.rank(x) == fresh.rank(x)
-        assert cached.rank(x) == fresh.rank(x)

@@ -33,6 +33,7 @@ from covlat.lattice import (
     modular_pairs_by_heights,
     modular_pairs_by_rank,
 )
+from covlat.oracle import BruteForce
 from covlat.relations import check_reduction_preservation
 from covlat.transversal import TransversalMatroid
 from covlat.universe import (
@@ -668,3 +669,28 @@ def test_round_trip_asks_induced_rank_once_per_covering_and_nothing_per_subset(
         matroid = TransversalMatroid(family)
         rows = verify.verify_round_trip(family, matroid, enumerate_lattice(matroid))
         assert all(r.passed for r in rows) and calls == expected
+
+
+def test_sweep_suites_rank_each_subset_once():
+    # the oracle-equivalence and round-trip suites each read one rank per
+    # subset of a 6-element covering, and no row asks the matroid again
+    family = parse_family(
+        "universe: 1 2 3 4 5 6\nblock: 1 2 3\nblock: 3 4\nblock: 4 5 6\nblock: 1 6\nblock: 2 5\n"
+    )
+    matroid = TransversalMatroid(family)
+    lattice = enumerate_lattice(matroid)
+    rank, asked = matroid.rank, []
+
+    def counted_rank(x):
+        asked.append(x.mask)
+        return rank(x)
+
+    matroid.rank = counted_rank
+    for suite in (
+        lambda: verify.verify_oracle_equivalence(family, BruteForce(family), matroid, lattice),
+        lambda: verify.verify_round_trip(family, matroid, lattice),
+    ):
+        asked.clear()
+        rows = suite()
+        assert rows and all(r.passed for r in rows)
+        assert sorted(asked) == list(range(1 << 6))

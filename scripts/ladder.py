@@ -7,8 +7,9 @@ bench/workloads.py, the generator the benchmark uses.  The last line of
 output is one JSON object with the flats, the Hasse edges, the CPU seconds
 of the enumeration and the process's maximum resident set size in MB.
 Exits 2 if the lattice exceeds the --max-flats guard, and 2 with
-`error: ...` on stderr if --n is outside 1..64 or --max-flats is below 1,
-as `scripts/run_verification.py` does on an invalid bound.
+`error: ...` on stderr if --n is outside 1..64, --m is outside 1..2^n - 1
+(the covering's blocks are distinct and nonempty) or --max-flats is below
+1, as `scripts/run_verification.py` does on an invalid bound.
 """
 
 import argparse
@@ -23,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from workloads import density_covering  # noqa: E402
 
-from covlat import TransversalMatroid, enumerate_lattice  # noqa: E402
+from covlat import TransversalMatroid, Universe, enumerate_lattice  # noqa: E402
 from covlat.errors import GuardExceeded, ValidationError  # noqa: E402
 
 
@@ -35,6 +36,11 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
+        # the generator loops forever asking for more distinct nonempty
+        # blocks than the 2^n - 1 that exist
+        nonempty = Universe(str(i + 1) for i in range(args.n)).full_mask
+        if not 1 <= args.m <= nonempty:
+            raise ValidationError(f"--m must be between 1 and {nonempty} for {args.n} elements")
         covering = density_covering(random.Random(0), args.n, args.m)
         start = time.process_time()
         lattice = enumerate_lattice(TransversalMatroid(covering), args.max_flats)

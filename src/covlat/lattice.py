@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -366,6 +367,14 @@ class FlatLattice:
         recomputed from inclusion, so a corrupted diagram is reported rather
         than silently graded.  All pairs then go through ``first_pair_violation``
         weighted by height, with joins from the containment index.
+
+        The atomistic step counts each flat's lower covers on the stored
+        edges, by then the covers of a graded, intersection-closed lattice.
+        Each element of a finite lattice is a join of join-irreducibles, the
+        flats with exactly one lower cover, so the lattice is atomistic iff
+        none of them has height >= 2.  The first in canonical order is also
+        the first flat that is no join of atoms: the flats below it come
+        before it, and two distinct lower covers join to the flat they share.
         """
         for lower, true_row in enumerate(self._true_covers()):
             row = self._hasse.row(lower).tolist()
@@ -386,13 +395,9 @@ class FlatLattice:
         violation = first_pair_violation(self.flats, self.heights, self._containment())
         if violation is not None:
             return GeometricityCheck(False, violation)
-        atom_masks = [a.mask for a in self.atoms()]
-        for flat in self.flats:
-            below = 0
-            for mask in atom_masks:
-                if mask & ~flat.mask == 0:
-                    below |= mask
-            if self._smallest_flat_over(below).mask != flat.mask:
+        lower_covers = Counter(self._hasse._uppers)
+        for k, flat in enumerate(self.flats):
+            if lower_covers[k] == 1 and self.heights[k] >= 2:
                 return GeometricityCheck(False, f"{flat!r} is not a join of atoms")
         return GeometricityCheck(True)
 
@@ -502,57 +507,49 @@ def modular_pair_by_heights(lattice: FlatLattice, x: ElementSet, y: ElementSet) 
     ) + lattice.height_of(y)
 
 
-def modular_pairs_by_rank(lattice: FlatLattice, matroid: MatroidOracle) -> list[int]:
-    """``is_modular_pair`` on every pair of flats, as one bitset row per
-    flat: bit j of row i is set iff flats i and j satisfy the rank identity.
-    The rows are symmetric and include the diagonal.
+def modular_pairs(lattice: FlatLattice, matroid: MatroidOracle) -> tuple[list[int], list[int]]:
+    """``is_modular_pair`` and ``modular_pair_by_heights`` on every pair of
+    flats in one pass, as two lists of bitset rows: (by rank, by heights).
+    Bit j of row i is set iff flats i and j satisfy the identity; the rows
+    are symmetric and include the diagonal.
 
-    The matroid ranks each flat once.  The rank of X u Y and of X n Y (for
-    i <= j) is that stored rank when the set is a flat, and a ``rank`` call
-    otherwise, so every value is the one ``is_modular_pair`` asks for.
+    Row i takes the flats over X once from the containment index.  The meet
+    is the position of X n Y; one that is no flat raises
+    ``InternalConsistencyError`` as ``meet`` does.  Once every meet is found
+    the flats are intersection-closed, so the join is the lowest flat over
+    Y - X (the top lies over every union).  The rank side never reads a
+    height: the matroid ranks each flat once, and each distinct union X u Y
+    that is no flat once per call.  The union is a flat iff it is the join's
+    mask: flats are distinct and in size order, so a flat that is a union
+    comes before every other flat over it, each a strict superset.
     """
-    universe, position, masks = lattice.universe, lattice._index, [f.mask for f in lattice.flats]
+    universe, position, heights = lattice.universe, lattice._index, lattice.heights
+    masks = [f.mask for f in lattice.flats]
     ranks = [matroid.rank(f) for f in lattice.flats]
-
-    def rank_of(mask: int) -> int:
-        k = position.get(mask)
-        return matroid.rank(ElementSet(universe, mask)) if k is None else ranks[k]
-
-    rows = [0] * len(masks)
-    for i, x in enumerate(masks):
-        for j in range(i, len(masks)):
-            if rank_of(x | masks[j]) + rank_of(x & masks[j]) == ranks[i] + ranks[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
-
-
-def modular_pairs_by_heights(lattice: FlatLattice) -> list[int]:
-    """``modular_pair_by_heights`` on every pair of flats, as one bitset row
-    per flat, symmetric and with the diagonal, like ``modular_pairs_by_rank``.
-
-    Row i takes the flats over X once from the containment index; the join
-    with Y is the lowest of them over Y - X, as in ``first_pair_violation``,
-    and the meet is the position of X n Y.  A meet that is not a flat raises
-    ``InternalConsistencyError`` as ``meet`` does.  The top lies over every
-    union, so a join always exists, and once every meet is found the flats
-    are intersection-closed, so the lowest flat over a union is the join.
-    """
-    masks, heights, position = [f.mask for f in lattice.flats], lattice.heights, lattice._index
     index = lattice._containment()
-    rows = [0] * len(masks)
+    union_ranks: dict[int, int] = {}
+    by_rank, by_heights = [0] * len(masks), [0] * len(masks)
     for i, x in enumerate(masks):
         above_x = positions_over(index, x, lattice._everything)
+        rank_x, height_x = ranks[i], heights[i]
         for j in range(i, len(masks)):
-            meet = position.get(x & masks[j])
+            y = masks[j]
+            meet = position.get(x & y)
             if meet is None:
                 raise InternalConsistencyError("intersection of flats is not a flat")
-            above = positions_over(index, masks[j] & ~x, above_x)
+            above = positions_over(index, y & ~x, above_x)
             join = (above & -above).bit_length() - 1
-            if heights[join] + heights[meet] == heights[i] + heights[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
+            union = x | y
+            rank_union = ranks[join] if masks[join] == union else union_ranks.get(union)
+            if rank_union is None:
+                rank_union = union_ranks[union] = matroid.rank(ElementSet(universe, union))
+            if rank_union + ranks[meet] == rank_x + ranks[j]:
+                by_rank[i] |= 1 << j
+                by_rank[j] |= 1 << i
+            if heights[join] + heights[meet] == height_x + heights[j]:
+                by_heights[i] |= 1 << j
+                by_heights[j] |= 1 << i
+    return by_rank, by_heights
 
 
 def modular_pair_by_definition(lattice: FlatLattice, a: ElementSet, b: ElementSet) -> bool:

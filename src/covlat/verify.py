@@ -36,8 +36,7 @@ from .lattice import (
     FlatLattice,
     MatroidOracle,
     enumerate_lattice,
-    modular_pairs_by_heights,
-    modular_pairs_by_rank,
+    modular_pairs,
 )
 from .oracle import BruteForce, brute_operator_axioms
 from .relations import full_relation_report
@@ -245,11 +244,11 @@ def verify_modularity(
 ) -> list[CheckResult]:
     """Atoms are modular elements and atom pairs are modular pairs, with the
     rank identity cross-checked against the height identity, all read from
-    each lattice's ``modular_pairs_by_rank`` and ``modular_pairs_by_heights``
-    rows.  The rows are symmetric, so the first row with a bit set in a tested
-    mask has none below its own position: that bit is the first pair (i, j >= i).
-    Targets that share a (matroid, lattice) pair are decided once, and each
-    gets its own labelled rows."""
+    the two tables one ``modular_pairs`` pass builds per lattice.  The rows
+    are symmetric, so the first row with a bit set in a tested mask has none
+    below its own position: that bit is the first pair (i, j >= i).  Targets
+    that share a (matroid, lattice) pair are decided once, with one pass,
+    and each gets its own labelled rows."""
     results = []
     targets: list[tuple[str, MatroidOracle, FlatLattice]] = [("transversal", matroid, lattice)]
     targets += [(kind.value, m, lat) for kind, (m, lat) in induced.items()]
@@ -257,8 +256,8 @@ def verify_modularity(
     for label, m, lat in targets:
         key = id(m), id(lat)
         if key not in decided:
-            flats, by_rank = lat.flats, modular_pairs_by_rank(lat, m)
-            differ = map(int.__xor__, by_rank, modular_pairs_by_heights(lat))
+            flats, (by_rank, by_heights) = lat.flats, modular_pairs(lat, m)
+            differ = map(int.__xor__, by_rank, by_heights)
             atoms = [k for k, height in enumerate(lat.heights) if height == 1]
             atom_bits, everything = sum(1 << k for k in atoms), (1 << len(flats)) - 1
             crossed = _lowest_pairs(flats, count(), differ)

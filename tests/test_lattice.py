@@ -31,13 +31,14 @@ from covlat import (
 )
 from covlat import lattice as lattice_module
 from covlat.bridge import LatticeInducedMatroid, SubmodularSystem
+from covlat.generators import random_family
 from covlat.lattice import (
+    GeometricityCheck,
     HasseEdges,
     canonical_keys,
     closure_from_rank,
     covers_by_closure,
-    modular_pairs_by_heights,
-    modular_pairs_by_rank,
+    modular_pairs,
 )
 from conftest import DOUBLED9, MIXED5, cov, density_covering
 from strategies import coverings, families, partitions, universes
@@ -635,6 +636,51 @@ class TestGeometricity:
         check = enumerate_lattice(TransversalMatroid(family)).is_geometric()
         assert check.ok, check.violation
 
+    def test_a_chain_of_two_is_not_atomistic(self):
+        # {a b} has the one lower cover {a}, so no join of atoms reaches it
+        universe = Universe(("a", "b"))
+        flats = [universe.subset(f.split()) for f in ("", "a", "a b")]
+        check = FlatLattice(flats, [(0, 1), (1, 2)]).is_geometric()
+        assert check == GeometricityCheck(False, "{a b} is not a join of atoms")
+
+    def test_the_lower_cover_count_matches_joining_the_atoms_below_each_flat(self):
+        """Transversal lattices with random middle flats dropped, and their
+        Hasse edges recomputed from inclusion: where the checks before the
+        atomistic step pass, the verdict equals the one from joining the
+        atoms below every flat in canonical order."""
+
+        def by_atom_joins(lattice):
+            atoms = [a.mask for a in lattice.atoms()]
+            for flat in lattice.flats:
+                below = 0
+                for mask in atoms:
+                    if mask & ~flat.mask == 0:
+                        below |= mask
+                if lattice._smallest_flat_over(below) != flat:
+                    return GeometricityCheck(False, f"{flat!r} is not a join of atoms")
+            return GeometricityCheck(True)
+
+        outcomes = {"geometric": 0, "not atomistic": 0, "earlier step": 0}
+        for seed in range(1000):
+            rng = random.Random(seed)
+            flats = enumerate_lattice(TransversalMatroid(random_family(rng, 6, 6))).flats
+            drop = rng.choice([0.1, 0.25, 0.5])
+            kept = [flats[0], *(f for f in flats[1:-1] if rng.random() >= drop), flats[-1]]
+            edges = [
+                (i, j)
+                for i, x in enumerate(kept)
+                for j, y in enumerate(kept)
+                if x < y and not any(x < z < y for z in kept)
+            ]
+            lattice = FlatLattice(kept, edges)
+            check = lattice.is_geometric()
+            if check.ok or check.violation.endswith(" is not a join of atoms"):
+                assert check == by_atom_joins(lattice)
+                outcomes["geometric" if check.ok else "not atomistic"] += 1
+            else:
+                outcomes["earlier step"] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
 
 class TestModularity:
     def test_atom_pair_is_modular(self, mixed5, mixed5_lattice):
@@ -682,8 +728,7 @@ class TestModularity:
     def test_rows_match_the_per_pair_identities(self, matroid):
         lattice = enumerate_lattice(matroid)
         flats = lattice.flats
-        by_rank = modular_pairs_by_rank(lattice, matroid)
-        by_heights = modular_pairs_by_heights(lattice)
+        by_rank, by_heights = modular_pairs(lattice, matroid)
         assert len(by_rank) == len(by_heights) == len(flats)
         for i, x in enumerate(flats):
             assert by_rank[i] >> len(flats) == by_heights[i] >> len(flats) == 0
@@ -697,10 +742,11 @@ class TestModularity:
         asked = []
         rank = matroid.rank
         matroid.rank = lambda x: asked.append(x.mask) or rank(x)
-        rows = modular_pairs_by_rank(lattice, matroid)
+        rows, _ = modular_pairs(lattice, matroid)
         masks = [f.mask for f in lattice.flats]
         unions = [x | masks[j] for i, x in enumerate(masks) for j in range(i, len(masks))]
-        assert asked == masks + [u for u in unions if u not in lattice._index]
+        # each distinct union that is no flat, in the order the pairs first give it
+        assert asked == masks + list(dict.fromkeys(u for u in unions if u not in lattice._index))
         # doubled9's lattice has pairs that are not modular (see above)
         assert any(row != (1 << len(masks)) - 1 for row in rows)
 
@@ -715,7 +761,7 @@ class TestModularity:
         with pytest.raises(InternalConsistencyError, match=missing):
             lattice.meet(flats[3], flats[4])
         with pytest.raises(InternalConsistencyError, match=missing):
-            modular_pairs_by_heights(lattice)
+            modular_pairs(lattice, TransversalMatroid(SetFamily(universe, flats[3:5])))
 
     @given(coverings(max_n=5))
     def test_three_modularity_routes_agree(self, covering):

@@ -76,8 +76,10 @@ def test_ladder_refuses_a_lattice_over_the_guard():
         (["--n", "10", "--max-flats", "0"], "max_flats must be a positive integer"),
         (["--n", "0"], "a universe needs at least one element"),
         (["--n", "70"], "universe size 70 exceeds the cap of 64"),
+        (["--n", "2", "--m", "4"], "--m must be between 1 and 3 for 2 elements"),
+        (["--n", "10", "--m", "0"], "--m must be between 1 and 1023 for 10 elements"),
     ],
-    ids=["max-flats-0", "n-0", "n-70"],
+    ids=["max-flats-0", "n-0", "n-70", "m-4-of-2", "m-0"],
 )
 def test_ladder_refuses_an_invalid_size_or_guard_as_an_input_error(args, message):
     result = run_script("ladder.py", "--m", "6", *args)

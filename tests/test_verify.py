@@ -30,8 +30,7 @@ from covlat.lattice import (
     is_modular_element,
     is_modular_pair,
     modular_pair_by_heights,
-    modular_pairs_by_heights,
-    modular_pairs_by_rank,
+    modular_pairs,
 )
 from covlat.oracle import BruteForce
 from covlat.relations import check_reduction_preservation
@@ -75,9 +74,9 @@ def test_checks_run_counts_every_suite_once():
 
 def counted_builds(monkeypatch) -> dict[str, list]:
     """Record the arguments of every lattice, verdict, table, transversal
-    matroid and height-table build that ``verify`` makes."""
+    matroid and modularity-table build that ``verify`` makes."""
     calls: dict[str, list] = {
-        name: [] for name in ("lattices", "verdicts", "tables", "families", "heights")
+        name: [] for name in ("lattices", "verdicts", "tables", "families", "modularity")
     }
 
     def counted(name, fn):
@@ -91,9 +90,7 @@ def counted_builds(monkeypatch) -> dict[str, list]:
     monkeypatch.setattr(
         verify, "closure_operator_verdict", counted("verdicts", verify.closure_operator_verdict)
     )
-    monkeypatch.setattr(
-        verify, "modular_pairs_by_heights", counted("heights", verify.modular_pairs_by_heights)
-    )
+    monkeypatch.setattr(verify, "modular_pairs", counted("modularity", verify.modular_pairs))
     build = NeighborhoodTable.build.__func__
     monkeypatch.setattr(NeighborhoodTable, "build", classmethod(counted("tables", build)))
     init = TransversalMatroid.__init__
@@ -110,8 +107,8 @@ def test_verify_covering_builds_each_structure_once(monkeypatch):
     built = calls["lattices"]
     assert len(built) == 2
     assert len({id(matroid) for (matroid,) in built}) == 2
-    # one height table per lattice
-    assert len(calls["heights"]) == 2
+    # one modularity pass per lattice
+    assert len(calls["modularity"]) == 2
     assert len(calls["verdicts"]) == 3
     # no block is reducible or immured, so no shrunk covering gets a table
     assert len(calls["tables"]) == 1
@@ -129,7 +126,7 @@ def test_verify_covering_builds_one_structure_per_distinct_partition(monkeypatch
     rows = verify.verify_covering(covering)
     # the transversal matroid, the sh matroid, and one matroid xh and vh share
     assert len(calls["lattices"]) == len({id(m) for (m,) in calls["lattices"]}) == 3
-    assert len(calls["heights"]) == 3
+    assert len(calls["modularity"]) == 3
     # every kind keeps its own induced-matroid and modularity rows
     for kind in ("sh", "xh", "vh"):
         names = [r.name for r in rows if r.name.startswith(kind)]
@@ -369,8 +366,8 @@ def per_kind_modularity(matroid, lattice, induced):
     targets = [("transversal", matroid, lattice)]
     targets += [(kind.value, m, lat) for kind, (m, lat) in induced.items()]
     for label, m, lat in targets:
-        flats, by_rank = lat.flats, modular_pairs_by_rank(lat, m)
-        differ = map(int.__xor__, by_rank, modular_pairs_by_heights(lat))
+        flats, (by_rank, by_heights) = lat.flats, modular_pairs(lat, m)
+        differ = map(int.__xor__, by_rank, by_heights)
         atoms = [k for k, height in enumerate(lat.heights) if height == 1]
         atom_bits, everything = sum(1 << k for k in atoms), (1 << len(flats)) - 1
         crossed = verify._lowest_pairs(flats, count(), differ)

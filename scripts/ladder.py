@@ -9,7 +9,7 @@ of the enumeration and the process's maximum resident set size in MB.
 Exits 2 if the lattice exceeds the --max-flats guard, and 2 with
 `error: ...` on stderr if --n is outside 1..64, --m is outside 1..2^n - 1
 (the covering's blocks are distinct and nonempty) or --max-flats is below
-1, as `scripts/run_verification.py` does on an invalid bound.
+1, as `covlat verify --random` does on an invalid bound.
 """
 
 import argparse

@@ -45,7 +45,7 @@ from .lattice import (
     modular_pair_by_definition,
     modular_pair_by_heights,
 )
-from .oracle import BruteForce, OracleBudget, brute_flats, brute_independent, brute_operator_axioms
+from .oracle import BruteForce, brute_independent, brute_operator_axioms
 from .reduction import (
     ReductionReport,
     exclusion,

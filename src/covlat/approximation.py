@@ -271,13 +271,6 @@ def closure_operator_verdict(table: NeighborhoodTable, kind: UpperOperator) -> C
     return ClosureVerdict(kind, False, None, _search_witness(table, kind))
 
 
-@dataclass(frozen=True)
-class PartitionMatroidStats:
-    base_count: int
-    rank: int
-    circuits: tuple[ElementSet, ...]
-
-
 class PartitionMatroid:
     """Matroid of a partition: independent sets meet each class at most once.
 
@@ -311,9 +304,6 @@ class PartitionMatroid:
         self._check(x)
         return all((x.mask & cls.mask).bit_count() <= 1 for cls in self.classes)
 
-    def is_dependent(self, x: ElementSet) -> bool:
-        return not self.is_independent(x)
-
     def rank(self, x: ElementSet) -> int:
         """Number of classes the set meets."""
         self._check(x)
@@ -344,9 +334,6 @@ class PartitionMatroid:
             for a, b in combinations(cls.indices(), 2):
                 found.append(ElementSet(self.universe, (1 << a) | (1 << b)))
         return tuple(sorted(found, key=ElementSet.sort_key))
-
-    def stats(self) -> PartitionMatroidStats:
-        return PartitionMatroidStats(self.base_count(), len(self.classes), self.circuits())
 
 
 def induced_partition_matroid(covering: Covering, kind: UpperOperator) -> PartitionMatroid:

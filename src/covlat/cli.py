@@ -28,7 +28,7 @@ from .errors import CovlatError, CriterionNotSatisfied, GuardExceeded, ParseErro
 from .lattice import _positive_guard, enumerate_lattice
 from .reduction import exclusion, reduct, reduction_report
 from .relations import full_relation_report
-from .transversal import TransversalMatroid, ab_decomposition
+from .transversal import ENUMERATION_GUARD, TransversalMatroid, ab_decomposition
 from .universe import Covering, SetFamily, as_covering, is_partition, parse_family
 from .verify import verify_covering, verify_family, verify_family_round_trip, verify_random
 
@@ -204,13 +204,12 @@ def cmd_matroid(args: argparse.Namespace) -> int:
     else:
         covering = as_covering(family)
         matroid = induced_partition_matroid(covering, UpperOperator(args.kind))
-        stats = matroid.stats()
         report = {
             "kind": args.kind,
             "classes": _set_list(matroid.classes),
-            "rank": stats.rank,
-            "base_count": stats.base_count,
-            "circuits": _set_list(stats.circuits),
+            "rank": len(matroid.classes),
+            "base_count": matroid.base_count(),
+            "circuits": _set_list(matroid.circuits()),
             "loops": [],
             "simple": all(len(c) == 1 for c in matroid.classes),
         }
@@ -307,7 +306,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     reduced = reduct(covering) if args.mode == "reduct" else exclusion(covering)
     text = reduced.serialize()
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.output}: {exc}") from None
     else:
         print(text, end="")
     return 0
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matroid", help="matroid statistics")
     p.add_argument("file")
     p.add_argument("--kind", choices=("transversal", "sh", "xh", "vh"), default="transversal")
-    p.add_argument("--guard", type=int, default=20, help="enumeration guard on |E|")
+    p.add_argument("--guard", type=int, default=ENUMERATION_GUARD, help="enumeration guard on |E|")
     add_format(p)
 
     p = sub.add_parser("lattice", help="flat lattice as text, JSON or DOT")

@@ -10,36 +10,24 @@ neighborhood tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .approximation import AxiomWitness, UpperOperator
 from .errors import GuardExceeded, ValidationError
 from .universe import Covering, ElementSet, SetFamily, bits_of
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_universe: int = 7
-    max_subsets: int = 1 << 12
+ORACLE_MAX_N = 7
 
 
-DEFAULT_BUDGET = OracleBudget()
-
-
-def _check_budget(family: SetFamily, budget: OracleBudget) -> None:
+def _check_budget(family: SetFamily) -> None:
     n = family.universe.n
-    if n > budget.max_universe or (1 << n) > budget.max_subsets:
+    if n > ORACLE_MAX_N:
         raise GuardExceeded(
-            f"universe size {n} exceeds the oracle budget "
-            f"(max {budget.max_universe} elements, {budget.max_subsets} subsets)"
+            f"universe size {n} exceeds the oracle budget of {ORACLE_MAX_N} elements"
         )
 
 
-def brute_independent(
-    family: SetFamily, x: ElementSet, budget: OracleBudget = DEFAULT_BUDGET
-) -> bool:
+def brute_independent(family: SetFamily, x: ElementSet) -> bool:
     """Search all injective assignments of members of x to containing blocks."""
-    _check_budget(family, budget)
+    _check_budget(family)
     if x.universe != family.universe:
         raise ValidationError("set lives on a different universe")
     members = x.indices()
@@ -64,15 +52,14 @@ def brute_independent(
 class BruteForce:
     """Tabulated oracle: every subset's independence, rank and closure."""
 
-    def __init__(self, family: SetFamily, budget: OracleBudget = DEFAULT_BUDGET):
-        _check_budget(family, budget)
-        self.family = family
+    def __init__(self, family: SetFamily):
+        _check_budget(family)
         self.universe = family.universe
         n = self.universe.n
         size = 1 << n
         indep = [False] * size
         for mask in range(size):
-            indep[mask] = brute_independent(family, ElementSet(self.universe, mask), budget)
+            indep[mask] = brute_independent(family, ElementSet(self.universe, mask))
         rank = [0] * size
         for mask in range(1, size):
             if indep[mask]:
@@ -103,12 +90,6 @@ class BruteForce:
             if self.closure(ElementSet(self.universe, mask)).mask == mask
         ]
         return tuple(sorted(found, key=ElementSet.sort_key))
-
-
-def brute_flats(
-    family: SetFamily, budget: OracleBudget = DEFAULT_BUDGET
-) -> tuple[ElementSet, ...]:
-    return BruteForce(family, budget).flats()
 
 
 def _operator_table(covering: Covering, kind: UpperOperator) -> list[int]:
@@ -144,10 +125,10 @@ def _operator_table(covering: Covering, kind: UpperOperator) -> list[int]:
 
 
 def brute_operator_axioms(
-    covering: Covering, kind: UpperOperator, budget: OracleBudget = DEFAULT_BUDGET
+    covering: Covering, kind: UpperOperator
 ) -> tuple[bool, AxiomWitness | None]:
     """Exhaustively test extensivity, monotonicity, idempotence and exchange."""
-    _check_budget(covering, budget)
+    _check_budget(covering)
     universe = covering.universe
     n = universe.n
     table = _operator_table(covering, kind)

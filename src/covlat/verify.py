@@ -41,7 +41,15 @@ from .lattice import (
 from .oracle import BruteForce, brute_operator_axioms
 from .relations import full_relation_report
 from .transversal import TransversalMatroid, ab_decomposition
-from .universe import Covering, ElementSet, SetFamily, Universe, as_partition, is_partition
+from .universe import (
+    MAX_UNIVERSE,
+    Covering,
+    ElementSet,
+    SetFamily,
+    Universe,
+    as_partition,
+    is_partition,
+)
 
 ALL_OPERATORS = (UpperOperator.SH, UpperOperator.XH, UpperOperator.VH)
 SWEEP_GUARD_N = 14
@@ -449,12 +457,15 @@ def verify_random(count: int, seed: int, max_n: int = 6, max_m: int = 6) -> Camp
 
     Any failing check is reported with the serialized instance so the run
     can be replayed.  An instance that trips a guard (typically the oracle
-    budget) is skipped and counted in ``CampaignResult.skipped``.
+    budget) is skipped and counted in ``CampaignResult.skipped``.  Bounds
+    below 1 or a ``max_n`` over the universe cap are refused before any draw.
     """
     if count < 1 or max_n < 1 or max_m < 1:
         raise ValidationError(
             f"campaign bounds must be at least 1: count={count}, max_n={max_n}, max_m={max_m}"
         )
+    if max_n > MAX_UNIVERSE:
+        raise ValidationError(f"campaign max_n={max_n} exceeds the universe cap of {MAX_UNIVERSE}")
     rng = random.Random(seed)
     checks_run = 0
     skipped = 0

@@ -7,6 +7,7 @@ import pytest
 from covlat import FlatLattice, SubmodularSystem, TransversalMatroid, cli, parse_family
 from covlat import lattice as lattice_module
 from covlat.cli import main
+from covlat.transversal import ENUMERATION_GUARD
 from conftest import CHAIN_A, CHAIN_B, DOUBLED9, MIXED5, NESTED3
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -117,6 +118,49 @@ class TestMatroid:
         assert stats["base_count"] == 6
         assert stats["rank"] == 2
 
+    @pytest.mark.parametrize(
+        "kind, classes, rank, base_count, circuits",
+        [
+            (
+                "sh",
+                [["4", "5"], ["1", "2", "3"]],
+                2,
+                6,
+                [["1", "2"], ["1", "3"], ["2", "3"], ["4", "5"]],
+            ),
+            ("xh", [["1"], ["2"], ["3"], ["4", "5"]], 4, 2, [["4", "5"]]),
+            ("vh", [["1"], ["2"], ["3"], ["4", "5"]], 4, 2, [["4", "5"]]),
+        ],
+    )
+    def test_partition_matroid_json_is_pinned(
+        self, kind, classes, rank, base_count, circuits, capsys
+    ):
+        path = str(DATA / "mixed_pairs.cov")
+        assert main(["matroid", path, "--kind", kind, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        expected = {
+            "kind": kind,
+            "classes": classes,
+            "rank": rank,
+            "base_count": base_count,
+            "circuits": circuits,
+            "loops": [],
+            "simple": False,
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_partition_matroid_text_is_pinned(self, capsys):
+        assert main(["matroid", str(DATA / "mixed_pairs.cov"), "--kind", "sh"]) == 0
+        assert capsys.readouterr().out == (
+            "kind: sh\n"
+            "rank: 2\n"
+            "classes: {4 5} {1 2 3}\n"
+            "loops: {}\n"
+            "simple: False\n"
+            "bases: 6\n"
+            "circuits: {1 2} {1 3} {2 3} {4 5}\n"
+        )
+
     def test_family_with_loops(self, capsys):
         assert main(["matroid", str(DATA / "partial_family.cov")]) == 0
         out = capsys.readouterr().out
@@ -135,6 +179,10 @@ class TestMatroid:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "guard must be a positive integer" in captured.err
+
+    def test_enumeration_guard_defaults_to_the_library_guard(self):
+        args = cli.build_parser().parse_args(["matroid", "x.cov"])
+        assert args.guard == ENUMERATION_GUARD == 20
 
     def test_singleton_partition(self, tmp_path, capsys):
         path = tmp_path / "singletons.cov"
@@ -336,6 +384,14 @@ class TestReduce:
         assert family.m == 1
         assert family.blocks[0] == family.universe.full()
 
+    def test_unwritable_output_is_an_input_error(self, capsys):
+        out = "/nonexistent/dir/out.cov"
+        assert main(["reduce", str(DATA / "nested_triple.cov"), "--mode", "reduct", "-o", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in captured.err
+
 
 class TestVerify:
     def test_round_trip_flag(self, mixed5_file, capsys):
@@ -471,13 +527,17 @@ class TestVerify:
             ["--random", "4", "--max-n", "-2"],
             ["--random", "0"],
             ["--random", "-2"],
+            ["--random", "4", "--max-n", "65"],
         ],
     )
     def test_campaign_bounds_below_one_are_input_errors(self, bound, capsys):
         assert main(["verify", *bound]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "campaign bounds must be at least 1" in captured.err
+        if bound[-1] == "65":
+            assert captured.err == "error: campaign max_n=65 exceeds the universe cap of 64\n"
+        else:
+            assert "campaign bounds must be at least 1" in captured.err
 
 
 class TestOneParser:

@@ -4,13 +4,12 @@ from hypothesis import given
 from covlat import (
     BruteForce,
     GuardExceeded,
-    OracleBudget,
     TransversalMatroid,
     UpperOperator,
-    brute_flats,
     brute_independent,
     brute_operator_axioms,
 )
+from covlat.oracle import ORACLE_MAX_N
 from conftest import cov, fam, subsets
 from strategies import families, partitions
 
@@ -35,13 +34,13 @@ class TestBruteIndependent:
 
 class TestBruteFlats:
     def test_mixed5_has_sixteen(self, mixed5):
-        assert len(brute_flats(mixed5)) == 16
+        assert len(BruteForce(mixed5).flats()) == 16
 
     def test_free_family_gives_powerset(self, family3):
-        assert len(brute_flats(family3)) == 8
+        assert len(BruteForce(family3).flats()) == 8
 
     def test_singleton(self):
-        assert len(brute_flats(cov("universe: a\nblock: a"))) == 2
+        assert len(BruteForce(cov("universe: a\nblock: a")).flats()) == 2
 
 
 class TestBruteOperatorAxioms:
@@ -73,12 +72,28 @@ class TestBudget:
         with pytest.raises(GuardExceeded):
             BruteForce(family)
 
-    def test_custom_budget(self, mixed5):
-        tight = OracleBudget(max_universe=3)
-        with pytest.raises(GuardExceeded):
-            BruteForce(mixed5, tight)
-        roomy = OracleBudget(max_universe=10, max_subsets=1 << 11)
-        assert BruteForce(mixed5, roomy).rank(mixed5.universe.full()) == 4
+    def test_seven_elements_are_inside_the_budget(self):
+        assert ORACLE_MAX_N == 7
+        labels = " ".join(str(i) for i in range(1, 8))
+        family = cov(f"universe: {labels}\nblock: {labels}")
+        assert BruteForce(family).rank(family.universe.full()) == 1
+        assert brute_operator_axioms(family, UpperOperator.SH) == (True, None)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            BruteForce,
+            lambda c: brute_independent(c, c.universe.empty()),
+            lambda c: brute_operator_axioms(c, UpperOperator.SH),
+        ],
+        ids=["BruteForce", "brute_independent", "brute_operator_axioms"],
+    )
+    def test_refusal_names_the_universe_size_and_the_budget(self, call):
+        labels = " ".join(str(i) for i in range(1, 10))
+        covering = cov(f"universe: {labels}\nblock: {labels}")
+        with pytest.raises(GuardExceeded) as refused:
+            call(covering)
+        assert str(refused.value) == "universe size 9 exceeds the oracle budget of 7 elements"
 
 
 @given(families(max_n=5, max_m=5))

@@ -261,7 +261,7 @@ class TestOperatorClaimsAgainstSweeps:
                 independents = by_claim(report)["sh-independents-within-xh"]
                 flats = by_claim(report)["sh-flats-within-xh-flats"]
                 separated = [
-                    x for x in subsets(universe) if sh.is_independent(x) and xh.is_dependent(x)
+                    x for x in subsets(universe) if sh.is_independent(x) and not xh.is_independent(x)
                 ]
                 unclosed = [x for x in subsets(universe) if sh.closure(x) == x != xh.closure(x)]
                 assert independents.holds is (not separated)

@@ -23,7 +23,7 @@ from covlat.generators import (
     random_family,
     random_partition,
 )
-from covlat.errors import CovlatError, GuardExceeded
+from covlat.errors import CovlatError, GuardExceeded, ValidationError
 from covlat.lattice import (
     closure_from_rank,
     enumerate_lattice,
@@ -70,6 +70,26 @@ def test_checks_run_counts_every_suite_once():
         for i, x in enumerate(instances)
     )
     assert verify_random(8, 1, max_n=5, max_m=4).checks_run == expected
+
+
+@pytest.mark.parametrize("max_n", [65, 70])
+def test_campaign_refuses_max_n_over_the_universe_cap_before_any_draw(max_n, monkeypatch):
+    # a drawn instance over the cap would be refused by Universe mid-campaign
+    # or skipped by the oracle budget, as the RNG happened to fall
+    def never(*args, **kwargs):
+        raise AssertionError("an instance was drawn")
+
+    for name in (
+        "random_family",
+        "random_covering",
+        "random_partition",
+        "partition_with_nested_block",
+        "partition_with_union_block",
+    ):
+        monkeypatch.setattr(verify, name, never)
+    with pytest.raises(ValidationError) as refused:
+        verify_random(100, 1, max_n=max_n)
+    assert str(refused.value) == f"campaign max_n={max_n} exceeds the universe cap of 64"
 
 
 def counted_builds(monkeypatch) -> dict[str, list]:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import CriterionNotSatisfied, InternalConsistencyError, ValidationError
 from .lattice import closure_from_rank
@@ -217,15 +217,6 @@ class ClosureVerdict:
 Verdicts = dict[UpperOperator, ClosureVerdict]
 
 
-def _masks_by_size(universe: Universe, max_size: int) -> Iterator[int]:
-    for size in range(0, max_size + 1):
-        for combo in combinations(range(universe.n), size):
-            mask = 0
-            for e in combo:
-                mask |= 1 << e
-            yield mask
-
-
 def _search_witness(table: NeighborhoodTable, kind: UpperOperator) -> AxiomWitness:
     """Find the first idempotence violation on at most two elements, subsets
     in size order, else an exchange violation at the empty set.
@@ -245,11 +236,12 @@ def _search_witness(table: NeighborhoodTable, kind: UpperOperator) -> AxiomWitne
       so a failing xh always has an exchange witness at the empty set.
     """
     universe = table.covering.universe
-    for mask in _masks_by_size(universe, 2):
-        x = ElementSet(universe, mask)
-        once = table.apply(kind, x)
-        if table.apply(kind, once) != once:
-            return AxiomWitness("idempotence", x)
+    for size in range(3):
+        for combo in combinations(range(universe.n), size):
+            x = ElementSet(universe, sum(1 << e for e in combo))
+            once = table.apply(kind, x)
+            if table.apply(kind, once) != once:
+                return AxiomWitness("idempotence", x)
     empty = universe.empty()
     for x in range(universe.n):
         for y in bits_of(table.apply(kind, universe.singleton(x)).mask):

@@ -64,6 +64,31 @@ def _fmt_sets(sets) -> str:
     return " ".join("{" + " ".join(s) + "}" for s in sets) if sets else "(none)"
 
 
+def _transversal_report(matroid: TransversalMatroid, guard: int | None = None) -> dict:
+    """Rank, loops, parallel classes and simplicity of a transversal matroid;
+    with a guard, its base count and circuits; then, if the family covers the
+    universe, its a-parts and b-part."""
+    family = matroid.family
+    loops, classes = matroid.parallel_classes()
+    report: dict = {
+        "rank": matroid.rank(family.universe.full()),
+        "loops": list(loops.labels()),
+        "parallel_classes": _set_list(classes),
+        "simple": matroid.is_simple(),
+    }
+    if guard is not None:
+        try:
+            report["base_count"] = len(matroid.bases(guard))
+            report["circuits"] = _set_list(matroid.circuits(guard))
+        except GuardExceeded as exc:
+            report.update(base_count=None, circuits=None, enumeration_skipped=str(exc))
+    if family.covers_universe():
+        decomposition = ab_decomposition(as_covering(family))
+        report["a_parts"] = _set_list(decomposition.a_parts)
+        report["b_part"] = list(decomposition.b_part.labels())
+    return report
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     if args.max_lattice_size is not None:
         _positive_guard("max_flats", args.max_lattice_size)
@@ -106,16 +131,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "immured_blocks": [covering.block_name(i) for i in reductions.immured_blocks],
     }
     matroid = TransversalMatroid(covering)
-    loops, classes = matroid.parallel_classes()
-    decomposition = ab_decomposition(covering)
-    report["matroid"] = {
-        "rank": matroid.rank(universe.full()),
-        "loops": list(loops.labels()),
-        "parallel_classes": _set_list(classes),
-        "simple": matroid.is_simple(),
-        "a_parts": _set_list(decomposition.a_parts),
-        "b_part": list(decomposition.b_part.labels()),
-    }
+    report["matroid"] = _transversal_report(matroid)
     if args.skip_lattice:
         report["lattice"] = None
     else:
@@ -179,28 +195,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_matroid(args: argparse.Namespace) -> int:
     _positive_guard("guard", args.guard)
     family = _read_family(args.file)
-    universe = family.universe
     if args.kind == "transversal":
         matroid = TransversalMatroid(family)
-        loops, classes = matroid.parallel_classes()
-        report: dict = {
-            "kind": "transversal",
-            "rank": matroid.rank(universe.full()),
-            "loops": list(loops.labels()),
-            "parallel_classes": _set_list(classes),
-            "simple": matroid.is_simple(),
-        }
-        try:
-            report["base_count"] = len(matroid.bases(args.guard))
-            report["circuits"] = _set_list(matroid.circuits(args.guard))
-        except GuardExceeded as exc:
-            report["base_count"] = None
-            report["circuits"] = None
-            report["enumeration_skipped"] = str(exc)
-        if family.covers_universe():
-            decomposition = ab_decomposition(as_covering(family))
-            report["a_parts"] = _set_list(decomposition.a_parts)
-            report["b_part"] = list(decomposition.b_part.labels())
+        report: dict = {"kind": "transversal", **_transversal_report(matroid, args.guard)}
     else:
         covering = as_covering(family)
         matroid = induced_partition_matroid(covering, UpperOperator(args.kind))
@@ -338,7 +335,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     family = _read_family(args.file)
     if args.round_trip:
         results = verify_family_round_trip(family)
-    elif isinstance(family, Covering) or family.covers_universe():
+    elif family.covers_universe():
         results = verify_covering(as_covering(family))
     else:
         results = verify_family(family)

@@ -107,14 +107,6 @@ def containment_index(n: int, sets: Sequence[ElementSet]) -> list[int]:
     return index
 
 
-def canonical_keys(n: int, masks: Sequence[int]) -> list[int]:
-    """One integer per mask that sorts as ``ElementSet.sort_key`` does: the
-    cardinality, then the n-bit mask read backwards (lowest index as the
-    highest bit), descending."""
-    spelled, full = f"0{n}b", (1 << n) - 1
-    return [mask.bit_count() << n | full ^ int(format(mask, spelled)[::-1], 2) for mask in masks]
-
-
 def positions_over(index: Sequence[int], mask: int, within: int) -> int:
     """The positions in ``within`` whose sets contain every element of ``mask``.
     The lowest-bit loop is inlined: this runs inside the all-pairs scan."""
@@ -235,8 +227,7 @@ class FlatLattice:
         universe = flats[0].universe
         masks = [f.mask for f in flats]
         size = len(flats)
-        keys = canonical_keys(universe.n, masks)
-        order = sorted(range(size), key=keys.__getitem__)
+        order = sorted(range(size), key=list(map(universe.sort_key, masks)).__getitem__)
         remap = array("l", [0]) * size
         for new, old in enumerate(order):
             remap[old] = new

@@ -298,10 +298,6 @@ class TransversalMatroid:
             pending |= grown & mask
         return reached, found
 
-    def closure_of_empty(self) -> ElementSet:
-        """Empty iff the family is a covering; otherwise the set of loops."""
-        return self.closure(self.universe.empty())
-
     def _enumeration_size(self, guard: int) -> int:
         """The universe size, refused over the guard; a guard below 1 is an
         input error, as a lattice guard is."""
@@ -337,9 +333,7 @@ class TransversalMatroid:
         circuit_masks: list[int] = []
         for size in range(1, min(n, top + 1) + 1):
             for combo in combinations(range(n), size):
-                mask = 0
-                for e in combo:
-                    mask |= 1 << e
+                mask = sum(1 << e for e in combo)
                 if any(c & mask == c for c in circuit_masks):
                     continue
                 candidate = ElementSet(self.universe, mask)
@@ -350,18 +344,15 @@ class TransversalMatroid:
         )
 
     def parallel_classes(self) -> tuple[ElementSet, tuple[ElementSet, ...]]:
-        """Loops plus the nontrivial parallel classes (size >= 2) of non-loops."""
-        loops = self.closure_of_empty()
-        classes: list[ElementSet] = []
-        assigned = loops.mask
-        for e in bits_of(self.universe.full_mask & ~loops.mask):
-            if assigned >> e & 1:
-                continue
-            cls = self.closure(self.universe.singleton(e)) - loops
-            assigned |= cls.mask
-            if len(cls) >= 2:
-                classes.append(cls)
-        return loops, tuple(sorted(classes, key=ElementSet.sort_key))
+        """Loops plus the nontrivial parallel classes (size >= 2) of non-loops.
+
+        The loops are cl(empty), the bottom flat, and its covers are the
+        atoms: the loops plus one parallel class each.  Two matchings in all.
+        """
+        loops = self.closure(self.universe.empty())
+        _, atoms = self.covers_of(loops)
+        classes = [ElementSet(self.universe, atom & ~loops.mask) for atom in atoms]
+        return loops, tuple(sorted((c for c in classes if len(c) >= 2), key=ElementSet.sort_key))
 
     def is_simple(self) -> bool:
         """No loops and no parallel elements.
@@ -373,8 +364,7 @@ class TransversalMatroid:
         loops, classes = self.parallel_classes()
         direct = not loops and not classes
         if isinstance(self.family, Covering):
-            decomposition = ab_decomposition(self.family)
-            predicted = all(len(a) == 1 for a in decomposition.a_parts)
+            predicted = all(len(a) == 1 for a in ab_decomposition(self.family).a_parts)
             if predicted != direct:
                 raise InternalConsistencyError(
                     "simplicity criterion disagrees with the direct loop/parallel test"
@@ -403,17 +393,10 @@ class ABDecomposition:
 
 
 def ab_decomposition(covering: Covering) -> ABDecomposition:
-    universe = covering.universe
-    a_parts: list[ElementSet] = []
-    covered_by_a = 0
-    for i, block in enumerate(covering.blocks):
-        others = 0
-        for j, other in enumerate(covering.blocks):
-            if j != i:
-                others |= other.mask
-        private = block.mask & ~others
-        if private:
-            a_parts.append(ElementSet(universe, private))
-            covered_by_a |= private
-    b_part = ElementSet(universe, universe.full_mask & ~covered_by_a)
-    return ABDecomposition(tuple(a_parts), b_part)
+    once = twice = 0  # the elements in some block, and in two or more
+    for block in covering.blocks:
+        twice |= once & block.mask
+        once |= block.mask
+    privates = (block.mask & ~twice for block in covering.blocks)
+    a_parts = tuple(ElementSet(covering.universe, private) for private in privates if private)
+    return ABDecomposition(a_parts, ElementSet(covering.universe, twice))

@@ -8,23 +8,27 @@ Covering files are UTF-8 and line oriented::
 
     # comment
     universe: 1 2 3 4 5
-    block K1: 1 2
+    block K1: 1 2   # a trailing comment
     block: 4 5
 
-The ``universe:`` line must be the first non-comment line and appear exactly
-once.  Block names are optional and are used only in reports.  A JSON object
-with ``universe`` and ``blocks`` fields is accepted wherever the text format
-is accepted.
+A token that begins with ``#`` starts a comment to the end of the line
+(``a#1`` is one label).  The ``universe:`` line must be the first non-comment
+line and appear exactly once.  Block names are optional (K1, K2, ... by
+position), used only in reports, and distinct.  A JSON object with
+``universe`` and ``blocks`` fields is accepted wherever the text is.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import ParseError, ValidationError
 
 MAX_UNIVERSE = 64
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -36,9 +40,10 @@ def bits_of(mask: int) -> Iterator[int]:
 
 
 class Universe:
-    """Ordered alphabet of distinct, whitespace-free element labels."""
+    """Ordered alphabet of distinct, whitespace-free element labels; none
+    begins with ``#``, which starts a comment in the text format."""
 
-    __slots__ = ("labels", "_index", "n", "full_mask")
+    __slots__ = ("labels", "_index", "n", "full_mask", "_spelled")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -50,7 +55,7 @@ class Universe:
             )
         index: dict[str, int] = {}
         for i, label in enumerate(labels):
-            if not label or any(ch.isspace() for ch in label):
+            if not label or label[0] == "#" or any(ch.isspace() for ch in label):
                 raise ValidationError(f"bad element label {label!r}")
             if label in index:
                 raise ValidationError(f"duplicate element label {label!r}")
@@ -59,6 +64,7 @@ class Universe:
         self._index = index
         self.n = len(labels)
         self.full_mask = (1 << self.n) - 1
+        self._spelled = f"0{self.n}b"
 
     def index(self, label: str) -> int:
         try:
@@ -88,8 +94,12 @@ class Universe:
     def singleton(self, index: int) -> "ElementSet":
         return ElementSet(self, 1 << index)
 
-    def set_from_mask(self, mask: int) -> "ElementSet":
-        return ElementSet(self, mask)
+    def sort_key(self, mask: int) -> int:
+        """The canonical order of subsets as one integer: the cardinality,
+        then the n-bit mask read backwards (lowest index as the highest
+        bit), descending.  It sorts as (size, ascending index sequence)."""
+        backwards = int(format(mask, self._spelled)[::-1], 2)
+        return mask.bit_count() << self.n | self.full_mask ^ backwards
 
     def subset(self, labels: Iterable[str]) -> "ElementSet":
         mask = 0
@@ -136,12 +146,8 @@ class ElementSet:
     def complement(self) -> "ElementSet":
         return ElementSet(self.universe, self.universe.full_mask & ~self.mask)
 
-    def issubset(self, other: "ElementSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self), self.indices())
+    def sort_key(self) -> int:
+        return self.universe.sort_key(self.mask)
 
     def _check(self, other: "ElementSet") -> None:
         if self.universe != other.universe:
@@ -160,10 +166,11 @@ class ElementSet:
         return ElementSet(self.universe, self.mask & ~other.mask)
 
     def __le__(self, other: "ElementSet") -> bool:
-        return self.issubset(other)
+        self._check(other)
+        return self.mask & ~other.mask == 0
 
     def __lt__(self, other: "ElementSet") -> bool:
-        return self.issubset(other) and self.mask != other.mask
+        return self <= other and self.mask != other.mask
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -259,12 +266,6 @@ class SetFamily:
             lines.append(head + " " + " ".join(block.labels()))
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "universe": list(self.universe.labels),
-            "blocks": [list(block.labels()) for block in self.blocks],
-        }
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SetFamily)
@@ -328,7 +329,8 @@ def as_covering(family: SetFamily) -> Covering:
 
     Raises ``ValidationError`` naming the uncovered elements if the blocks do
     not union to the universe.  Duplicate blocks are dropped (first occurrence
-    wins) and recorded on ``Covering.dropped_duplicates``.
+    wins) and recorded on ``Covering.dropped_duplicates``; a drop that leaves
+    two blocks with one name is refused.
     """
     if isinstance(family, Covering):
         return family
@@ -343,7 +345,17 @@ def as_covering(family: SetFamily) -> Covering:
         seen.add(block.mask)
         kept_blocks.append(block)
         kept_names.append(family.names[i])
-    return Covering(family.universe, kept_blocks, kept_names, tuple(dropped))
+    covering = Covering(family.universe, kept_blocks, kept_names, tuple(dropped))
+    shared = _shared_name(covering) if dropped else None
+    if shared:
+        raise ValidationError(f"block name {shared} names two blocks once duplicates are dropped")
+    return covering
+
+
+def _shared_name(family: SetFamily) -> str | None:
+    """A block name that two blocks of the family share, if any."""
+    names = Counter(family.block_name(i) for i in range(family.m))
+    return next((name for name, count in names.items() if count > 1), None)
 
 
 def is_partition(covering: Covering) -> bool:
@@ -406,8 +418,8 @@ def parse_family(text: str) -> SetFamily:
     universe: Universe | None = None
     raw_blocks: list[tuple[int, str | None, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.sub("", raw).strip()
+        if not line:
             continue
         if line.startswith("universe"):
             rest = line[len("universe") :].lstrip()
@@ -440,4 +452,8 @@ def parse_family(text: str) -> SetFamily:
     if not raw_blocks:
         raise ParseError("no block lines")
     blocks = [_build_block(universe, tokens, f"line {lineno}") for lineno, _, tokens in raw_blocks]
-    return SetFamily(universe, blocks, [name for _, name, _ in raw_blocks])
+    family = SetFamily(universe, blocks, [name for _, name, _ in raw_blocks])
+    shared = _shared_name(family)
+    if shared:
+        raise ParseError(f"block name {shared} names two blocks")
+    return family

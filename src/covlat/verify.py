@@ -209,7 +209,7 @@ def verify_induced_matroids(
         if key not in scans:
             # each singleton (a == b) and each unordered pair is closed once
             closed = {
-                1 << a | 1 << b: matroid.closure(universe.set_from_mask(1 << a | 1 << b))
+                1 << a | 1 << b: matroid.closure(ElementSet(universe, 1 << a | 1 << b))
                 for a, b in combinations_with_replacement(range(universe.n), 2)
             }
             # every pair is read: a closure that is not a flat raises wherever it is

@@ -3,6 +3,7 @@ from hypothesis import given
 
 from covlat import (
     CriterionNotSatisfied,
+    ElementSet,
     NeighborhoodTable,
     PartitionMatroid,
     TransversalMatroid,
@@ -335,7 +336,7 @@ class TestInducedMatroids:
                 assert definitional == matroid.is_independent(x)
 
 
-class TestPartitionMatroidStats:
+class TestPartitionMatroid:
     def test_base_count_product(self, mixed5):
         matroid = induced_partition_matroid(mixed5, UpperOperator.SH)
         assert matroid.base_count() == 6
@@ -395,7 +396,7 @@ class TestPartitionMatroidStats:
                     )
                     single = matroid.closure(universe.singleton(a))
                     pair = matroid.closure(
-                        universe.set_from_mask((1 << a) | (1 << b))
+                        ElementSet(universe, (1 << a) | (1 << b))
                     )
                     assert lattice.covers(single, pair) == (not same)
 

@@ -5,6 +5,7 @@ from hypothesis import given
 
 from covlat import (
     BruteForce,
+    ElementSet,
     LatticeInducedMatroid,
     SubmodularSystem,
     TransversalMatroid,
@@ -201,7 +202,7 @@ class TestSystemValidation:
             values[1 << i | 1 << j] = 2
         for labels in ("e0 e1 e3", "e0 e1 e4", "e0 e1 e5", "e0 e1 e2 e3", "e0 e1 e2 e4"):
             values[universe.subset(labels.split()).mask] = 3
-        sets = [universe.set_from_mask(mask) for mask in values]
+        sets = [ElementSet(universe, mask) for mask in values]
         assert len(sets) == 112
         with pytest.raises(ValidationError, match=r"\{e0 e1 e2 e3\} n \{e0 e1 e2 e4\}"):
             SubmodularSystem(universe, sets, values)

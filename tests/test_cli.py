@@ -79,6 +79,32 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/x.cov"]) == 2
 
+    @pytest.mark.parametrize(
+        "text,name",
+        [
+            ("universe: a b c\nblock K1: a b\nblock K1: c\n", "K1"),
+            # the unnamed second block is K2 by position
+            ("universe: a b c\nblock K2: a b\nblock: c\n", "K2"),
+        ],
+    )
+    def test_blocks_sharing_a_name_are_an_input_error(self, tmp_path, capsys, text, name):
+        # a report keyed by name kept only the last block of the two
+        path = tmp_path / "shared.cov"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: block name {name} names two blocks\n"
+
+    def test_dropped_duplicate_that_shifts_a_name_is_an_input_error(self, tmp_path, capsys):
+        # K2, X, K3 parse; dropping X, a repeat of K2, makes the unnamed block K2
+        path = tmp_path / "shifted.cov"
+        path.write_text("universe: a b\nblock K2: a\nblock X: a\nblock: b\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "block name K2 names two blocks once duplicates are dropped" in captured.err
+
     def test_chain_b_reports_immured_blocks(self, chain_b_file, capsys):
         assert main(["check", chain_b_file]) == 0
         out = capsys.readouterr().out
@@ -326,6 +352,16 @@ class TestCompare:
             "SKIP vh-closure-survives-reducible-removal: covering has no reducible block",
         ]
         assert len(lines) == len(skipped) + 4 + 3
+
+    def test_deletion_that_repeats_a_default_name(self, tmp_path, capsys):
+        # K2, B, K3: without B the blocks read K2, K2, which only a deleted
+        # family's reports see, so compare still runs every deletion
+        path = tmp_path / "k2b.cov"
+        path.write_text("universe: a b c\nblock K2: a\nblock B: b\nblock: c\n")
+        assert main(["compare", str(path)]) == 0
+        out = capsys.readouterr().out
+        for name in ("K2", "B", "K3"):
+            assert f"PASS deletion-shrinks-flats[{name}]" in out
 
     def test_matches_each_flat_of_the_lattice_once_per_pass(self, monkeypatch, capsys):
         # density_14.cov: 1,805 flats and 8 blocks.  The enumeration matches

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from covlat import SetFamily, TransversalMatroid, enumerate_lattice, exclusion, reduct
+from covlat import ElementSet, SetFamily, TransversalMatroid, enumerate_lattice, exclusion, reduct
 from conftest import density_covering
 
 
@@ -70,7 +70,7 @@ def family_with_loops(rng: random.Random, n: int, m: int) -> SetFamily:
     other = 1 << min(set(range(n)) - {first, second})
     masks = [block.mask & ~loops or other for block in covering.blocks]
     universe = covering.universe
-    return SetFamily(universe, [universe.set_from_mask(mask) for mask in masks])
+    return SetFamily(universe, [ElementSet(universe, mask) for mask in masks])
 
 
 @pytest.mark.parametrize("n", range(8, 25, 2))
@@ -82,7 +82,7 @@ def test_rank_and_closure_match_koenig(n):
         universe = family.universe
         for k in range(120):
             mask = rng.getrandbits(n) & rng.getrandbits(n) if k % 2 else rng.getrandbits(n)
-            x = universe.set_from_mask(mask)
+            x = ElementSet(universe, mask)
             rank, closure = koenig.rank_and_closure(mask)
             assert (matroid.rank(x), matroid.closure(x).mask) == (rank, closure)
             if k < 10:
@@ -127,7 +127,7 @@ def test_block_deletions_match_koenig_on_every_flat(n):
     matroid = TransversalMatroid(family)
     universe = family.universe
     sets = list(enumerate_lattice(matroid).flats)
-    sets += [universe.set_from_mask(rng.getrandbits(n)) for _ in range(30)]
+    sets += [ElementSet(universe, rng.getrandbits(n)) for _ in range(30)]
     masks = deletions(family)
     koenigs = [Koenig(family, deleted) for deleted in masks]
     for x in sets:

@@ -35,7 +35,6 @@ from covlat.generators import random_family
 from covlat.lattice import (
     GeometricityCheck,
     HasseEdges,
-    canonical_keys,
     closure_from_rank,
     covers_by_closure,
     modular_pairs,
@@ -453,12 +452,14 @@ def universe_of(n: int) -> Universe:
 
 @pytest.mark.parametrize("n", [1, 5, 17, 64])
 def test_canonical_keys_sort_as_sort_key(n):
+    """The canonical key, ``ElementSet.sort_key``, is one integer per set
+    that sorts as the cardinality, then the ascending index sequence."""
     universe = universe_of(n)
-    masks = sorted(boundary_masks(n, random.Random(n), 400))
-    keys = dict(zip(masks, canonical_keys(n, masks)))
-    sets = [ElementSet(universe, mask) for mask in masks]
-    assert len(set(keys.values())) == len(masks)
-    assert sorted(sets, key=lambda s: keys[s.mask]) == sorted(sets, key=ElementSet.sort_key)
+    sets = [ElementSet(universe, mask) for mask in sorted(boundary_masks(n, random.Random(n), 400))]
+    assert len({s.sort_key() for s in sets}) == len(sets)
+    explicit = sorted(sets, key=lambda s: (len(s), s.indices()))
+    assert sorted(sets, key=ElementSet.sort_key) == explicit
+    assert sorted(reversed(sets), key=ElementSet.sort_key) == explicit
 
 
 @pytest.mark.parametrize("n", [5, 17, 64])
@@ -578,7 +579,7 @@ class TestOrderStructure:
                 shared = any(p.has_index(a) and p.has_index(b) for p in parts)
                 single = matroid.closure(universe.singleton(a))
                 pair = matroid.closure(
-                    universe.set_from_mask((1 << a) | (1 << b))
+                    ElementSet(universe, (1 << a) | (1 << b))
                 )
                 assert lattice.covers(single, pair) == (not shared)
 

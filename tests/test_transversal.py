@@ -6,6 +6,7 @@ from hypothesis import given
 from covlat import (
     BruteForce,
     Covering,
+    ElementSet,
     GuardExceeded,
     SetFamily,
     TransversalMatroid,
@@ -92,15 +93,16 @@ class TestClosure:
         )
 
     def test_closure_of_empty_iff_covering(self, mixed5, family4):
-        assert not TransversalMatroid(mixed5).closure_of_empty()
-        assert TransversalMatroid(family4).closure_of_empty() == family4.universe.subset(["1"])
+        assert not TransversalMatroid(mixed5).closure(mixed5.universe.empty())
+        loops = TransversalMatroid(family4).closure(family4.universe.empty())
+        assert loops == family4.universe.subset(["1"])
         partition = cov("universe: a b\nblock: a\nblock: b")
-        assert not TransversalMatroid(partition).closure_of_empty()
+        assert not TransversalMatroid(partition).closure(partition.universe.empty())
 
     @given(families())
     def test_closure_of_empty_characterizes_coverings(self, family):
         matroid = TransversalMatroid(family)
-        assert (not matroid.closure_of_empty()) == family.covers_universe()
+        assert (not matroid.closure(family.universe.empty())) == family.covers_universe()
 
     @given(family_and_two_subsets(max_n=5))
     def test_closure_axioms(self, data):
@@ -135,7 +137,7 @@ class TestClosure:
             matroid = TransversalMatroid(covering)
             for _ in range(400):
                 mask = sum(1 << e for e in rng.sample(range(n), rng.randint(0, n)))
-                x = covering.universe.set_from_mask(mask)
+                x = ElementSet(covering.universe, mask)
                 assert matroid.closure(x) == closure_from_rank(matroid, x)
 
 
@@ -155,7 +157,7 @@ class TestRankAndClosureWithout:
             masks.append(sum(1 << e for e in range(1, n) if rng.random() < 0.4) or 2)
         masks.append(masks[-1])
         universe = covering.universe
-        return covering, SetFamily(universe, map(universe.set_from_mask, masks))
+        return covering, SetFamily(universe, (ElementSet(universe, mask) for mask in masks))
 
     @staticmethod
     def _deletions(rng: random.Random, family: SetFamily) -> list[int]:
@@ -179,7 +181,7 @@ class TestRankAndClosureWithout:
             matroid = TransversalMatroid(family)
             universe = family.universe
             sets = list(enumerate_lattice(matroid).flats)
-            sets += [universe.set_from_mask(rng.randrange(1 << n)) for _ in range(20)]
+            sets += [ElementSet(universe, rng.randrange(1 << n)) for _ in range(20)]
             deletions = self._deletions(rng, family)
             fresh, loops = [], []
             for deleted in deletions:
@@ -270,6 +272,44 @@ class TestParallelAndSimple:
         assert not loops
         assert [c.labels() for c in classes] == [("1", "2")]
 
+    def test_two_matchings_per_call(self, monkeypatch):
+        # classes {0 1 2} and {6 7}, a repeated block {8 9} and a loop 10: the
+        # loops' matching, then one covers query on them.  One closure per
+        # element not yet in a class made 8 matchings here
+        family = fam(
+            "universe: 0 1 2 3 4 5 6 7 8 9 10\n"
+            "block: 0 1 2 3\nblock: 3 4 5\nblock: 5 6 7 8\nblock: 8 9\nblock: 9 8"
+        )
+        calls = []
+        match = TransversalMatroid._maximum_matching
+
+        def counted(matroid, mask):
+            calls.append(mask)
+            return match(matroid, mask)
+
+        monkeypatch.setattr(TransversalMatroid, "_maximum_matching", counted)
+        loops, classes = TransversalMatroid(family).parallel_classes()
+        assert calls == [0, 1 << 10]
+        assert loops.labels() == ("10",)
+        assert [c.labels() for c in classes] == [("6", "7"), ("0", "1", "2")]
+
+    @given(families(max_n=8, max_m=6))
+    def test_parallel_classes_match_per_element_closures(self, family):
+        # the reference: the loops, then the closure of each element not yet
+        # in a class, less the loops
+        matroid = TransversalMatroid(family)
+        universe = family.universe
+        loops = matroid.closure(universe.empty())
+        classes, assigned = [], loops.mask
+        for e in range(universe.n):
+            if not assigned >> e & 1:
+                cls = matroid.closure(universe.singleton(e)) - loops
+                assigned |= cls.mask
+                if len(cls) >= 2:
+                    classes.append(cls)
+        expected = (loops, tuple(sorted(classes, key=ElementSet.sort_key)))
+        assert matroid.parallel_classes() == expected
+
     def test_simplicity(self, mixed5):
         assert not TransversalMatroid(mixed5).is_simple()
         assert TransversalMatroid(cov("universe: 1 2 3\nblock: 1 2\nblock: 2 3")).is_simple()
@@ -291,7 +331,7 @@ class TestParallelAndSimple:
             for a in members:
                 for b in members:
                     if a < b:
-                        pair = covering.universe.set_from_mask((1 << a) | (1 << b))
+                        pair = ElementSet(covering.universe, (1 << a) | (1 << b))
                         assert not matroid.is_independent(pair)
 
 

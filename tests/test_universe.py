@@ -38,6 +38,31 @@ class TestParsing:
         family = parse_family("# header\n\nuniverse: x y\n# inner\nblock: x\nblock: y\n")
         assert family.m == 2
 
+    def test_inline_comments(self):
+        family = parse_family(
+            "universe: a b  # two elements\nblock K1: a #first\nblock: b\t# second\n"
+        )
+        assert family.universe.labels == ("a", "b")
+        assert [b.labels() for b in family.blocks] == [("a",), ("b",)]
+        assert family.names == ("K1", None)
+
+    def test_hash_inside_a_label_is_part_of_it(self):
+        family = parse_family("universe: a#1 b# #c\nblock: a#1 b#  # both\n")
+        assert family.universe.labels == ("a#1", "b#")
+        assert family.blocks[0] == family.universe.full()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "universe: a b\nblock K1: a\nblock K1: b\n",
+            "universe: a b\nblock K2: a\nblock: b\n",
+            "universe: a b\nblock: a\nblock K1: b\n",
+        ],
+    )
+    def test_blocks_sharing_a_name_are_refused(self, text):
+        with pytest.raises(ParseError, match="names two blocks"):
+            parse_family(text)
+
     @pytest.mark.parametrize(
         "text,fragment",
         [
@@ -67,6 +92,9 @@ class TestParsing:
             parse_family("{not json")
         with pytest.raises(ParseError):
             parse_family(json.dumps({"universe": ["1"]}))
+        # serialized, this label would start a comment
+        with pytest.raises(ParseError, match="bad element label '#1'"):
+            parse_family(json.dumps({"universe": ["#1"], "blocks": [["#1"]]}))
         # block errors carry the text format's wording after a "block N" prefix
         for blocks, message in (
             ([[]], "block 1: empty block"),
@@ -100,6 +128,14 @@ class TestCovering:
         covering = as_covering(family)
         assert covering.m == 2
         assert covering.dropped_duplicates == (1,)
+
+    def test_dropped_duplicate_must_not_shift_a_name_onto_another(self):
+        family = fam("universe: a b\nblock K2: a\nblock X: a\nblock: b")
+        with pytest.raises(ValidationError, match="block name K2 names two blocks"):
+            as_covering(family)
+        # without a drop, names that clash only after a deletion pass
+        deleted = fam("universe: a b c\nblock K2: a b\nblock B: b\nblock: c").without_block(1)
+        assert [as_covering(deleted).block_name(i) for i in range(2)] == ["K2", "K2"]
 
     def test_direct_covering_rejects_duplicates(self):
         universe = Universe(("1", "2"))
@@ -177,6 +213,9 @@ class TestUniverseValidation:
             Universe(("",))
         with pytest.raises(ValidationError):
             Universe(())
+        # the text format would read it as a comment
+        with pytest.raises(ValidationError, match="bad element label '#a'"):
+            Universe(("#a", "b"))
 
     def test_size_cap(self):
         Universe(tuple(str(i) for i in range(64)))

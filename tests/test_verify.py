@@ -351,7 +351,7 @@ def per_kind_induced_matroids(table, induced):
             )
         )
         closed = {
-            1 << a | 1 << b: matroid.closure(universe.set_from_mask(1 << a | 1 << b))
+            1 << a | 1 << b: matroid.closure(ElementSet(universe, 1 << a | 1 << b))
             for a, b in combinations_with_replacement(range(universe.n), 2)
         }
         bad = [

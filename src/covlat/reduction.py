@@ -1,10 +1,10 @@
 """Reducible and immured blocks of a covering, reducts and exclusions.
 
 A block is reducible when it equals a union of other blocks, and immured
-when it is strictly contained in another block.  ``reduct`` removes reducible
-blocks one at a time, rescanning after each removal; ``exclusion`` removes
-every block that is immured in the original covering in a single pass.  Both
-results still cover the universe.
+when it is strictly contained in another block.  ``reduct`` removes every
+block that is reducible in the original covering, and ``exclusion`` every
+block that is immured in it, each in one pass; the kept blocks keep their
+order and names.  Both results still cover the universe.
 """
 
 from __future__ import annotations
@@ -15,18 +15,15 @@ from .universe import Covering
 
 
 def reducible_block_indices(covering: Covering) -> tuple[int, ...]:
-    return tuple(
-        i for i in range(covering.m) if _reducible_in(covering.blocks, i)
-    )
-
-
-def _reducible_in(blocks, i: int) -> bool:
-    target = blocks[i].mask
-    union = 0
-    for j, other in enumerate(blocks):
-        if j != i and other.mask & ~target == 0:
-            union |= other.mask
-    return union == target
+    reducible = []
+    for i, block in enumerate(covering.blocks):
+        union = 0
+        for j, other in enumerate(covering.blocks):
+            if j != i and other.mask & ~block.mask == 0:
+                union |= other.mask
+        if union == block.mask:
+            reducible.append(i)
+    return tuple(reducible)
 
 
 def immured_block_indices(covering: Covering) -> tuple[int, ...]:
@@ -37,33 +34,34 @@ def immured_block_indices(covering: Covering) -> tuple[int, ...]:
     )
 
 
-def reduct(covering: Covering) -> Covering:
-    """Remove reducible blocks until none remain.
+def _without(covering: Covering, dropped: tuple[int, ...]) -> Covering:
+    kept = [i for i in range(covering.m) if i not in dropped]
+    return Covering(
+        covering.universe,
+        [covering.blocks[i] for i in kept],
+        [covering.names[i] for i in kept],
+    )
 
-    Removal rescans from the lowest index after every deletion; the fixpoint
-    is independent of the removal order, which the test suite checks against
-    alternative orders.
+
+def reduct(covering: Covering) -> Covering:
+    """The covering less every block that is reducible in it.
+
+    Removing reducible blocks one at a time until none is left, as Zhu and
+    Wang (2003) define the reduct, ends in the same covering: removing one
+    reducible block K leaves every other block's reducibility unchanged, so
+    the blocks removed are exactly those reducible at the start.  A block
+    reducible without K is reducible with it.  Conversely, let K' be the
+    union of other blocks, K among them, so K ⊆ K'.  The blocks that build
+    K are proper subsets of K, since a covering has no duplicate blocks, so
+    none of them is K'; put them in K's place and K' is a union of blocks
+    other than K and K'.
     """
-    blocks = list(covering.blocks)
-    names = list(covering.names)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(blocks)):
-            if _reducible_in(blocks, i):
-                del blocks[i]
-                del names[i]
-                changed = True
-                break
-    return Covering(covering.universe, blocks, names)
+    return _without(covering, reducible_block_indices(covering))
 
 
 def exclusion(covering: Covering) -> Covering:
-    """Remove, in one pass, every block strictly contained in another block."""
-    immured = set(immured_block_indices(covering))
-    blocks = [b for i, b in enumerate(covering.blocks) if i not in immured]
-    names = [n for i, n in enumerate(covering.names) if i not in immured]
-    return Covering(covering.universe, blocks, names)
+    """The covering less every block strictly contained in another block."""
+    return _without(covering, immured_block_indices(covering))
 
 
 @dataclass(frozen=True)

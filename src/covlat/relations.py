@@ -290,13 +290,13 @@ def check_reduct_exclusion_containments(
     report = RelationReport()
     covering = whole.family
     deletions = []
-    for mode, reduce in (("reduct", reduct), ("exclusion", exclusion)):
-        reduced = reduce(covering)
-        # a covering has no duplicate blocks, so masks name the deleted ones
-        kept = {block.mask for block in reduced.blocks}
-        deleted = sum(1 << j for j, b in enumerate(covering.blocks) if b.mask not in kept)
+    for mode, reduce, dropped in (
+        ("reduct", reduct, reducible_block_indices),
+        ("exclusion", exclusion, immured_block_indices),
+    ):
+        deleted = sum(1 << j for j in dropped(covering))
         claims = (f"{mode}-independents-within-original", f"{mode}-flats-within-original")
-        deletions.append((claims, deleted, reduced, None))
+        deletions.append((claims, deleted, reduce(covering), None))
     _record_without(report, whole, lattice, deletions)
     return report
 

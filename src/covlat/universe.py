@@ -13,8 +13,10 @@ Covering files are UTF-8 and line oriented::
 
 A token that begins with ``#`` starts a comment to the end of the line
 (``a#1`` is one label).  The ``universe:`` line must be the first non-comment
-line and appear exactly once.  Block names are optional (K1, K2, ... by
-position), used only in reports, and distinct.  A JSON object with
+line and appear exactly once.  Block names are optional, used only in
+reports, and distinct; an unnamed block is named ``K<position>`` by its place
+in the input, and that name stays with it through deletions and reductions.
+``SetFamily.serialize`` writes every block's name.  A JSON object with
 ``universe`` and ``blocks`` fields is accepted wherever the text is.
 """
 
@@ -202,8 +204,10 @@ class SetFamily:
     """Indexed family of nonempty blocks over one universe.
 
     Block order and multiplicity are significant: the family is indexed, and
-    transversal independence is defined against that indexing.  Equality
-    compares ordered block contents and ignores display names.
+    transversal independence is defined against that indexing.  Every block
+    has a display name, fixed when the family is built: the one given, or
+    ``K<i+1>`` for an unnamed block at index i.  Equality compares ordered
+    block contents and ignores the names.
     """
 
     __slots__ = ("universe", "blocks", "names")
@@ -223,21 +227,19 @@ class SetFamily:
             if not block:
                 raise ValidationError(f"block {i + 1} is empty")
         if names is None:
-            names_t: tuple[str | None, ...] = (None,) * len(blocks)
-        else:
-            names_t = tuple(names)
-            if len(names_t) != len(blocks):
-                raise ValidationError("one name per block required")
+            names = (None,) * len(blocks)
+        elif len(names) != len(blocks):
+            raise ValidationError("one name per block required")
         self.universe = universe
         self.blocks = blocks
-        self.names = names_t
+        self.names = tuple(name or f"K{i + 1}" for i, name in enumerate(names))
 
     @property
     def m(self) -> int:
         return len(self.blocks)
 
     def block_name(self, i: int) -> str:
-        return self.names[i] or f"K{i + 1}"
+        return self.names[i]
 
     def union(self) -> ElementSet:
         mask = 0
@@ -260,10 +262,8 @@ class SetFamily:
 
     def serialize(self) -> str:
         lines = ["universe: " + " ".join(self.universe.labels)]
-        for i, block in enumerate(self.blocks):
-            name = self.names[i]
-            head = f"block {name}:" if name else "block:"
-            lines.append(head + " " + " ".join(block.labels()))
+        for name, block in zip(self.names, self.blocks):
+            lines.append(f"block {name}: " + " ".join(block.labels()))
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other: object) -> bool:
@@ -329,13 +329,13 @@ def as_covering(family: SetFamily) -> Covering:
 
     Raises ``ValidationError`` naming the uncovered elements if the blocks do
     not union to the universe.  Duplicate blocks are dropped (first occurrence
-    wins) and recorded on ``Covering.dropped_duplicates``; a drop that leaves
-    two blocks with one name is refused.
+    wins) and recorded on ``Covering.dropped_duplicates``; the kept blocks keep
+    their names.
     """
     if isinstance(family, Covering):
         return family
     kept_blocks: list[ElementSet] = []
-    kept_names: list[str | None] = []
+    kept_names: list[str] = []
     dropped: list[int] = []
     seen: set[int] = set()
     for i, block in enumerate(family.blocks):
@@ -345,17 +345,7 @@ def as_covering(family: SetFamily) -> Covering:
         seen.add(block.mask)
         kept_blocks.append(block)
         kept_names.append(family.names[i])
-    covering = Covering(family.universe, kept_blocks, kept_names, tuple(dropped))
-    shared = _shared_name(covering) if dropped else None
-    if shared:
-        raise ValidationError(f"block name {shared} names two blocks once duplicates are dropped")
-    return covering
-
-
-def _shared_name(family: SetFamily) -> str | None:
-    """A block name that two blocks of the family share, if any."""
-    names = Counter(family.block_name(i) for i in range(family.m))
-    return next((name for name, count in names.items() if count > 1), None)
+    return Covering(family.universe, kept_blocks, kept_names, tuple(dropped))
 
 
 def is_partition(covering: Covering) -> bool:
@@ -453,7 +443,7 @@ def parse_family(text: str) -> SetFamily:
         raise ParseError("no block lines")
     blocks = [_build_block(universe, tokens, f"line {lineno}") for lineno, _, tokens in raw_blocks]
     family = SetFamily(universe, blocks, [name for _, name, _ in raw_blocks])
-    shared = _shared_name(family)
+    shared = next((name for name, count in Counter(family.names).items() if count > 1), None)
     if shared:
         raise ParseError(f"block name {shared} names two blocks")
     return family

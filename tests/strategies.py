@@ -21,17 +21,77 @@ def families(draw, max_n: int = 6, max_m: int = 5) -> SetFamily:
     return SetFamily(universe, [ElementSet(universe, mask) for mask in masks])
 
 
-@st.composite
-def coverings(draw, max_n: int = 6, max_m: int = 5) -> Covering:
-    family = draw(families(max_n, max_m))
+def _covered(draw, family: SetFamily) -> SetFamily:
+    """The family with each uncovered element added to a random block."""
     universe = family.universe
     masks = [block.mask for block in family.blocks]
     for e in range(universe.n):
         if not any(mask >> e & 1 for mask in masks):
             masks[draw(st.integers(0, len(masks) - 1))] |= 1 << e
-    return as_covering(
-        SetFamily(universe, [ElementSet(universe, mask) for mask in masks])
+    return SetFamily(universe, [ElementSet(universe, mask) for mask in masks])
+
+
+def _union(masks) -> int:
+    union = 0
+    for mask in masks:
+        union |= mask
+    return union
+
+
+def _named(draw, family: SetFamily) -> SetFamily:
+    """The family with some blocks given names, some of them of the K<i>
+    form that an unnamed block elsewhere would get.  As parsing requires, no
+    two blocks end up with one name: a block whose name an earlier block
+    already has is renamed R<i>."""
+    pool = [None, "X", "Y"] + [f"K{i}" for i in range(1, family.m + 2)]
+    names = draw(st.lists(st.sampled_from(pool), min_size=family.m, max_size=family.m))
+    seen = set()
+    for i, name in enumerate(SetFamily(family.universe, family.blocks, names).names):
+        if name in seen:
+            names[i] = f"R{i}"
+        seen.add(name)
+    return SetFamily(family.universe, family.blocks, names)
+
+
+@st.composite
+def coverings(draw, max_n: int = 6, max_m: int = 5) -> Covering:
+    return as_covering(_covered(draw, draw(families(max_n, max_m))))
+
+
+@st.composite
+def named_families(draw, max_n: int = 6, max_m: int = 5) -> SetFamily:
+    return _named(draw, draw(families(max_n, max_m)))
+
+
+@st.composite
+def named_covering_families(draw, max_n: int = 6, max_m: int = 5) -> SetFamily:
+    """Named families whose blocks union to the universe; blocks may repeat,
+    so promoting one to a covering may drop some."""
+    return _named(draw, _covered(draw, draw(families(max_n, max_m))))
+
+
+@st.composite
+def named_families_with_unions(draw, max_n: int = 6, max_m: int = 5) -> SetFamily:
+    """Named families that cover the universe: distinct blocks of one or two
+    elements, a singleton for each element they miss, then two to four
+    blocks, each the union of two or more earlier blocks, all in a random
+    order.  Several reducible blocks, some built from others, are common."""
+    n = draw(st.integers(3, max_n))
+    universe = Universe(tuple(str(i + 1) for i in range(n)))
+    small = st.sets(st.integers(0, n - 1), min_size=1, max_size=2).map(
+        lambda members: sum(1 << e for e in members)
     )
+    masks = draw(st.lists(small, min_size=2, max_size=max_m, unique=True))
+    masks += [1 << e for e in range(n) if not _union(masks) >> e & 1]
+    for _ in range(draw(st.integers(2, 4))):
+        picked = draw(
+            st.lists(
+                st.sampled_from(range(len(masks))), min_size=2, max_size=len(masks), unique=True
+            )
+        )
+        masks.append(_union(masks[i] for i in picked))
+    masks = draw(st.permutations(masks))
+    return _named(draw, SetFamily(universe, [ElementSet(universe, mask) for mask in masks]))
 
 
 @st.composite

@@ -97,13 +97,14 @@ class TestCheck:
         assert captured.err == f"error: block name {name} names two blocks\n"
 
     def test_dropped_duplicate_that_shifts_a_name_is_an_input_error(self, tmp_path, capsys):
-        # K2, X, K3 parse; dropping X, a repeat of K2, makes the unnamed block K2
+        # K2, X, K3 parse; dropping X, a repeat of K2, leaves K2 and K3 named
+        # as parsed: no name shifts, so nothing is refused
         path = tmp_path / "shifted.cov"
         path.write_text("universe: a b\nblock K2: a\nblock X: a\nblock: b\n")
-        assert main(["check", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "block name K2 names two blocks once duplicates are dropped" in captured.err
+        assert main(["check", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["blocks"] == {"K2": ["a"], "K3": ["b"]}
+        assert report["dropped_duplicate_blocks"] == [1]
 
     def test_chain_b_reports_immured_blocks(self, chain_b_file, capsys):
         assert main(["check", chain_b_file]) == 0

@@ -451,7 +451,7 @@ def universe_of(n: int) -> Universe:
 
 
 @pytest.mark.parametrize("n", [1, 5, 17, 64])
-def test_canonical_keys_sort_as_sort_key(n):
+def test_sort_key_orders_by_size_then_indices(n):
     """The canonical key, ``ElementSet.sort_key``, is one integer per set
     that sorts as the cardinality, then the ascending index sequence."""
     universe = universe_of(n)

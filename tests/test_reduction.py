@@ -1,4 +1,4 @@
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from covlat import (
     Covering,
@@ -8,12 +8,34 @@ from covlat import (
     immured_block_indices,
     is_partition,
     forms_partition,
+    parse_family,
     reducible_block_indices,
     reduct,
     reduction_report,
 )
 from conftest import cov
-from strategies import coverings
+from strategies import coverings, named_covering_families, named_families_with_unions
+
+
+def rescan_reduct(covering: Covering) -> Covering:
+    """The reduct by definition: remove the lowest-indexed reducible block
+    and rescan, until no block is reducible."""
+    blocks = list(covering.blocks)
+    names = list(covering.names)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(blocks)):
+            union = 0
+            for j, other in enumerate(blocks):
+                if j != i and other.mask & ~blocks[i].mask == 0:
+                    union |= other.mask
+            if union == blocks[i].mask:
+                del blocks[i]
+                del names[i]
+                changed = True
+                break
+    return Covering(covering.universe, blocks, names)
 
 
 class TestReducible:
@@ -67,6 +89,28 @@ class TestReducible:
         assert reducible_block_indices(result) == ()
         assert result.covers_universe()
         assert isinstance(result, Covering)
+
+
+class TestNames:
+    @given(st.one_of(named_covering_families(), named_families_with_unions()))
+    def test_reduct_and_exclusion_reparse_with_their_names(self, family):
+        covering = as_covering(parse_family(family.serialize()))
+        for reduced in (reduct(covering), exclusion(covering)):
+            parsed = parse_family(reduced.serialize())
+            assert parsed == reduced
+            assert parsed.names == reduced.names
+
+    @given(named_families_with_unions())
+    def test_one_pass_reduct_equals_the_rescan(self, family):
+        covering = as_covering(family)
+        expected = rescan_reduct(covering)
+        result = reduct(covering)
+        assert result == expected
+        assert result.names == expected.names
+
+    def test_reduct_keeps_every_name(self):
+        covering = cov("universe: a b c\nblock: a b\nblock X: a\nblock: b\nblock K2: c")
+        assert reduct(covering).serialize() == "universe: a b c\nblock X: a\nblock K3: b\nblock K2: c\n"
 
 
 class TestImmured:

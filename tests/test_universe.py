@@ -17,7 +17,7 @@ from covlat import (
     parse_family,
 )
 from conftest import FAMILY4, MIXED5, cov, fam
-from strategies import coverings, families
+from strategies import coverings, families, named_families
 
 
 class TestParsing:
@@ -44,7 +44,7 @@ class TestParsing:
         )
         assert family.universe.labels == ("a", "b")
         assert [b.labels() for b in family.blocks] == [("a",), ("b",)]
-        assert family.names == ("K1", None)
+        assert family.names == ("K1", "K2")
 
     def test_hash_inside_a_label_is_part_of_it(self):
         family = parse_family("universe: a#1 b# #c\nblock: a#1 b#  # both\n")
@@ -108,6 +108,12 @@ class TestParsing:
     def test_serialize_round_trip(self, family):
         assert parse_family(family.serialize()) == family
 
+    @given(named_families())
+    def test_serialize_round_trip_keeps_every_name(self, family):
+        parsed = parse_family(family.serialize())
+        assert parsed == family
+        assert parsed.names == family.names
+
 
 class TestCovering:
     def test_uncovered_elements_reported(self, family4):
@@ -130,12 +136,13 @@ class TestCovering:
         assert covering.dropped_duplicates == (1,)
 
     def test_dropped_duplicate_must_not_shift_a_name_onto_another(self):
+        # names are fixed when the family is parsed: the unnamed third block
+        # stays K3 when X, a repeat of K2, is dropped before it
         family = fam("universe: a b\nblock K2: a\nblock X: a\nblock: b")
-        with pytest.raises(ValidationError, match="block name K2 names two blocks"):
-            as_covering(family)
-        # without a drop, names that clash only after a deletion pass
+        assert as_covering(family).names == ("K2", "K3")
+        # and when a deletion moves it to the second place
         deleted = fam("universe: a b c\nblock K2: a b\nblock B: b\nblock: c").without_block(1)
-        assert [as_covering(deleted).block_name(i) for i in range(2)] == ["K2", "K2"]
+        assert as_covering(deleted).names == ("K2", "K3")
 
     def test_direct_covering_rejects_duplicates(self):
         universe = Universe(("1", "2"))

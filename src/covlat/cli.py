@@ -101,16 +101,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         "universe": list(universe.labels),
         "n": universe.n,
         "m": covering.m,
-        "blocks": {covering.block_name(i): list(b.labels()) for i, b in enumerate(covering.blocks)},
+        "blocks": {name: list(b.labels()) for name, b in zip(covering.names, covering.blocks)},
         "dropped_duplicate_blocks": list(covering.dropped_duplicates),
         "is_partition": is_partition(covering),
         "neighborhoods": {
             label: {
                 "indiscernible": list(table.indiscernible[i].labels()),
                 "neighborhood": list(table.neighborhood[i].labels()),
-                "minimal_description": [
-                    covering.block_name(j) for j in table.minimal_description[i]
-                ],
+                "minimal_description": [covering.names[j] for j in table.minimal_description[i]],
             }
             for i, label in enumerate(universe.labels)
         },
@@ -127,8 +125,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             }
             for kind, verdict in verdicts.items()
         },
-        "reducible_blocks": [covering.block_name(i) for i in reductions.reducible_blocks],
-        "immured_blocks": [covering.block_name(i) for i in reductions.immured_blocks],
+        "reducible_blocks": [covering.names[i] for i in reductions.reducible_blocks],
+        "immured_blocks": [covering.names[i] for i in reductions.immured_blocks],
     }
     matroid = TransversalMatroid(covering)
     report["matroid"] = _transversal_report(matroid)

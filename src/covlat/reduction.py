@@ -3,15 +3,16 @@
 A block is reducible when it equals a union of other blocks, and immured
 when it is strictly contained in another block.  ``reduct`` removes every
 block that is reducible in the original covering, and ``exclusion`` every
-block that is immured in it, each in one pass; the kept blocks keep their
-order and names.  Both results still cover the universe.
+block that is immured in it, each in one pass: the result is the covering
+less one block bitmask (``SetFamily.without``), so the kept blocks keep
+their order and names.  Both results still cover the universe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .universe import Covering
+from .universe import Covering, as_covering
 
 
 def reducible_block_indices(covering: Covering) -> tuple[int, ...]:
@@ -34,15 +35,6 @@ def immured_block_indices(covering: Covering) -> tuple[int, ...]:
     )
 
 
-def _without(covering: Covering, dropped: tuple[int, ...]) -> Covering:
-    kept = [i for i in range(covering.m) if i not in dropped]
-    return Covering(
-        covering.universe,
-        [covering.blocks[i] for i in kept],
-        [covering.names[i] for i in kept],
-    )
-
-
 def reduct(covering: Covering) -> Covering:
     """The covering less every block that is reducible in it.
 
@@ -56,12 +48,12 @@ def reduct(covering: Covering) -> Covering:
     none of them is K'; put them in K's place and K' is a union of blocks
     other than K and K'.
     """
-    return _without(covering, reducible_block_indices(covering))
+    return as_covering(covering.without(sum(1 << i for i in reducible_block_indices(covering))))
 
 
 def exclusion(covering: Covering) -> Covering:
     """The covering less every block strictly contained in another block."""
-    return _without(covering, immured_block_indices(covering))
+    return as_covering(covering.without(sum(1 << i for i in immured_block_indices(covering))))
 
 
 @dataclass(frozen=True)
@@ -71,14 +63,7 @@ class ReductionReport:
 
     reducible_blocks: tuple[int, ...]
     immured_blocks: tuple[int, ...]
-    reduct: Covering
-    exclusion: Covering
 
 
 def reduction_report(covering: Covering) -> ReductionReport:
-    return ReductionReport(
-        reducible_block_indices(covering),
-        immured_block_indices(covering),
-        reduct(covering),
-        exclusion(covering),
-    )
+    return ReductionReport(reducible_block_indices(covering), immured_block_indices(covering))

@@ -11,8 +11,10 @@ once and passes it as ``lattice`` with the matroid, or None over the lattice
 guard, which skips exactly the claims that read L.  A structure within the
 transversal matroid is checked on L's flats by the weak-map and quotient
 criteria.  The deletions, the reduct and the exclusion are the matroid less
-some blocks: each pass over L finds one matching of each flat, from which
-every deletion it checks derives its rank and closure there.
+some blocks, each named by its block bitmask D: each pass over L finds one
+matching of each flat, from which every deletion it checks derives its rank
+and closure there.  No family less D is built unless L is not the
+covering's lattice, where the deletion's own matroid decides the claims.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .approximation import (
 )
 from .errors import InternalConsistencyError
 from .lattice import FlatLattice, default_max_flats, lattice_guard_exceeded
-from .reduction import exclusion, immured_block_indices, reducible_block_indices, reduct
+from .reduction import immured_block_indices, reducible_block_indices
 from .transversal import TransversalMatroid
 from .universe import Covering, ElementSet, as_covering, bits_of, is_partition
 
@@ -154,22 +156,23 @@ def _record_on_flats(report, claims, smaller, lattice: FlatLattice, note=None) -
 
 
 def _record_without(report, whole, lattice: FlatLattice | None, deletions) -> None:
-    """Record the claim pair of each (claims, D, subfamily, note) in
-    ``deletions`` for M \\ D, the matroid of ``subfamily``: the family of
-    ``whole`` (M) less the blocks in the bitmask D.  Without L, skip them.
+    """Record the claim pair of each (claims, D, note) in ``deletions`` for
+    M \\ D, the matroid of the family of ``whole`` (M) less the blocks in
+    the bitmask D.  Without L, skip them.
 
     One pass over the flats F of L finds one matching of each, from which
     both criteria read r_{M \\ D}(F) and cl_{M \\ D}(F) for every D
     (``TransversalMatroid.ranks_and_closures_without``).  M \\ D is a
     weak-map image of M, so the rank exceeds no height if L is M's lattice;
-    if it does, that pair is recorded on a fresh matroid of the subfamily.
+    if it does, that pair is recorded on a fresh matroid of the family less
+    D, the only place that family is built.
     """
     gate = _lattice_gate(lattice)
     if gate is not None:
-        for claims, _, _, _ in deletions:
+        for claims, _, _ in deletions:
             report.skipped(gate, *claims)
         return
-    masks = [deleted for _, deleted, _, _ in deletions]
+    masks = [deleted for _, deleted, _ in deletions]
     foreign = [False] * len(masks)
     unclosed: list[ElementSet | None] = [None] * len(masks)
     for flat, height in zip(lattice.flats, lattice.heights):
@@ -178,9 +181,10 @@ def _record_without(report, whole, lattice: FlatLattice | None, deletions) -> No
                 foreign[k] = True
             elif unclosed[k] is None and closed.mask not in lattice._index:
                 unclosed[k] = closed
-    for (claims, _, subfamily, note), over, closed in zip(deletions, foreign, unclosed):
+    for (claims, deleted, note), over, closed in zip(deletions, foreign, unclosed):
         if over:
-            _record_on_flats(report, claims, TransversalMatroid(subfamily), lattice, note)
+            smaller = TransversalMatroid(whole.family.without(deleted))
+            _record_on_flats(report, claims, smaller, lattice, note)
         else:
             _record_within(report, claims, None, closed, note)
 
@@ -273,12 +277,11 @@ def check_deletion_monotonicity(
         tagged["reducible"] = reducible_block_indices(family)
         tagged["immured"] = immured_block_indices(family)
     deletions = []
-    for i in range(family.m):
-        name = family.block_name(i)
+    for i, name in enumerate(family.names):
         tags = [tag for tag, indices in tagged.items() if i in indices]
         note = f"block {name} is {' and '.join(tags)}" if tags else None
         named = tuple(f"{claim}[{name}]" for claim in claims)
-        deletions.append((named, 1 << i, family.without_block(i), note))
+        deletions.append((named, 1 << i, note))
     _record_without(report, whole, lattice, deletions)
     return report
 
@@ -286,17 +289,19 @@ def check_deletion_monotonicity(
 def check_reduct_exclusion_containments(
     whole: TransversalMatroid, lattice: FlatLattice | None
 ) -> RelationReport:
-    """Reducts and exclusions only shrink the structures of the original."""
+    """Reducts and exclusions only shrink the structures of the original.
+    Each is decided as the matroid less the blocks that ``reduct`` or
+    ``exclusion`` would drop, without building either covering."""
     report = RelationReport()
     covering = whole.family
     deletions = []
-    for mode, reduce, dropped in (
-        ("reduct", reduct, reducible_block_indices),
-        ("exclusion", exclusion, immured_block_indices),
+    for mode, dropped in (
+        ("reduct", reducible_block_indices(covering)),
+        ("exclusion", immured_block_indices(covering)),
     ):
-        deleted = sum(1 << j for j in dropped(covering))
+        deleted = sum(1 << j for j in dropped)
         claims = (f"{mode}-independents-within-original", f"{mode}-flats-within-original")
-        deletions.append((claims, deleted, reduce(covering), None))
+        deletions.append((claims, deleted, None))
     _record_without(report, whole, lattice, deletions)
     return report
 
@@ -318,7 +323,7 @@ def check_reduction_preservation(table: NeighborhoodTable, verdicts: Verdicts) -
 
     @cache
     def shrunk_table(i: int) -> NeighborhoodTable:
-        return NeighborhoodTable.build(as_covering(covering.without_block(i)))
+        return NeighborhoodTable.build(as_covering(covering.without(1 << i)))
 
     @cache
     def verdict_without(i: int, kind: UpperOperator) -> ClosureVerdict:
@@ -338,7 +343,7 @@ def check_reduction_preservation(table: NeighborhoodTable, verdicts: Verdicts) -
             report.skipped(f"covering has no {tag} block", claim)
             continue
         for i in indices:
-            name = covering.block_name(i)
+            name = covering.names[i]
             after = verdict_without(i, kind)
             if not after.is_closure:
                 report.verdict(
@@ -364,7 +369,7 @@ def check_reduction_preservation(table: NeighborhoodTable, verdicts: Verdicts) -
         if not verdicts[kind].is_closure or not indices:
             continue
         for i in indices:
-            name = covering.block_name(i)
+            name = covering.names[i]
             still = verdict_without(i, kind).is_closure
             report.note_only(
                 claim,

@@ -250,8 +250,7 @@ class TransversalMatroid:
         free = [block for block, element in enumerate(m_block_to) if element < 0]
         results = []
         for deleted in deletions:
-            if not 0 <= deleted < 1 << len(block_masks):
-                raise ValidationError(f"deleted-block mask {deleted:#x} names no block")
+            self.family.check_deleted(deleted)
             block_to, element_to = m_block_to[:], m_element_to[:]
             rank = len(block_to) - len(free)
             freed = []

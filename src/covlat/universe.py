@@ -16,15 +16,17 @@ A token that begins with ``#`` starts a comment to the end of the line
 line and appear exactly once.  Block names are optional, used only in
 reports, and distinct; an unnamed block is named ``K<position>`` by its place
 in the input, and that name stays with it through deletions and reductions.
-``SetFamily.serialize`` writes every block's name.  A JSON object with
-``universe`` and ``blocks`` fields is accepted wherever the text is.
+Every family refuses two blocks with one name, so what
+``SetFamily.serialize`` writes, every block's name included, parses back.
+A deletion is named by its block bitmask D, bit i for block i:
+``SetFamily.without(D)`` is the family less those blocks.  A JSON object
+with ``universe`` and ``blocks`` fields is accepted wherever the text is.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import ParseError, ValidationError
@@ -206,8 +208,8 @@ class SetFamily:
     Block order and multiplicity are significant: the family is indexed, and
     transversal independence is defined against that indexing.  Every block
     has a display name, fixed when the family is built: the one given, or
-    ``K<i+1>`` for an unnamed block at index i.  Equality compares ordered
-    block contents and ignores the names.
+    ``K<i+1>`` for an unnamed block at index i; no two blocks share one.
+    Equality compares ordered block contents and ignores the names.
     """
 
     __slots__ = ("universe", "blocks", "names")
@@ -230,16 +232,17 @@ class SetFamily:
             names = (None,) * len(blocks)
         elif len(names) != len(blocks):
             raise ValidationError("one name per block required")
+        names = tuple(name or f"K{i + 1}" for i, name in enumerate(names))
+        if len(set(names)) < len(names):
+            shared = next(name for name in names if names.count(name) > 1)
+            raise ValidationError(f"block name {shared} names two blocks")
         self.universe = universe
         self.blocks = blocks
-        self.names = tuple(name or f"K{i + 1}" for i, name in enumerate(names))
+        self.names = names
 
     @property
     def m(self) -> int:
         return len(self.blocks)
-
-    def block_name(self, i: int) -> str:
-        return self.names[i]
 
     def union(self) -> ElementSet:
         mask = 0
@@ -250,15 +253,19 @@ class SetFamily:
     def covers_universe(self) -> bool:
         return self.union().mask == self.universe.full_mask
 
-    def without_block(self, i: int) -> "SetFamily":
-        """The same family with block ``i`` deleted (result is a plain family)."""
-        if not 0 <= i < self.m:
-            raise ValidationError(f"no block with index {i}")
-        if self.m < 2:
-            raise ValidationError("cannot delete the only block")
-        blocks = self.blocks[:i] + self.blocks[i + 1 :]
-        names = self.names[:i] + self.names[i + 1 :]
-        return SetFamily(self.universe, blocks, names)
+    def check_deleted(self, deleted: int) -> None:
+        """Refuse a deleted-block bitmask with a bit past the last block."""
+        if not 0 <= deleted < 1 << self.m:
+            raise ValidationError(f"deleted-block mask {deleted:#x} names no block")
+
+    def without(self, deleted: int) -> "SetFamily":
+        """The plain family less the blocks in the bitmask ``deleted``; the
+        kept blocks keep their order and names."""
+        self.check_deleted(deleted)
+        kept = [i for i in range(self.m) if not deleted >> i & 1]
+        return SetFamily(
+            self.universe, [self.blocks[i] for i in kept], [self.names[i] for i in kept]
+        )
 
     def serialize(self) -> str:
         lines = ["universe: " + " ".join(self.universe.labels)]
@@ -298,7 +305,7 @@ class Covering(SetFamily):
         for i, block in enumerate(self.blocks):
             if block.mask in seen:
                 raise ValidationError(
-                    f"duplicate blocks {self.block_name(seen[block.mask])} and {self.block_name(i)}"
+                    f"duplicate blocks {self.names[seen[block.mask]]} and {self.names[i]}"
                 )
             seen[block.mask] = i
         missing = self.union().complement()
@@ -360,7 +367,7 @@ def as_partition(family: SetFamily) -> Partition:
     )
 
 
-def _parse_json_family(text: str) -> SetFamily:
+def _parse_json_family(text: str) -> tuple[Universe, list[ElementSet], None]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -373,12 +380,9 @@ def _parse_json_family(text: str) -> SetFamily:
         raise ParseError("'universe' must be an array of strings")
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ParseError("'blocks' must be an array of arrays of strings")
-    try:
-        universe = Universe(labels)
-        built = [_build_block(universe, b, f"block {i + 1}") for i, b in enumerate(blocks)]
-        return SetFamily(universe, built)
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from None
+    universe = Universe(labels)
+    built = [_build_block(universe, b, f"block {i + 1}") for i, b in enumerate(blocks)]
+    return universe, built, None
 
 
 def _build_block(universe: Universe, tokens: Sequence[str], where: str) -> ElementSet:
@@ -395,16 +399,7 @@ def _build_block(universe: Universe, tokens: Sequence[str], where: str) -> Eleme
     return ElementSet(universe, mask)
 
 
-def parse_family(text: str) -> SetFamily:
-    """Parse the text or JSON covering format into a family.
-
-    The universe element order is the order of first occurrence on the
-    ``universe:`` line; block order follows the input.
-    """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_json_family(text)
-
+def _parse_text_family(text: str) -> tuple[Universe, list[ElementSet], list[str | None]]:
     universe: Universe | None = None
     raw_blocks: list[tuple[int, str | None, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -442,8 +437,18 @@ def parse_family(text: str) -> SetFamily:
     if not raw_blocks:
         raise ParseError("no block lines")
     blocks = [_build_block(universe, tokens, f"line {lineno}") for lineno, _, tokens in raw_blocks]
-    family = SetFamily(universe, blocks, [name for _, name, _ in raw_blocks])
-    shared = next((name for name, count in Counter(family.names).items() if count > 1), None)
-    if shared:
-        raise ParseError(f"block name {shared} names two blocks")
-    return family
+    return universe, blocks, [name for _, name, _ in raw_blocks]
+
+
+def parse_family(text: str) -> SetFamily:
+    """Parse the text or JSON covering format into a family.
+
+    The universe element order is the order of first occurrence on the
+    ``universe:`` line; block order follows the input.  Every refusal is a
+    ``ParseError``, two blocks with one name included.
+    """
+    parse = _parse_json_family if text.lstrip().startswith("{") else _parse_text_family
+    try:
+        return SetFamily(*parse(text))
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from None

@@ -40,13 +40,14 @@ def _union(masks) -> int:
 
 def _named(draw, family: SetFamily) -> SetFamily:
     """The family with some blocks given names, some of them of the K<i>
-    form that an unnamed block elsewhere would get.  As parsing requires, no
-    two blocks end up with one name: a block whose name an earlier block
-    already has is renamed R<i>."""
+    form that an unnamed block elsewhere would get.  As every family
+    requires, no two blocks end up with one name: a block whose name, given
+    or the default K<i+1>, an earlier block already has is renamed R<i>."""
     pool = [None, "X", "Y"] + [f"K{i}" for i in range(1, family.m + 2)]
     names = draw(st.lists(st.sampled_from(pool), min_size=family.m, max_size=family.m))
     seen = set()
-    for i, name in enumerate(SetFamily(family.universe, family.blocks, names).names):
+    for i, name in enumerate(names):
+        name = name or f"K{i + 1}"
         if name in seen:
             names[i] = f"R{i}"
         seen.add(name)

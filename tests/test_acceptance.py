@@ -132,7 +132,7 @@ def test_criterion_03_reducible_removal_breaks_block_union_operator():
     with criterion(3, "reducible-block removal breaks sh", 1.0):
         covering = cov(NESTED3)
         assert table_and_verdicts(covering)[1][UpperOperator.SH].is_closure
-        shrunk = NeighborhoodTable.build(as_covering(covering.without_block(2)))
+        shrunk = NeighborhoodTable.build(as_covering(covering.without(1 << 2)))
         assert not closure_operator_verdict(shrunk, UpperOperator.SH).is_closure
 
 
@@ -140,13 +140,13 @@ def test_criterion_04_immured_removal_breaks_neighborhood_operators():
     with criterion(4, "immured-block removal breaks xh and vh", 1.0):
         chain_a = cov(CHAIN_A)
         assert table_and_verdicts(chain_a)[1][UpperOperator.XH].is_closure
-        shrunk_a = NeighborhoodTable.build(as_covering(chain_a.without_block(0)))
+        shrunk_a = NeighborhoodTable.build(as_covering(chain_a.without(1 << 0)))
         assert not closure_operator_verdict(shrunk_a, UpperOperator.XH).is_closure
         chain_b = cov(CHAIN_B)
         verdict = closure_operator_verdict(NeighborhoodTable.build(chain_b), UpperOperator.VH)
         assert verdict.is_closure
         assert [c.labels() for c in verdict.classes] == [("1",), ("2", "3")]
-        shrunk_b = NeighborhoodTable.build(as_covering(chain_b.without_block(0)))
+        shrunk_b = NeighborhoodTable.build(as_covering(chain_b.without(1 << 0)))
         assert not closure_operator_verdict(shrunk_b, UpperOperator.VH).is_closure
 
 

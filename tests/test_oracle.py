@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -9,6 +11,7 @@ from covlat import (
     brute_independent,
     brute_operator_axioms,
 )
+from covlat import oracle
 from covlat.oracle import ORACLE_MAX_N
 from conftest import cov, fam, subsets
 from strategies import families, partitions
@@ -61,6 +64,39 @@ class TestBruteOperatorAxioms:
         for kind in UpperOperator:
             holds, _ = brute_operator_axioms(partition, kind)
             assert holds
+
+    def test_monotonicity_witness_is_the_submask_walks(self, monkeypatch):
+        # sh, xh and vh are monotone on every covering, so random extensive
+        # tables stand in for the operator; the reference walks every
+        # submask S of every U, U ascending and S descending
+        def submask_walk(table):
+            for upper in range(len(table)):
+                sub = upper
+                while True:
+                    if table[sub] & ~table[upper]:
+                        return sub
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & upper
+            return None
+
+        rng = random.Random(27)
+        violations = 0
+        for _ in range(3000):
+            n = rng.randint(1, 4)
+            table = [rng.randrange(1 << n) | mask for mask in range(1 << n)]
+            labels = " ".join(map(str, range(n)))
+            covering = cov(f"universe: {labels}\nblock: {labels}")
+            monkeypatch.setattr(oracle, "_operator_table", lambda covering, kind: table)
+            _, witness = brute_operator_axioms(covering, UpperOperator.SH)
+            expected = submask_walk(table)
+            if expected is None:
+                assert witness is None or witness.law != "monotonicity"
+            else:
+                violations += 1
+                assert witness.law == "monotonicity"
+                assert witness.subset.mask == expected
+        assert violations > 1000
 
 
 class TestBudget:

@@ -181,7 +181,7 @@ class TestWeakMapCriterion:
         # block are {} and {1 2 3}, of height 1, where the two copies have
         # rank 2; the greedy basis is {1 2}, not the flat itself
         family = fam("universe: 1 2 3\nblock: 1 2 3\nblock: 1 2 3")
-        smaller, larger = TransversalMatroid(family), TransversalMatroid(family.without_block(1))
+        smaller, larger = TransversalMatroid(family), TransversalMatroid(family.without(1 << 1))
         witness = relations._separating_on_flats(smaller, enumerate_lattice(larger))
         assert witness == family.universe.subset(["1", "2"])
 
@@ -281,7 +281,7 @@ class TestOperatorClaimsAgainstSweeps:
 class TestDeletionMonotonicity:
     def test_corrected_three_element_family(self, family3):
         matroid = TransversalMatroid(family3)
-        shrunk = TransversalMatroid(family3.without_block(2))
+        shrunk = TransversalMatroid(family3.without(1 << 2))
         u = family3.universe
         expected_independents = {
             u.subset(members).mask
@@ -299,7 +299,7 @@ class TestDeletionMonotonicity:
         assert all(r.holds for r in report.records)
 
     def test_flat_containment_golden(self, family3):
-        shrunk = TransversalMatroid(family3.without_block(2))
+        shrunk = TransversalMatroid(family3.without(1 << 2))
         flats = enumerate_lattice(shrunk).flats
         u = family3.universe
         assert {f.mask for f in flats} == {
@@ -338,8 +338,8 @@ class TestDeletionMonotonicity:
             return records + check_reduct_exclusion_containments(whole, lattice).records
 
         def fresh(report, whole, lattice, deletions):
-            for claims, _, subfamily, note in deletions:
-                smaller = TransversalMatroid(subfamily)
+            for claims, deleted, note in deletions:
+                smaller = TransversalMatroid(whole.family.without(deleted))
                 relations._record_on_flats(report, claims, smaller, lattice, note)
 
         rng = random.Random(41)
@@ -350,7 +350,7 @@ class TestDeletionMonotonicity:
             n = rng.randint(3, 8)
             covering = density_covering(rng, n, rng.randint(3, n + 1))
             whole, lattice = transversal_and_lattice(covering)
-            sub = covering.without_block(rng.randrange(covering.m))
+            sub = covering.without(1 << rng.randrange(covering.m))
             other = density_covering(rng, n, rng.randint(2, n + 1))
             for family in (sub, other):
                 foreign = transversal_and_lattice(family)[1]

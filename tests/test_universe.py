@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from covlat import (
     Covering,
@@ -13,11 +13,13 @@ from covlat import (
     ValidationError,
     as_covering,
     as_partition,
+    exclusion,
     is_partition,
     parse_family,
+    reduct,
 )
 from conftest import FAMILY4, MIXED5, cov, fam
-from strategies import coverings, families, named_families
+from strategies import coverings, families, named_covering_families, named_families
 
 
 class TestParsing:
@@ -27,7 +29,7 @@ class TestParsing:
         assert family4.blocks[0] == family4.universe.subset(["2", "3"])
         assert family4.blocks[1] == family4.universe.subset(["4"])
         assert family4.blocks[2] == family4.universe.subset(["2", "4"])
-        assert family4.block_name(0) == "F1"
+        assert family4.names[0] == "F1"
 
     def test_minimal_covering(self):
         family = parse_family("universe: a\nblock: a")
@@ -114,6 +116,23 @@ class TestParsing:
         assert parsed == family
         assert parsed.names == family.names
 
+    def test_a_family_built_in_code_refuses_two_blocks_with_one_name(self):
+        # the unnamed second block would be K2 too, and the serialized text
+        # would be refused by the parser
+        universe = Universe(("a", "b"))
+        blocks = [universe.subset(["a"]), universe.subset(["b"])]
+        with pytest.raises(ValidationError, match="^block name K2 names two blocks$"):
+            SetFamily(universe, blocks, ["K2", None])
+
+    @given(named_covering_families(), st.data())
+    def test_built_families_and_their_deletions_parse_back_with_their_names(self, family, data):
+        deleted = data.draw(st.integers(0, (1 << family.m) - 2), label="deleted")
+        covering = as_covering(family)
+        for built in (family, family.without(deleted), reduct(covering), exclusion(covering)):
+            parsed = parse_family(built.serialize())
+            assert parsed == built
+            assert parsed.names == built.names
+
 
 class TestCovering:
     def test_uncovered_elements_reported(self, family4):
@@ -141,7 +160,7 @@ class TestCovering:
         family = fam("universe: a b\nblock K2: a\nblock X: a\nblock: b")
         assert as_covering(family).names == ("K2", "K3")
         # and when a deletion moves it to the second place
-        deleted = fam("universe: a b c\nblock K2: a b\nblock B: b\nblock: c").without_block(1)
+        deleted = fam("universe: a b c\nblock K2: a b\nblock B: b\nblock: c").without(1 << 1)
         assert as_covering(deleted).names == ("K2", "K3")
 
     def test_direct_covering_rejects_duplicates(self):
@@ -236,12 +255,19 @@ class TestUniverseValidation:
 
 
 def test_without_block(mixed5, family4):
-    shrunk = mixed5.without_block(3)
+    shrunk = mixed5.without(1 << 3)
     assert isinstance(shrunk, SetFamily) and not isinstance(shrunk, Covering)
     assert shrunk.m == 3
-    assert family4.without_block(0).m == 2
-    with pytest.raises(ValidationError):
-        fam("universe: a\nblock: a").without_block(0)
+    assert family4.without(1 << 0).m == 2
+    # bit i deletes block i; the kept blocks keep their order and names
+    both = family4.without(0b101)
+    assert both.blocks == (family4.blocks[1],) and both.names == ("F2",)
+    assert family4.without(0).names == family4.names
+    with pytest.raises(ValidationError, match="a family needs at least one block"):
+        fam("universe: a\nblock: a").without(1 << 0)
+    for deleted, spelled in ((1 << 3, "0x8"), (-1, "-0x1")):
+        with pytest.raises(ValidationError, match=f"^deleted-block mask {spelled} names no block$"):
+            family4.without(deleted)
 
 
 def test_parse_golden_texts_agree_with_fixtures(mixed5, family4):

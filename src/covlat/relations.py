@@ -11,15 +11,14 @@ once and passes it as ``lattice`` with the matroid, or None over the lattice
 guard, which skips exactly the claims that read L.  A structure within the
 transversal matroid is checked on L's flats by the weak-map and quotient
 criteria.  The deletions, the reduct and the exclusion are the matroid less
-some blocks, each named by its block bitmask D: each pass over L finds one
-matching of each flat, from which every deletion it checks derives its rank
-and closure there.  No family less D is built unless L is not the
-covering's lattice, where the deletion's own matroid decides the claims.
+some blocks, each named by its block bitmask D, and one pass over L, one
+matching per flat, decides them all.  No family less D is built unless L is
+not the covering's lattice, where the deletion's own matroid decides.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from functools import cache
 
 from .approximation import (
@@ -31,7 +30,7 @@ from .approximation import (
 )
 from .errors import InternalConsistencyError
 from .lattice import FlatLattice, default_max_flats, lattice_guard_exceeded
-from .reduction import immured_block_indices, reducible_block_indices
+from .reduction import reduction_report
 from .transversal import TransversalMatroid
 from .universe import Covering, ElementSet, as_covering, bits_of, is_partition
 
@@ -155,33 +154,36 @@ def _record_on_flats(report, claims, smaller, lattice: FlatLattice, note=None) -
     _record_within(report, claims, separating, unclosed, note)
 
 
-def _record_without(report, whole, lattice: FlatLattice | None, deletions) -> None:
-    """Record the claim pair of each (claims, D, note) in ``deletions`` for
-    M \\ D, the matroid of the family of ``whole`` (M) less the blocks in
-    the bitmask D.  Without L, skip them.
-
-    One pass over the flats F of L finds one matching of each, from which
-    both criteria read r_{M \\ D}(F) and cl_{M \\ D}(F) for every D
-    (``TransversalMatroid.ranks_and_closures_without``).  M \\ D is a
-    weak-map image of M, so the rank exceeds no height if L is M's lattice;
-    if it does, that pair is recorded on a fresh matroid of the family less
-    D, the only place that family is built.
-    """
-    gate = _lattice_gate(lattice)
-    if gate is not None:
-        for claims, _, _ in deletions:
-            report.skipped(gate, *claims)
-        return
-    masks = [deleted for _, deleted, _ in deletions]
+def _outcomes_without(whole, lattice: FlatLattice, masks) -> dict:
+    """Each bitmask D in ``masks`` -> (r_{M \\ D}(F) exceeds the height of some
+    flat F of L, the first cl_{M \\ D}(F) not in L or None); one matching per F."""
     foreign = [False] * len(masks)
     unclosed: list[ElementSet | None] = [None] * len(masks)
     for flat, height in zip(lattice.flats, lattice.heights):
         for k, (rank, closed) in enumerate(whole.ranks_and_closures_without(flat, masks)):
             if rank > height:
                 foreign[k] = True
-            elif unclosed[k] is None and closed.mask not in lattice._index:
+            elif unclosed[k] is None and closed is not flat and closed.mask not in lattice._index:
                 unclosed[k] = closed
-    for (claims, deleted, note), over, closed in zip(deletions, foreign, unclosed):
+    return dict(zip(masks, zip(foreign, unclosed)))
+
+
+def _record_without(report, whole, lattice: FlatLattice | None, deletions, outcomes=None) -> None:
+    """Record the claim pair of each (claims, D, note) in ``deletions`` for
+    M \\ D, the matroid of the family of ``whole`` (M) less the blocks in
+    the bitmask D, from ``outcomes`` (``_outcomes_without``, run here if not
+    given).  Without L, skip them.  M \\ D is a weak-map image of M, so the
+    rank exceeds no height if L is M's lattice; if it does, that pair is
+    recorded on a fresh matroid of the family less D, the only one built.
+    """
+    gate = _lattice_gate(lattice)
+    if gate is not None:
+        for claims, _, _ in deletions:
+            report.skipped(gate, *claims)
+        return
+    outcomes = outcomes or _outcomes_without(whole, lattice, [d for _, d, _ in deletions])
+    for claims, deleted, note in deletions:
+        over, closed = outcomes[deleted]
         if over:
             smaller = TransversalMatroid(whole.family.without(deleted))
             _record_on_flats(report, claims, smaller, lattice, note)
@@ -263,50 +265,48 @@ def check_containments(
 
 
 def check_deletion_monotonicity(
-    whole: TransversalMatroid, lattice: FlatLattice | None
+    whole: TransversalMatroid, lattice: FlatLattice | None, reductions=None, outcomes=None
 ) -> RelationReport:
     """Deleting any block shrinks the independence family and the flat set:
-    one claim pair per block, suffixed [name], all decided in one pass."""
+    one claim pair per block, suffixed [name], all decided in one pass, which
+    ``full_relation_report`` hands in as ``outcomes`` with its ``reductions``."""
     report = RelationReport()
     family = whole.family
     claims = ("deletion-shrinks-independents", "deletion-shrinks-flats")
     if report.skipped("family has fewer than two blocks" if family.m < 2 else None, *claims):
         return report
-    tagged: dict[str, tuple[int, ...]] = {}
-    if isinstance(family, Covering):
-        tagged["reducible"] = reducible_block_indices(family)
-        tagged["immured"] = immured_block_indices(family)
+    if reductions is None and isinstance(family, Covering):
+        reductions = reduction_report(family)
+    tagged = dict(zip(("reducible", "immured"), astuple(reductions) if reductions else ()))
     deletions = []
     for i, name in enumerate(family.names):
-        tags = [tag for tag, indices in tagged.items() if i in indices]
+        tags = [tag for tag, found in tagged.items() if i in found]
         note = f"block {name} is {' and '.join(tags)}" if tags else None
         named = tuple(f"{claim}[{name}]" for claim in claims)
         deletions.append((named, 1 << i, note))
-    _record_without(report, whole, lattice, deletions)
+    _record_without(report, whole, lattice, deletions, outcomes)
     return report
 
 
 def check_reduct_exclusion_containments(
-    whole: TransversalMatroid, lattice: FlatLattice | None
+    whole: TransversalMatroid, lattice: FlatLattice | None, reductions=None, outcomes=None
 ) -> RelationReport:
     """Reducts and exclusions only shrink the structures of the original.
     Each is decided as the matroid less the blocks that ``reduct`` or
-    ``exclusion`` would drop, without building either covering."""
+    ``exclusion`` would drop (``reductions``), without building either."""
     report = RelationReport()
-    covering = whole.family
     deletions = []
-    for mode, dropped in (
-        ("reduct", reducible_block_indices(covering)),
-        ("exclusion", immured_block_indices(covering)),
-    ):
-        deleted = sum(1 << j for j in dropped)
+    dropped_by = astuple(reductions or reduction_report(whole.family))
+    for mode, dropped in zip(("reduct", "exclusion"), dropped_by):
         claims = (f"{mode}-independents-within-original", f"{mode}-flats-within-original")
-        deletions.append((claims, deleted, None))
-    _record_without(report, whole, lattice, deletions)
+        deletions.append((claims, sum(1 << j for j in dropped), None))
+    _record_without(report, whole, lattice, deletions, outcomes)
     return report
 
 
-def check_reduction_preservation(table: NeighborhoodTable, verdicts: Verdicts) -> RelationReport:
+def check_reduction_preservation(
+    table: NeighborhoodTable, verdicts: Verdicts, reductions=None
+) -> RelationReport:
     """Closure operators survive the removals that leave them untouched.
 
     Removing an immured block preserves the block-union operator together
@@ -318,8 +318,7 @@ def check_reduction_preservation(table: NeighborhoodTable, verdicts: Verdicts) -
     """
     report = RelationReport()
     covering = table.covering
-    reducible = reducible_block_indices(covering)
-    immured = immured_block_indices(covering)
+    reducible, immured = astuple(reductions or reduction_report(covering))
 
     @cache
     def shrunk_table(i: int) -> NeighborhoodTable:
@@ -384,10 +383,16 @@ def full_relation_report(
     transversal: TransversalMatroid,
     lattice: FlatLattice | None,
 ) -> RelationReport:
-    """Everything: containments, per-block deletion, reducts, preservation."""
+    """Everything: containments, per-block deletion, reducts, preservation,
+    from one ``reduction_report`` and one pass over L for every deletion."""
+    covering = table.covering
+    reductions = reduction_report(covering)
+    masks = [1 << i for i in range(covering.m)]
+    masks += [sum(1 << i for i in dropped) for dropped in astuple(reductions)]
+    outcomes = None if lattice is None else _outcomes_without(transversal, lattice, masks)
     report = check_containments(table, verdicts, transversal, lattice)
-    if table.covering.m > 1:
-        report.extend(check_deletion_monotonicity(transversal, lattice))
-    report.extend(check_reduct_exclusion_containments(transversal, lattice))
-    report.extend(check_reduction_preservation(table, verdicts))
+    if covering.m > 1:
+        report.extend(check_deletion_monotonicity(transversal, lattice, reductions, outcomes))
+    report.extend(check_reduct_exclusion_containments(transversal, lattice, reductions, outcomes))
+    report.extend(check_reduction_preservation(table, verdicts, reductions))
     return report

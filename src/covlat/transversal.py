@@ -20,10 +20,10 @@ cannot be chosen vertex-disjoint.  One backward search from those blocks
 and one post-dominator computation over the blocks it reaches group the
 elements: no per-cover augmenting path, list copy or closure.
 
-Deleting a set D of blocks turns a maximum matching of X into one of X in
-M \\ D after one augmenting path from each element that lost its block.
-``ranks_and_closures_without`` finds one matching of X and derives the rank
-and the closure of X in each given M \\ D from it.
+``ranks_and_closures_without`` gives X's rank and closure in each M \\ D,
+less a set D of blocks, from one matching of X.  Deleting one block b is
+contracting a new element of b alone, read off the same post-dominator tree;
+a larger D costs one augmenting path per element that lost its block.
 """
 
 from __future__ import annotations
@@ -151,25 +151,20 @@ class TransversalMatroid:
         block that post-dominates both e and f lies on chains of e's and of
         f's that end at its own child of t, so e and f are parallel iff both
         have all their chains end at the same c.  Each cover is therefore F
-        plus the elements whose reached blocks all lie under one child of t.
+        plus the elements whose reached blocks all lie under one child of t
+        (``_parallel_parts``); only the closure check used that F is closed.
         With one unmatched block every path ends there, so the one cover is
-        E.  Post-dominators are bitsets of blocks, iterated to a fixpoint
-        from the whole reached set; a pass costs O(m) bitmask steps per
-        reached block.
+        E.
         """
         self._check(flat)
         mask = flat.mask
         block_to, element_to = self._maximum_matching(mask)
-        block_masks = self._block_masks
         free = [block for block, element in enumerate(block_to) if element < 0]
         rank = len(block_to) - len(free)
         outside = self.universe.full_mask & ~mask
         if not outside:
             return rank, []
-        unmatched = 0
-        for block in free:
-            unmatched |= block_masks[block]
-        covered, matched = self._reach(mask, element_to, unmatched)
+        covered, matched = self._reach(mask, element_to, free)
         missed = outside & ~covered
         if missed:
             e = (missed & -missed).bit_length() - 1
@@ -179,6 +174,22 @@ class TransversalMatroid:
             )
         if len(free) == 1:
             return rank, [self.universe.full_mask]
+        _, under, twice = self._parallel_parts(block_to, free, matched)
+        covers = [mask | part for part in (u & outside & ~twice for u in under.values()) if part]
+        alone = outside & twice
+        while alone:
+            low = alone & -alone
+            alone ^= low
+            covers.append(mask | low)
+        return rank, covers
+
+    def _parallel_parts(self, block_to: list[int], free: list[int], matched: list[int]) -> tuple:
+        """The post-dominator tree of ``covers_of``'s proof for any set, from
+        its matching (block -> element), unmatched blocks and reached matched
+        blocks: each block's child of t (0 if not reached), the elements under
+        each child, and those under two.  Post-dominators are block bitsets,
+        iterated to a fixpoint from the whole reached set."""
+        block_masks = self._block_masks
         roots = sum(1 << block for block in free)
         reached = roots | sum(1 << block for block in matched)
         # post[b]: the bitset of the blocks on every path from block b to t
@@ -187,7 +198,7 @@ class TransversalMatroid:
             post[block] = 1 << block
         blocks_of = self._blocks_of
         arcs = [(block, blocks_of[block_to[block]] & reached & ~(1 << block)) for block in matched]
-        changed = True
+        changed = len(free) > 1  # else the one unmatched block is the only child of t
         while changed:
             changed = False
             for block, after in arcs:
@@ -202,89 +213,92 @@ class TransversalMatroid:
                     changed = True
         roots |= sum(1 << block for block in matched if post[block] == 1 << block)
         # the elements of the reached blocks under each child of t
+        home = [0] * len(post)
         under: dict[int, int] = {}
         for block in free + matched:
-            root = post[block] & roots
+            root = home[block] = post[block] & roots
             under[root] = under.get(root, 0) | block_masks[block]
         # an element under two children is parallel to nothing
         once = twice = 0
         for elements in under.values():
             twice |= once & elements
             once |= elements
-        covers = [mask | part for part in (u & outside & ~twice for u in under.values()) if part]
-        alone = outside & twice
-        while alone:
-            low = alone & -alone
-            alone ^= low
-            covers.append(mask | low)
-        return rank, covers
+        return home, under, twice
 
     def ranks_and_closures_without(
         self, x: ElementSet, deletions: list[int]
     ) -> list[tuple[int, ElementSet]]:
         """The rank and the closure of x in M \\ D, the transversal matroid of
-        the family less the blocks in D, for each bitmask D in deletions.
+        the family less the blocks in D, for each bitmask D in deletions,
+        from one maximum matching of x in M, of size r.
 
-        One maximum matching of x in M is found, and every D starts from a
-        copy of it.  Unmatching D's blocks leaves a matching of x in M \\ D;
-        one augmenting path through blocks outside D is then sought from each
-        element that lost its block, and closure's backward search starts
-        from the unmatched blocks outside D.
+        D = 0 and a single block b read closure's search of that matching
+        (for b, Oxley, Matroid Theory, ch. 7).  Let N be M with a new element
+        p in b alone: N \\ p = M, and N / p = M \\ b, as a maximum matching of
+        Y + p in N can give p its block.  So the rank is r_N(x + p) - 1 and
+        the closure cl_N(x + p) less p.  If the search misses b, p is in
+        cl_N(x) (closure's proof): they are r - 1 and cl_M(x).  Otherwise they
+        are r and cl_M(x) plus each e parallel to p in N / x, which by
+        ``covers_of``'s proof (p adds no arc) is each e whose reached blocks
+        all lie under b's child of t (``_parallel_parts``).
 
-        Proof.  Only a freed element can start an augmenting path: one from
-        an element that M leaves unmatched would run through blocks outside D
-        and matched edges of M to a block that M leaves unmatched, and
-        augment M inside x.  An element whose search fails stays unmatched:
-        an element with no augmenting path gets none when the matching grows
-        along another path (Kuhn 1955).  So after one search per freed
-        element no augmenting path is left, and by Berge's theorem the
-        matching is a maximum matching of x in M \\ D, whose size is the
+        Any other D unmatches its blocks in a copy of the matching and seeks
+        one augmenting path through blocks outside D from each element that
+        lost its block; the search then starts from the unmatched blocks
+        left.  Proof.  Only a freed element can start an augmenting path: one
+        from an element that M leaves unmatched would run through blocks
+        outside D and matched edges of M to a block that M leaves unmatched,
+        and augment M inside x.  An element whose search fails stays
+        unmatched: an element with no augmenting path gets none when the
+        matching grows along another path (Kuhn 1955).  So after one search
+        per freed element no augmenting path is left, and by Berge's theorem
+        the matching is a maximum matching of x in M \\ D, whose size is the
         rank; closure's proof then applies to it with the blocks outside D.
         Elements that lie only in blocks of D are loops of M \\ D: the search
         reaches no block of theirs, so they land in the closure.
         """
         self._check(x)
-        block_masks = self._block_masks
-        mask = x.mask
+        mask, universe, check = x.mask, self.universe, self.family.check_deleted
         m_block_to, m_element_to = self._maximum_matching(mask)
         free = [block for block, element in enumerate(m_block_to) if element < 0]
+        covered, matched = self._reach(mask, m_element_to, free)
+        r, home = len(m_block_to) - len(free), None
+        base = mask | universe.full_mask & ~covered  # cl_M(x)
         results = []
         for deleted in deletions:
-            self.family.check_deleted(deleted)
-            block_to, element_to = m_block_to[:], m_element_to[:]
-            rank = len(block_to) - len(free)
-            freed = []
-            for block in bits_of(deleted):
-                element = block_to[block]
-                if element >= 0:
-                    block_to[block] = element_to[element] = -1
-                    freed.append(element)
-            ends = deleted
-            for element in freed:
-                end = self._augment(element, block_to, element_to, deleted)
-                if end < 0:
-                    rank -= 1
-                else:
-                    ends |= 1 << end
-            unmatched = 0
-            for block in free:
-                if not ends >> block & 1:
-                    unmatched |= block_masks[block]
-            reached, _ = self._reach(mask, element_to, unmatched)
-            closure = ElementSet(self.universe, mask | self.universe.full_mask & ~reached)
-            results.append((rank, closure))
+            check(deleted)
+            rank = r
+            if not deleted & deleted - 1:  # no block or one
+                closed = base
+                if deleted:
+                    if home is None:
+                        home, under, twice = self._parallel_parts(m_block_to, free, matched)
+                    root = home[deleted.bit_length() - 1]
+                    closed |= under.get(root, 0) & ~twice
+                    rank -= not root
+            else:
+                block_to, element_to = m_block_to[:], m_element_to[:]
+                freed = [block_to[block] for block in bits_of(deleted) if block_to[block] >= 0]
+                for element in freed:
+                    block_to[element_to[element]] = element_to[element] = -1
+                ends = [self._augment(element, block_to, element_to, deleted) for element in freed]
+                rank -= sum(end < 0 for end in ends)
+                left = [b for b in free if not deleted >> b & 1 and b not in ends]
+                closed = mask | universe.full_mask & ~self._reach(mask, element_to, left)[0]
+            results.append((rank, x if closed == mask else ElementSet(universe, closed)))
         return results
 
-    def _reach(self, mask: int, element_to: list[int], reached: int) -> tuple[int, list[int]]:
+    def _reach(self, mask: int, element_to: list[int], roots: list[int]) -> tuple[int, list[int]]:
         """Closure's backward search, from the element -> block list of a
-        maximum matching of mask and the union of its unmatched blocks,
-        where it starts.  Returns the union of the blocks it reaches, so
-        cl(mask) is mask plus every element outside that union, and the
-        matched blocks it reaches, in the order it reaches them.
-
-        A member of mask in a reached block is matched, or it would start an
-        augmenting path, so the search follows members only."""
+        maximum matching of mask and the unmatched blocks it starts at: the
+        union of the blocks it reaches (cl(mask) is mask plus every element
+        outside it) and the matched blocks it reaches, in order.  A member of
+        mask in a reached block is matched, or it would start an augmenting
+        path, so the search follows members only."""
         block_masks = self._block_masks
+        reached = 0
+        for block in roots:
+            reached |= block_masks[block]
         found = []
         pending = reached & mask
         while pending:

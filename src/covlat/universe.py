@@ -255,7 +255,7 @@ class SetFamily:
 
     def check_deleted(self, deleted: int) -> None:
         """Refuse a deleted-block bitmask with a bit past the last block."""
-        if not 0 <= deleted < 1 << self.m:
+        if not 0 <= deleted < 1 << len(self.blocks):
             raise ValidationError(f"deleted-block mask {deleted:#x} names no block")
 
     def without(self, deleted: int) -> "SetFamily":

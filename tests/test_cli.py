@@ -366,10 +366,11 @@ class TestCompare:
 
     def test_matches_each_flat_of_the_lattice_once_per_pass(self, monkeypatch, capsys):
         # density_14.cov: 1,805 flats and 8 blocks.  The enumeration matches
-        # 1,806 times (each flat, and the top again for its rank); the
-        # deletion pass and the reduct/exclusion pass match each flat once.
-        # Matchings kept across the passes made it 3,611, and matching each
-        # flat again for each of the 10 deleted families 19,856
+        # 1,806 times (each flat, and the top again for its rank); one pass
+        # matches each flat once for every deletion, the reduct and the
+        # exclusion.  A second pass for the reduct and exclusion made it
+        # 5,416, and matching each flat again for each of the 10 deleted
+        # families 19,856
         calls = []
         match = TransversalMatroid._maximum_matching
 
@@ -381,7 +382,7 @@ class TestCompare:
         monkeypatch.setattr(TransversalMatroid, "_maximum_matching", counted)
         assert main(["compare", str(INPUTS / "density_14.cov")]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        assert len(calls) == 1_806 + 2 * 1_805 == 5_416
+        assert len(calls) == 1_806 + 1_805 == 3_611
 
     def test_compare_reads_no_join_index_or_edge_set(self, monkeypatch, capsys):
         # the relation checks read flats and heights only, so the lattice

@@ -25,7 +25,7 @@ from covlat import (
     enumerate_lattice,
     full_relation_report,
 )
-from covlat import relations
+from covlat import reduction, relations
 from covlat.generators import (
     partition_with_nested_block,
     partition_with_union_block,
@@ -337,7 +337,7 @@ class TestDeletionMonotonicity:
             records = check_deletion_monotonicity(whole, lattice).records
             return records + check_reduct_exclusion_containments(whole, lattice).records
 
-        def fresh(report, whole, lattice, deletions):
+        def fresh(report, whole, lattice, deletions, outcomes=None):
             for claims, deleted, note in deletions:
                 smaller = TransversalMatroid(whole.family.without(deleted))
                 relations._record_on_flats(report, claims, smaller, lattice, note)
@@ -491,8 +491,9 @@ class TestFullReport:
         assert constructed == []
 
     def test_matches_each_flat_once_for_every_deleted_family(self, monkeypatch):
-        # the deletion check and the reduct/exclusion check each make one
-        # pass over L: one matching per flat serves every family they delete
+        # one pass over L matches each flat once for every block deletion,
+        # the reduct and the exclusion; the two checks only record its
+        # outcomes and match nothing themselves
         covering = cov((INPUTS / "density_14.cov").read_text())
         args = relation_inputs(covering)
         lattice = args[-1]
@@ -517,18 +518,43 @@ class TestFullReport:
 
             return run
 
-        checks = ("check_deletion_monotonicity", "check_reduct_exclusion_containments")
+        names = (
+            "_outcomes_without",
+            "check_deletion_monotonicity",
+            "check_reduct_exclusion_containments",
+        )
         monkeypatch.setattr(TransversalMatroid, "_maximum_matching", counted_match)
-        for name in checks:
+        for name in names:
             monkeypatch.setattr(relations, name, counted(name, getattr(relations, name)))
         built = []
         monkeypatch.setattr(relations, "TransversalMatroid", built.append)
         report = full_relation_report(*args)
         assert report.failures() == []
         assert sum("deletion-shrinks" in r.claim for r in report.records) == 2 * covering.m
+        assert sum("-within-original" in r.claim for r in report.records) == 4
         assert built == []
         once = Counter(flat.mask for flat in lattice.flats)
-        assert matched == {name: once for name in checks}
+        assert matched == {names[0]: once, names[1]: Counter(), names[2]: Counter()}
+
+    def test_finds_the_reducible_and_immured_blocks_once(self, monkeypatch, nested3):
+        # the deletion notes, the reduct and exclusion rows and the
+        # preservation checks all read one reduction report (each check
+        # finding its own made three calls of each)
+        calls = Counter()
+        for name in ("reducible_block_indices", "immured_block_indices"):
+            found = getattr(reduction, name)
+
+            def counted(covering, name=name, found=found):
+                calls[name] += 1
+                return found(covering)
+
+            for module in (reduction, relations):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        for covering in (cov((INPUTS / "density_14.cov").read_text()), nested3):
+            calls.clear()
+            report = full_relation_report(*relation_inputs(covering))
+            assert report.failures() == []
+            assert calls == {"reducible_block_indices": 1, "immured_block_indices": 1}
 
     def test_mixed5_clean(self, mixed5):
         report = full_relation_report(*relation_inputs(mixed5))

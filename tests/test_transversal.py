@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from covlat import (
     BruteForce,
@@ -199,6 +200,29 @@ class TestRankAndClosureWithout:
                     assert closure.mask & lost == lost
         # deleting block 0 of the plain family leaves element 0 in no block
         assert loops_seen & 1 or n == 1
+
+    @given(families(max_n=6, max_m=5), st.lists(st.integers(0, 63), max_size=4))
+    # element 4 is a loop and two blocks repeat; E leaves no block unmatched
+    @example(fam("universe: 1 2 3 4\nblock: 1 2\nblock: 1 2\nblock: 2 3"), [0b0011])
+    # E leaves the second block {1} unmatched, and only that one
+    @example(fam("universe: 1 2 3\nblock: 1\nblock: 1\nblock: 2 3"), [0b110])
+    def test_one_block_read_off_the_post_dominator_tree_equals_a_fresh_matroid(
+        self, family, masks
+    ):
+        # each single block, on every flat, the empty set, E and a few other
+        # sets, against a fresh matroid of the family less that block
+        matroid = TransversalMatroid(family)
+        universe = family.universe
+        sets = list(enumerate_lattice(matroid).flats) + [universe.empty(), universe.full()]
+        sets += [ElementSet(universe, mask & universe.full_mask) for mask in masks]
+        deletions = [1 << j for j in range(family.m)]
+        fresh = [TransversalMatroid(family.without(d)) for d in deletions if family.m > 1]
+        for x in sets:
+            derived = matroid.ranks_and_closures_without(x, deletions)
+            if not fresh:  # no block is left: every element is a loop
+                assert derived == [(0, universe.full())]
+            for (rank, closure), other in zip(derived, fresh):
+                assert (rank, closure) == (other.rank(x), other.closure(x))
 
     def test_deleting_nothing_is_the_matroid_itself(self, doubled9):
         matroid = TransversalMatroid(doubled9)

@@ -27,7 +27,7 @@ from .approximation import (
 from .errors import CovlatError, CriterionNotSatisfied, GuardExceeded, ParseError, ValidationError
 from .lattice import _positive_guard, enumerate_lattice
 from .reduction import exclusion, reduct, reduction_report
-from .relations import full_relation_report
+from .relations import DeletionReads, full_relation_report
 from .transversal import ENUMERATION_GUARD, TransversalMatroid, ab_decomposition
 from .universe import Covering, SetFamily, as_covering, is_partition, parse_family
 from .verify import verify_covering, verify_family, verify_family_round_trip, verify_random
@@ -275,11 +275,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     table = NeighborhoodTable.build(covering)
     verdicts = {kind: closure_operator_verdict(table, kind) for kind in UpperOperator}
     matroid = TransversalMatroid(covering)
+    reads = DeletionReads(matroid)  # decides every deletion as L is enumerated
     try:
-        lattice = enumerate_lattice(matroid)
+        lattice = enumerate_lattice(reads)
     except GuardExceeded:
         lattice = None  # the claims that read it are skipped with the guard's text
-    report = full_relation_report(table, verdicts, matroid, lattice)
+    report = full_relation_report(table, verdicts, matroid, lattice, reads)
 
     def render(data: dict):
         for record in data["claims"]:

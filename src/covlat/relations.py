@@ -11,9 +11,11 @@ once and passes it as ``lattice`` with the matroid, or None over the lattice
 guard, which skips exactly the claims that read L.  A structure within the
 transversal matroid is checked on L's flats by the weak-map and quotient
 criteria.  The deletions, the reduct and the exclusion are the matroid less
-some blocks, each named by its block bitmask D, and one pass over L, one
-matching per flat, decides them all.  No family less D is built unless L is
-not the covering's lattice, where the deletion's own matroid decides.
+some blocks, each named by its block bitmask D.  ``DeletionReads`` decides
+them all while L is enumerated through it, from the matching that gives
+each flat's covers; a lattice handed in from outside is walked once, one
+matching per flat.  No family less D is built unless L is not the
+covering's lattice, where the deletion's own matroid decides.
 """
 
 from __future__ import annotations
@@ -154,18 +156,57 @@ def _record_on_flats(report, claims, smaller, lattice: FlatLattice, note=None) -
     _record_within(report, claims, separating, unclosed, note)
 
 
+class DeletionReads:
+    """An oracle over M = ``whole`` for ``enumerate_lattice`` that folds, as
+    each flat F is found, F's rank and closure in M \\ D for each bitmask D in
+    ``masks`` (by default each block, then the reduct's and the exclusion's
+    dropped blocks) from the matching that gives F's covers.  A closure that
+    is neither F nor a cover of F is kept until L is known."""
+
+    def __init__(self, whole: TransversalMatroid, masks: list[int] | None = None):
+        self.whole, self.universe, family = whole, whole.universe, whole.family
+        if masks is None:
+            self.reductions = reduction_report(family)
+            dropped = astuple(self.reductions)
+            masks = [1 << i for i in range(family.m)] + [sum(1 << i for i in d) for d in dropped]
+        for mask in masks:
+            family.check_deleted(mask)
+        self.masks, self.foreign, self.kept = masks, [False] * len(masks), [[] for _ in masks]
+
+    def closure(self, x: ElementSet) -> ElementSet:
+        return self.whole.closure(x)
+
+    def covers_of(self, flat: ElementSet) -> tuple[int, list[int]]:
+        rank, covers, reads = self.whole._search(flat, self.masks, True)
+        self.fold(flat.mask, rank, reads, covers)
+        return rank, covers
+
+    def fold(self, flat: int, rank: int, reads, known) -> None:
+        """Note each D that raises F's ``rank``; keep each other closure that
+        is neither F nor in ``known`` (F's covers, or L)."""
+        for k, (r, closed) in enumerate(reads):
+            if r > rank:
+                self.foreign[k] = True
+            elif closed != flat and closed not in known:
+                self.kept[k].append((flat, closed))
+
+    def outcomes(self, lattice: FlatLattice) -> dict:
+        """``_outcomes_without``'s answer: the first kept closure not in L."""
+        index, unclosed = lattice._index, []
+        for kept in self.kept:
+            first = min(((index[f], c) for f, c in kept if c not in index), default=None)
+            unclosed.append(first and ElementSet(self.universe, first[1]))
+        return dict(zip(self.masks, zip(self.foreign, unclosed)))
+
+
 def _outcomes_without(whole, lattice: FlatLattice, masks) -> dict:
     """Each bitmask D in ``masks`` -> (r_{M \\ D}(F) exceeds the height of some
-    flat F of L, the first cl_{M \\ D}(F) not in L or None); one matching per F."""
-    foreign = [False] * len(masks)
-    unclosed: list[ElementSet | None] = [None] * len(masks)
+    flat F of L, the first cl_{M \\ D}(F) not in L or None), for a lattice L
+    handed in: one walk over L, one matching per flat, ``DeletionReads``' fold."""
+    reads = DeletionReads(whole, masks)
     for flat, height in zip(lattice.flats, lattice.heights):
-        for k, (rank, closed) in enumerate(whole.ranks_and_closures_without(flat, masks)):
-            if rank > height:
-                foreign[k] = True
-            elif unclosed[k] is None and closed is not flat and closed.mask not in lattice._index:
-                unclosed[k] = closed
-    return dict(zip(masks, zip(foreign, unclosed)))
+        reads.fold(flat.mask, height, whole._search(flat, masks, False)[2], lattice._index)
+    return reads.outcomes(lattice)
 
 
 def _record_without(report, whole, lattice: FlatLattice | None, deletions, outcomes=None) -> None:
@@ -382,14 +423,19 @@ def full_relation_report(
     verdicts: Verdicts,
     transversal: TransversalMatroid,
     lattice: FlatLattice | None,
+    reads: DeletionReads | None = None,
 ) -> RelationReport:
     """Everything: containments, per-block deletion, reducts, preservation,
-    from one ``reduction_report`` and one pass over L for every deletion."""
+    from one ``reduction_report``.  Every deletion is decided by ``reads``,
+    the ``DeletionReads(transversal)`` that L was enumerated through, or else
+    by one pass over L."""
     covering = table.covering
-    reductions = reduction_report(covering)
-    masks = [1 << i for i in range(covering.m)]
-    masks += [sum(1 << i for i in dropped) for dropped in astuple(reductions)]
-    outcomes = None if lattice is None else _outcomes_without(transversal, lattice, masks)
+    if reads is None:
+        reads = DeletionReads(transversal)
+        outcomes = None if lattice is None else _outcomes_without(transversal, lattice, reads.masks)
+    else:
+        outcomes = None if lattice is None else reads.outcomes(lattice)
+    reductions = reads.reductions
     report = check_containments(table, verdicts, transversal, lattice)
     if covering.m > 1:
         report.extend(check_deletion_monotonicity(transversal, lattice, reductions, outcomes))

@@ -23,7 +23,9 @@ elements: no per-cover augmenting path, list copy or closure.
 ``ranks_and_closures_without`` gives X's rank and closure in each M \\ D,
 less a set D of blocks, from one matching of X.  Deleting one block b is
 contracting a new element of b alone, read off the same post-dominator tree;
-a larger D costs one augmenting path per element that lost its block.
+a larger D costs one augmenting path per element that lost its block.  Both
+read one search (``_search``), which gives a flat's covers and deletion reads
+together while ``relations.DeletionReads`` enumerates the lattice.
 """
 
 from __future__ import annotations
@@ -70,8 +72,11 @@ class TransversalMatroid:
         block -> element and element -> block (-1: unmatched)."""
         block_to = [-1] * len(self._block_masks)
         element_to = [-1] * self.universe.n
-        for element in bits_of(mask):
-            self._augment(element, block_to, element_to, 0)
+        augment = self._augment
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            augment(low.bit_length() - 1, block_to, element_to, 0)
         return block_to, element_to
 
     def _augment(self, element: int, block_to: list[int], element_to: list[int], seen: int) -> int:
@@ -116,7 +121,8 @@ class TransversalMatroid:
         reached block is entered once, so after the matching the search is
         O(n + m) bitmask steps.  It is the closure in M less no blocks.
         """
-        return self.ranks_and_closures_without(x, [0])[0][1]
+        closed = self._search(x, (0,), False)[2][0][1]
+        return x if closed == x.mask else ElementSet(self.universe, closed)
 
     def covers_of(self, flat: ElementSet) -> tuple[int, list[int]]:
         """The rank of a closed flat F and the masks of the flats that cover
@@ -156,42 +162,77 @@ class TransversalMatroid:
         With one unmatched block every path ends there, so the one cover is
         E.
         """
-        self._check(flat)
-        mask = flat.mask
-        block_to, element_to = self._maximum_matching(mask)
-        free = [block for block, element in enumerate(block_to) if element < 0]
-        rank = len(block_to) - len(free)
-        outside = self.universe.full_mask & ~mask
-        if not outside:
-            return rank, []
-        covered, matched = self._reach(mask, element_to, free)
-        missed = outside & ~covered
-        if missed:
-            e = (missed & -missed).bit_length() - 1
-            raise InternalConsistencyError(
-                f"{flat!r} is not closed: element {self.universe.labels[e]} "
-                "leaves its rank unchanged"
-            )
-        if len(free) == 1:
-            return rank, [self.universe.full_mask]
-        _, under, twice = self._parallel_parts(block_to, free, matched)
-        covers = [mask | part for part in (u & outside & ~twice for u in under.values()) if part]
-        alone = outside & twice
-        while alone:
-            low = alone & -alone
-            alone ^= low
-            covers.append(mask | low)
+        rank, covers, _ = self._search(flat, (), True)
         return rank, covers
+
+    def _search(self, x: ElementSet, deletions, covers: bool) -> tuple:
+        """x's rank, its covers if ``covers`` (``covers_of``; else None) and
+        its (rank, closure mask) in M \\ D for each bitmask D in deletions
+        (``ranks_and_closures_without``; the callers validate D), from one
+        matching, one closure search and at most one post-dominator tree."""
+        self._check(x)
+        mask, full = x.mask, self.universe.full_mask
+        m_block_to, m_element_to = self._maximum_matching(mask)
+        free = [block for block, element in enumerate(m_block_to) if element < 0]
+        r = len(m_block_to) - len(free)
+        covered, matched = self._reach(mask, m_element_to, free)
+        post = found = None
+        if covers:
+            outside = full & ~mask
+            if missed := outside & ~covered:
+                label = self.universe.labels[(missed & -missed).bit_length() - 1]
+                raise InternalConsistencyError(
+                    f"{x!r} is not closed: element {label} leaves its rank unchanged"
+                )
+            found = [full] if outside and len(free) == 1 else []
+            if outside and len(free) > 1:
+                post, roots, reached, under, twice = self._parallel_parts(m_block_to, free, matched)
+                found = [mask | part for part in (u & outside & ~twice for u in under.values()) if part]
+                alone = outside & twice
+                while alone:
+                    low = alone & -alone
+                    alone ^= low
+                    found.append(mask | low)
+        if not deletions:
+            return r, found, []
+        base = mask | full & ~covered  # cl_M(x)
+        reads = []
+        for deleted in deletions:
+            rank = r
+            if not deleted:
+                closed = base
+            elif not deleted & deleted - 1:  # one block
+                if post is None:
+                    post, roots, reached, under, twice = self._parallel_parts(m_block_to, free, matched)
+                block = deleted.bit_length() - 1
+                root = post[block] & roots if reached >> block & 1 else 0
+                closed = base | under.get(root, 0) & ~twice
+                rank -= not root
+            else:
+                block_to, element_to = m_block_to[:], m_element_to[:]
+                freed = [block_to[block] for block in bits_of(deleted) if block_to[block] >= 0]
+                for element in freed:
+                    block_to[element_to[element]] = element_to[element] = -1
+                ends = [self._augment(element, block_to, element_to, deleted) for element in freed]
+                rank -= sum(end < 0 for end in ends)
+                left = [b for b in free if not deleted >> b & 1 and b not in ends]
+                closed = mask | full & ~self._reach(mask, element_to, left)[0]
+            reads.append((rank, closed))
+        return r, found, reads
 
     def _parallel_parts(self, block_to: list[int], free: list[int], matched: list[int]) -> tuple:
         """The post-dominator tree of ``covers_of``'s proof for any set, from
         its matching (block -> element), unmatched blocks and reached matched
-        blocks: each block's child of t (0 if not reached), the elements under
-        each child, and those under two.  Post-dominators are block bitsets,
-        iterated to a fixpoint from the whole reached set."""
+        blocks, as block bitsets: each reached block's post-dominators (its
+        child of t is the one child among them), the children of t, the
+        reached blocks, the elements under each child and those under two."""
         block_masks = self._block_masks
-        roots = sum(1 << block for block in free)
-        reached = roots | sum(1 << block for block in matched)
+        roots = reached = 0
+        for block in matched:
+            reached |= 1 << block
+        for block in free:
+            roots |= 1 << block
+        reached |= roots
         # post[b]: the bitset of the blocks on every path from block b to t
         post = [reached] * len(block_masks)
         for block in free:
@@ -211,19 +252,20 @@ class TransversalMatroid:
                 if common != post[block]:
                     post[block] = common
                     changed = True
-        roots |= sum(1 << block for block in matched if post[block] == 1 << block)
+        for block in matched:
+            if post[block] == 1 << block:
+                roots |= 1 << block
         # the elements of the reached blocks under each child of t
-        home = [0] * len(post)
         under: dict[int, int] = {}
         for block in free + matched:
-            root = home[block] = post[block] & roots
+            root = post[block] & roots
             under[root] = under.get(root, 0) | block_masks[block]
         # an element under two children is parallel to nothing
         once = twice = 0
         for elements in under.values():
             twice |= once & elements
             once |= elements
-        return home, under, twice
+        return post, roots, reached, under, twice
 
     def ranks_and_closures_without(
         self, x: ElementSet, deletions: list[int]
@@ -257,36 +299,13 @@ class TransversalMatroid:
         Elements that lie only in blocks of D are loops of M \\ D: the search
         reaches no block of theirs, so they land in the closure.
         """
-        self._check(x)
-        mask, universe, check = x.mask, self.universe, self.family.check_deleted
-        m_block_to, m_element_to = self._maximum_matching(mask)
-        free = [block for block, element in enumerate(m_block_to) if element < 0]
-        covered, matched = self._reach(mask, m_element_to, free)
-        r, home = len(m_block_to) - len(free), None
-        base = mask | universe.full_mask & ~covered  # cl_M(x)
-        results = []
+        universe = self.universe
         for deleted in deletions:
-            check(deleted)
-            rank = r
-            if not deleted & deleted - 1:  # no block or one
-                closed = base
-                if deleted:
-                    if home is None:
-                        home, under, twice = self._parallel_parts(m_block_to, free, matched)
-                    root = home[deleted.bit_length() - 1]
-                    closed |= under.get(root, 0) & ~twice
-                    rank -= not root
-            else:
-                block_to, element_to = m_block_to[:], m_element_to[:]
-                freed = [block_to[block] for block in bits_of(deleted) if block_to[block] >= 0]
-                for element in freed:
-                    block_to[element_to[element]] = element_to[element] = -1
-                ends = [self._augment(element, block_to, element_to, deleted) for element in freed]
-                rank -= sum(end < 0 for end in ends)
-                left = [b for b in free if not deleted >> b & 1 and b not in ends]
-                closed = mask | universe.full_mask & ~self._reach(mask, element_to, left)[0]
-            results.append((rank, x if closed == mask else ElementSet(universe, closed)))
-        return results
+            self.family.check_deleted(deleted)
+        return [
+            (rank, x if closed == x.mask else ElementSet(universe, closed))
+            for rank, closed in self._search(x, deletions, False)[2]
+        ]
 
     def _reach(self, mask: int, element_to: list[int], roots: list[int]) -> tuple[int, list[int]]:
         """Closure's backward search, from the element -> block list of a

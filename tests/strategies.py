@@ -137,3 +137,17 @@ def family_and_two_subsets(draw, max_n: int = 6, max_m: int = 5):
         ElementSet(family.universe, x),
         ElementSet(family.universe, y),
     )
+
+
+@st.composite
+def reducible_coverings(draw, max_n: int = 7) -> Covering:
+    """A partition into at least three classes plus the unions of two or
+    more pairs of neighbouring classes: its reduct drops those unions."""
+    n = draw(st.integers(3, max_n))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=2, max_size=n - 1)))
+    bounds = [0, *cuts, n]
+    classes = [(1 << hi) - (1 << lo) for lo, hi in zip(bounds, bounds[1:])]
+    pairs = draw(st.integers(2, len(classes) - 1))
+    unions = [classes[i] | classes[i + 1] for i in range(pairs)]
+    universe = Universe(tuple(str(i + 1) for i in range(n)))
+    return as_covering(SetFamily(universe, [ElementSet(universe, x) for x in classes + unions]))

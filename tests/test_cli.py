@@ -295,7 +295,8 @@ class TestCompare:
     @pytest.mark.parametrize("name", ["density_14.cov", "density_15.cov", "partition_20.cov"])
     def test_compare_enumerates_one_transversal_lattice(self, name, monkeypatch, capsys):
         # the golden snapshots of these inputs pin the report itself; the
-        # relation checks read the one lattice cli enumerates and build none
+        # relation checks read the one lattice cli enumerates, through the
+        # oracle that decides every deletion, and build none
         enumerated, constructed = [], []
         enumerate_lattice, construct = cli.enumerate_lattice, FlatLattice.__init__
 
@@ -312,7 +313,7 @@ class TestCompare:
         monkeypatch.setattr(FlatLattice, "__init__", count_constructions)
         assert main(["compare", str(INPUTS / name)]) == 0
         out = capsys.readouterr().out
-        assert enumerated == ["TransversalMatroid"]
+        assert enumerated == ["DeletionReads"]
         assert len(constructed) == 1
         assert "guard" not in out and "FAIL" not in out
 
@@ -366,11 +367,11 @@ class TestCompare:
 
     def test_matches_each_flat_of_the_lattice_once_per_pass(self, monkeypatch, capsys):
         # density_14.cov: 1,805 flats and 8 blocks.  The enumeration matches
-        # 1,806 times (each flat, and the top again for its rank); one pass
-        # matches each flat once for every deletion, the reduct and the
-        # exclusion.  A second pass for the reduct and exclusion made it
-        # 5,416, and matching each flat again for each of the 10 deleted
-        # families 19,856
+        # 1,806 times (the bottom's closure, then each flat for its covers),
+        # and each flat's deletion reads ride on that matching.  A pass over
+        # L after the enumeration made it 3,611, a second pass for the reduct
+        # and exclusion 5,416, and matching each flat again for each of the
+        # 10 deleted families 19,856
         calls = []
         match = TransversalMatroid._maximum_matching
 
@@ -382,7 +383,7 @@ class TestCompare:
         monkeypatch.setattr(TransversalMatroid, "_maximum_matching", counted)
         assert main(["compare", str(INPUTS / "density_14.cov")]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        assert len(calls) == 1_806 + 1_805 == 3_611
+        assert len(calls) == 1_806
 
     def test_compare_reads_no_join_index_or_edge_set(self, monkeypatch, capsys):
         # the relation checks read flats and heights only, so the lattice

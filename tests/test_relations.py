@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from covlat import (
     ElementSet,
+    GuardExceeded,
     FlatLattice,
     InternalConsistencyError,
     NeighborhoodTable,
@@ -26,6 +28,7 @@ from covlat import (
     full_relation_report,
 )
 from covlat import reduction, relations
+from covlat.relations import DeletionReads, _outcomes_without
 from covlat.generators import (
     partition_with_nested_block,
     partition_with_union_block,
@@ -41,7 +44,7 @@ from conftest import (
     table_and_verdicts,
     transversal_and_lattice,
 )
-from strategies import coverings, families, partitions
+from strategies import coverings, families, partitions, reducible_coverings
 
 INPUTS = Path(__file__).resolve().parent / "inputs"
 
@@ -465,6 +468,71 @@ class TestReductionPreservation:
             ("vh-after-immured-removal", True, None, "removing K2 keeps the closure property"),
             ("vh-after-immured-removal", True, None, "removing K3 keeps the closure property"),
         ]
+
+
+class TestDeletionReads:
+    """The outcomes folded while L is enumerated against ``_outcomes_without``,
+    the walk over the same L."""
+
+    @given(st.one_of(coverings(max_n=7, max_m=6), reducible_coverings()))
+    def test_fused_outcomes_equal_the_walk_over_the_enumerated_lattice(self, covering):
+        whole = TransversalMatroid(covering)
+        reads = DeletionReads(whole)
+        lattice = enumerate_lattice(reads)
+        assert lattice.flats == enumerate_lattice(whole).flats
+        assert reads.outcomes(lattice) == _outcomes_without(whole, lattice, reads.masks)
+        # every mask of two or more blocks takes the surgery path
+        several = [d for d in range(1 << covering.m) if d & d - 1]
+        fused = DeletionReads(whole, several)
+        lattice = enumerate_lattice(fused)
+        assert fused.outcomes(lattice) == _outcomes_without(whole, lattice, several)
+
+    @given(reducible_coverings())
+    def test_the_reduct_of_a_covering_with_two_unions_drops_two_blocks(self, covering):
+        reads = DeletionReads(TransversalMatroid(covering))
+        reduct_mask = reads.masks[covering.m]
+        assert reduct_mask & reduct_mask - 1
+        lattice = enumerate_lattice(reads)
+        assert reads.outcomes(lattice)[reduct_mask] == (False, None)
+
+    def test_unclosed_closures_are_kept_until_the_lattice_is_known(self, mixed5):
+        # deleting every block leaves no matroid rank: each flat closes to E,
+        # a flat of L, so nothing is unclosed however many closures were kept
+        whole = TransversalMatroid(mixed5)
+        everything = (1 << mixed5.m) - 1
+        reads = DeletionReads(whole, [everything])
+        lattice = enumerate_lattice(reads)
+        assert reads.kept[0]
+        assert reads.outcomes(lattice) == {everything: (False, None)}
+        assert _outcomes_without(whole, lattice, [everything]) == reads.outcomes(lattice)
+
+    def test_the_first_unclosed_closure_is_chosen_in_the_lattice_order(self, mixed5):
+        # a flat of M \\ D is always one of M, so fold sets that are not: the
+        # answer is the kept closure of the first flat in L's order, whatever
+        # order the flats were folded in
+        whole = TransversalMatroid(mixed5)
+        lattice = enumerate_lattice(whole)
+        outside = [x for x in range(1 << mixed5.universe.n) if x not in lattice._index]
+        reads = DeletionReads(whole, [0b11])
+        for flat, closed in reversed(list(zip(lattice.flats, outside))):
+            reads.fold(flat.mask, mixed5.universe.n, [(0, closed)], [])
+        assert reads.outcomes(lattice) == {0b11: (False, ElementSet(mixed5.universe, outside[0]))}
+
+    def test_a_guard_trip_gives_the_skip_rows_of_no_lattice(self, monkeypatch):
+        monkeypatch.setenv("COVLAT_MAX_LATTICE_SIZE", "8")
+        covering = cov((INPUTS / "partition_20.cov").read_text())
+        table, verdicts = table_and_verdicts(covering)
+        whole = TransversalMatroid(covering)
+        reads = DeletionReads(whole)
+        with pytest.raises(GuardExceeded):
+            enumerate_lattice(reads)
+        fused = full_relation_report(table, verdicts, whole, None, reads)
+        walked = full_relation_report(table, verdicts, whole, None)
+        assert fused.records == walked.records
+        guard = "flat lattice exceeds the guard of 8 flats (at least 9 exist)"
+        # the deletion pairs, the reduct and exclusion pairs, and the three
+        # containment claims that read L
+        assert sum(r.precondition == guard for r in fused.records) == 2 * covering.m + 4 + 3
 
 
 class TestFullReport:

@@ -274,13 +274,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     covering = _read_covering(args.file)
     table = NeighborhoodTable.build(covering)
     verdicts = {kind: closure_operator_verdict(table, kind) for kind in UpperOperator}
-    matroid = TransversalMatroid(covering)
-    reads = DeletionReads(matroid)  # decides every deletion as L is enumerated
+    reads = DeletionReads(TransversalMatroid(covering))  # reads every deletion as L is enumerated
     try:
         lattice = enumerate_lattice(reads)
     except GuardExceeded:
         lattice = None  # the claims that read it are skipped with the guard's text
-    report = full_relation_report(table, verdicts, matroid, lattice, reads)
+    report = full_relation_report(table, verdicts, reads, lattice)
 
     def render(data: dict):
         for record in data["claims"]:

@@ -399,11 +399,11 @@ class FlatLattice:
             "heights": list(self.heights),
         }
 
-    def to_dot(self, name: str = "flats") -> str:
+    def to_dot(self) -> str:
         def quote(label: str) -> str:
             return label.replace("\\", "\\\\").replace('"', '\\"')
 
-        lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
+        lines = ["digraph flats {", "  rankdir=BT;", "  node [shape=box];"]
         for i, flat in enumerate(self.flats):
             lines.append(f'  f{i} [label="{quote(repr(flat))}"];')
         by_height: dict[int, list[int]] = {}

@@ -7,14 +7,15 @@ is reported as inapplicable with the failed precondition, never with a
 verdict.  Each claim is decided on the covering's transversal matroid, its
 flat lattice L, the operators' classes and the neighbourhood table: no claim
 enumerates a second lattice or sweeps all subsets.  The caller enumerates L
-once and passes it as ``lattice`` with the matroid, or None over the lattice
-guard, which skips exactly the claims that read L.  A structure within the
-transversal matroid is checked on L's flats by the weak-map and quotient
-criteria.  The deletions, the reduct and the exclusion are the matroid less
-some blocks, each named by its block bitmask D.  ``DeletionReads`` decides
-them all while L is enumerated through it, from the matching that gives
-each flat's covers; a lattice handed in from outside is walked once, one
-matching per flat.  No family less D is built unless L is not the
+once through a ``DeletionReads`` of the matroid and hands in both, with L
+None over the lattice guard, which skips exactly the claims that read L.  A
+structure within the transversal matroid is checked on L's flats by the
+weak-map and quotient criteria.  The deletions, the reduct and the exclusion
+are the matroid less some blocks, each named by its block bitmask D.
+``DeletionReads`` decides them all while L is enumerated through it, from
+the matching that gives each flat's covers; its ``walk`` reads a lattice
+handed in from outside, one matching per flat.  A pass that has not read
+L's top flat is refused.  No family less D is built unless L is not the
 covering's lattice, where the deletion's own matroid decides.
 """
 
@@ -34,7 +35,7 @@ from .errors import InternalConsistencyError
 from .lattice import FlatLattice, default_max_flats, lattice_guard_exceeded
 from .reduction import reduction_report
 from .transversal import TransversalMatroid
-from .universe import Covering, ElementSet, as_covering, bits_of, is_partition
+from .universe import ElementSet, as_covering, bits_of, is_partition
 
 
 @dataclass(frozen=True)
@@ -159,19 +160,17 @@ def _record_on_flats(report, claims, smaller, lattice: FlatLattice, note=None) -
 class DeletionReads:
     """An oracle over M = ``whole`` for ``enumerate_lattice`` that folds, as
     each flat F is found, F's rank and closure in M \\ D for each bitmask D in
-    ``masks`` (by default each block, then the reduct's and the exclusion's
-    dropped blocks) from the matching that gives F's covers.  A closure that
-    is neither F nor a cover of F is kept until L is known."""
+    ``masks`` (each block, then the reduct's and the exclusion's dropped
+    blocks) from the matching that gives F's covers.  A closure that is
+    neither F nor a cover of F is kept until L is known."""
 
-    def __init__(self, whole: TransversalMatroid, masks: list[int] | None = None):
+    def __init__(self, whole: TransversalMatroid):
         self.whole, self.universe, family = whole, whole.universe, whole.family
-        if masks is None:
-            self.reductions = reduction_report(family)
-            dropped = astuple(self.reductions)
-            masks = [1 << i for i in range(family.m)] + [sum(1 << i for i in d) for d in dropped]
-        for mask in masks:
-            family.check_deleted(mask)
+        self.reductions = reduction_report(family)
+        dropped = astuple(self.reductions)
+        masks = [1 << i for i in range(family.m)] + [sum(1 << i for i in d) for d in dropped]
         self.masks, self.foreign, self.kept = masks, [False] * len(masks), [[] for _ in masks]
+        self.read_top = False
 
     def closure(self, x: ElementSet) -> ElementSet:
         return self.whole.closure(x)
@@ -181,9 +180,19 @@ class DeletionReads:
         self.fold(flat.mask, rank, reads, covers)
         return rank, covers
 
+    def walk(self, lattice: FlatLattice) -> "DeletionReads":
+        """Read a lattice handed in from outside through the same fold: one
+        matching per flat, in L's order, which ends at the top."""
+        search, masks, index = self.whole._search, self.masks, lattice._index
+        for flat, height in zip(lattice.flats, lattice.heights):
+            self.fold(flat.mask, height, search(flat, masks, False)[2], index)
+        return self
+
     def fold(self, flat: int, rank: int, reads, known) -> None:
         """Note each D that raises F's ``rank``; keep each other closure that
         is neither F nor in ``known`` (F's covers, or L)."""
+        if flat == self.universe.full_mask:
+            self.read_top = True
         for k, (r, closed) in enumerate(reads):
             if r > rank:
                 self.foreign[k] = True
@@ -191,7 +200,13 @@ class DeletionReads:
                 self.kept[k].append((flat, closed))
 
     def outcomes(self, lattice: FlatLattice) -> dict:
-        """``_outcomes_without``'s answer: the first kept closure not in L."""
+        """Each D -> (r_{M \\ D}(F) exceeds the height of some flat F read,
+        the first kept closure not in L, in L's order, or None).  Refused
+        unless the top flat E, which both orders read last, has been read."""
+        if not self.read_top:
+            raise InternalConsistencyError(
+                "deletion reads have not read the top flat: enumerate L through them or walk it"
+            )
         index, unclosed = lattice._index, []
         for kept in self.kept:
             first = min(((index[f], c) for f, c in kept if c not in index), default=None)
@@ -199,34 +214,24 @@ class DeletionReads:
         return dict(zip(self.masks, zip(self.foreign, unclosed)))
 
 
-def _outcomes_without(whole, lattice: FlatLattice, masks) -> dict:
-    """Each bitmask D in ``masks`` -> (r_{M \\ D}(F) exceeds the height of some
-    flat F of L, the first cl_{M \\ D}(F) not in L or None), for a lattice L
-    handed in: one walk over L, one matching per flat, ``DeletionReads``' fold."""
-    reads = DeletionReads(whole, masks)
-    for flat, height in zip(lattice.flats, lattice.heights):
-        reads.fold(flat.mask, height, whole._search(flat, masks, False)[2], lattice._index)
-    return reads.outcomes(lattice)
-
-
-def _record_without(report, whole, lattice: FlatLattice | None, deletions, outcomes=None) -> None:
+def _record_without(report, reads: DeletionReads, lattice: FlatLattice | None, deletions) -> None:
     """Record the claim pair of each (claims, D, note) in ``deletions`` for
-    M \\ D, the matroid of the family of ``whole`` (M) less the blocks in
-    the bitmask D, from ``outcomes`` (``_outcomes_without``, run here if not
-    given).  Without L, skip them.  M \\ D is a weak-map image of M, so the
-    rank exceeds no height if L is M's lattice; if it does, that pair is
-    recorded on a fresh matroid of the family less D, the only one built.
+    M \\ D, the matroid of the family of M = ``reads.whole`` less the blocks
+    in the bitmask D, from the outcomes of ``reads``.  Without L, skip them.
+    M \\ D is a weak-map image of M, so the rank exceeds no height if L is
+    M's lattice; if it does, that pair is recorded on a fresh matroid of the
+    family less D, the only one built.
     """
     gate = _lattice_gate(lattice)
     if gate is not None:
         for claims, _, _ in deletions:
             report.skipped(gate, *claims)
         return
-    outcomes = outcomes or _outcomes_without(whole, lattice, [d for _, d, _ in deletions])
+    outcomes = reads.outcomes(lattice)
     for claims, deleted, note in deletions:
         over, closed = outcomes[deleted]
         if over:
-            smaller = TransversalMatroid(whole.family.without(deleted))
+            smaller = TransversalMatroid(reads.whole.family.without(deleted))
             _record_on_flats(report, claims, smaller, lattice, note)
         else:
             _record_within(report, claims, None, closed, note)
@@ -306,42 +311,39 @@ def check_containments(
 
 
 def check_deletion_monotonicity(
-    whole: TransversalMatroid, lattice: FlatLattice | None, reductions=None, outcomes=None
+    reads: DeletionReads, lattice: FlatLattice | None
 ) -> RelationReport:
     """Deleting any block shrinks the independence family and the flat set:
-    one claim pair per block, suffixed [name], all decided in one pass, which
-    ``full_relation_report`` hands in as ``outcomes`` with its ``reductions``."""
+    one claim pair per block, suffixed [name], read from ``reads``."""
     report = RelationReport()
-    family = whole.family
+    family = reads.whole.family
     claims = ("deletion-shrinks-independents", "deletion-shrinks-flats")
     if report.skipped("family has fewer than two blocks" if family.m < 2 else None, *claims):
         return report
-    if reductions is None and isinstance(family, Covering):
-        reductions = reduction_report(family)
-    tagged = dict(zip(("reducible", "immured"), astuple(reductions) if reductions else ()))
+    tagged = dict(zip(("reducible", "immured"), astuple(reads.reductions)))
     deletions = []
     for i, name in enumerate(family.names):
         tags = [tag for tag, found in tagged.items() if i in found]
         note = f"block {name} is {' and '.join(tags)}" if tags else None
         named = tuple(f"{claim}[{name}]" for claim in claims)
         deletions.append((named, 1 << i, note))
-    _record_without(report, whole, lattice, deletions, outcomes)
+    _record_without(report, reads, lattice, deletions)
     return report
 
 
 def check_reduct_exclusion_containments(
-    whole: TransversalMatroid, lattice: FlatLattice | None, reductions=None, outcomes=None
+    reads: DeletionReads, lattice: FlatLattice | None
 ) -> RelationReport:
     """Reducts and exclusions only shrink the structures of the original.
     Each is decided as the matroid less the blocks that ``reduct`` or
-    ``exclusion`` would drop (``reductions``), without building either."""
+    ``exclusion`` would drop, the last two masks of ``reads``, without
+    building either."""
     report = RelationReport()
     deletions = []
-    dropped_by = astuple(reductions or reduction_report(whole.family))
-    for mode, dropped in zip(("reduct", "exclusion"), dropped_by):
+    for mode, dropped in zip(("reduct", "exclusion"), reads.masks[-2:]):
         claims = (f"{mode}-independents-within-original", f"{mode}-flats-within-original")
-        deletions.append((claims, sum(1 << j for j in dropped), None))
-    _record_without(report, whole, lattice, deletions, outcomes)
+        deletions.append((claims, dropped, None))
+    _record_without(report, reads, lattice, deletions)
     return report
 
 
@@ -421,24 +423,16 @@ def check_reduction_preservation(
 def full_relation_report(
     table: NeighborhoodTable,
     verdicts: Verdicts,
-    transversal: TransversalMatroid,
+    reads: DeletionReads,
     lattice: FlatLattice | None,
-    reads: DeletionReads | None = None,
 ) -> RelationReport:
     """Everything: containments, per-block deletion, reducts, preservation,
-    from one ``reduction_report``.  Every deletion is decided by ``reads``,
-    the ``DeletionReads(transversal)`` that L was enumerated through, or else
-    by one pass over L."""
-    covering = table.covering
-    if reads is None:
-        reads = DeletionReads(transversal)
-        outcomes = None if lattice is None else _outcomes_without(transversal, lattice, reads.masks)
-    else:
-        outcomes = None if lattice is None else reads.outcomes(lattice)
-    reductions = reads.reductions
-    report = check_containments(table, verdicts, transversal, lattice)
-    if covering.m > 1:
-        report.extend(check_deletion_monotonicity(transversal, lattice, reductions, outcomes))
-    report.extend(check_reduct_exclusion_containments(transversal, lattice, reductions, outcomes))
-    report.extend(check_reduction_preservation(table, verdicts, reductions))
+    from one ``reduction_report``.  Every deletion is read from ``reads``, the
+    ``DeletionReads`` of the transversal matroid that L was enumerated
+    through (or that walked L)."""
+    report = check_containments(table, verdicts, reads.whole, lattice)
+    if table.covering.m > 1:
+        report.extend(check_deletion_monotonicity(reads, lattice))
+    report.extend(check_reduct_exclusion_containments(reads, lattice))
+    report.extend(check_reduction_preservation(table, verdicts, reads.reductions))
     return report

@@ -24,8 +24,10 @@ elements: no per-cover augmenting path, list copy or closure.
 less a set D of blocks, from one matching of X.  Deleting one block b is
 contracting a new element of b alone, read off the same post-dominator tree;
 a larger D costs one augmenting path per element that lost its block.  Both
-read one search (``_search``), which gives a flat's covers and deletion reads
-together while ``relations.DeletionReads`` enumerates the lattice.
+read one search (``_search``): ``relations.DeletionReads`` takes a flat's
+covers and its deletion reads from it together while the lattice is
+enumerated through it, and the deletion reads alone when it walks a lattice
+handed in from outside.
 """
 
 from __future__ import annotations

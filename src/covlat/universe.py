@@ -412,8 +412,6 @@ def _parse_text_family(text: str) -> tuple[Universe, list[ElementSet], list[str 
                 raise ParseError(f"line {lineno}: malformed universe line")
             if universe is not None:
                 raise ParseError(f"line {lineno}: repeated universe line")
-            if raw_blocks:
-                raise ParseError(f"line {lineno}: universe line must come first")
             tokens = rest[1:].split()
             if not tokens:
                 raise ParseError(f"line {lineno}: empty universe")
@@ -423,6 +421,8 @@ def _parse_text_family(text: str) -> tuple[Universe, list[ElementSet], list[str 
                 raise ParseError(f"line {lineno}: {exc}") from None
         elif line.startswith("block"):
             rest = line[len("block") :]
+            if rest and not (rest[0] == ":" or rest[0].isspace()):
+                raise ParseError(f"line {lineno}: malformed block line {line!r}")
             head, sep, members = rest.partition(":")
             if not sep:
                 raise ParseError(f"line {lineno}: malformed block line (missing ':')")

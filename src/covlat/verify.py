@@ -39,7 +39,7 @@ from .lattice import (
     modular_pairs,
 )
 from .oracle import BruteForce, brute_operator_axioms
-from .relations import full_relation_report
+from .relations import DeletionReads, full_relation_report
 from .transversal import TransversalMatroid, ab_decomposition
 from .universe import (
     MAX_UNIVERSE,
@@ -381,9 +381,9 @@ def verify_round_trip(
 
 
 def verify_relations(
-    table: NeighborhoodTable, verdicts: Verdicts, matroid: TransversalMatroid, lattice: FlatLattice
+    table: NeighborhoodTable, verdicts: Verdicts, reads: DeletionReads, lattice: FlatLattice
 ) -> list[CheckResult]:
-    report = full_relation_report(table, verdicts, matroid, lattice)
+    report = full_relation_report(table, verdicts, reads, lattice)
     return [
         CheckResult(f"relation: {r.claim}", bool(r.holds), r.witness or "")
         for r in report.records
@@ -391,18 +391,18 @@ def verify_relations(
     ]
 
 
-def _transversal_suites(
-    family: SetFamily,
-) -> tuple[list[CheckResult], TransversalMatroid, FlatLattice]:
-    """The suites every family gets, with the matroid and lattice they share.
-    The oracle comes first, so its budget refuses before any enumeration."""
+def _transversal_suites(family: SetFamily) -> tuple[list[CheckResult], DeletionReads, FlatLattice]:
+    """The suites every family gets, with the lattice they share and the
+    ``DeletionReads`` of the matroid it was enumerated through.  The oracle
+    comes first, so its budget refuses before any enumeration."""
     oracle = BruteForce(family)
     matroid = TransversalMatroid(family)
-    lattice = enumerate_lattice(matroid)
+    reads = DeletionReads(matroid)
+    lattice = enumerate_lattice(reads)
     results = verify_oracle_equivalence(family, oracle, matroid, lattice)
     results += verify_lattice_structure(family, matroid, lattice)
     results += verify_round_trip(family, matroid, lattice)
-    return results, matroid, lattice
+    return results, reads, lattice
 
 
 def verify_family(family: SetFamily) -> list[CheckResult]:
@@ -414,7 +414,7 @@ def verify_covering(covering: Covering) -> list[CheckResult]:
     and one partition matroid and lattice per distinct class partition:
     closure operators with equal classes share them, and so share their
     pair-closure scan and modularity tables.  Each still gets its own rows."""
-    results, matroid, lattice = _transversal_suites(covering)
+    results, reads, lattice = _transversal_suites(covering)
     table = NeighborhoodTable.build(covering)
     verdicts = {kind: closure_operator_verdict(table, kind) for kind in ALL_OPERATORS}
     shared: dict[tuple[ElementSet, ...], tuple[PartitionMatroid, FlatLattice]] = {}
@@ -427,8 +427,8 @@ def verify_covering(covering: Covering) -> list[CheckResult]:
             induced[kind] = shared[verdict.classes]
     results += verify_operator_criteria(table, verdicts)
     results += verify_induced_matroids(table, induced)
-    results += verify_modularity(matroid, lattice, induced)
-    results += verify_relations(table, verdicts, matroid, lattice)
+    results += verify_modularity(reads.whole, lattice, induced)
+    results += verify_relations(table, verdicts, reads, lattice)
     return results
 
 

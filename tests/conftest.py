@@ -16,6 +16,7 @@ from covlat import (
     enumerate_lattice,
     parse_family,
 )
+from covlat.relations import DeletionReads
 
 settings.register_profile(
     "suite",
@@ -95,14 +96,27 @@ def table_and_verdicts(covering: Covering):
 
 
 def relation_inputs(covering: Covering):
-    """What the containment checks and the full relation report take."""
+    """What the containment checks take."""
     return (*table_and_verdicts(covering), *transversal_and_lattice(covering))
 
 
+def report_inputs(covering: Covering):
+    """What the full relation report takes."""
+    return (*table_and_verdicts(covering), *reads_and_lattice(covering))
+
+
 def transversal_and_lattice(family: SetFamily):
-    """What the deletion and reduct/exclusion checks take, besides a block."""
+    """The family's transversal matroid and its flat lattice."""
     matroid = TransversalMatroid(family)
     return matroid, enumerate_lattice(matroid)
+
+
+def reads_and_lattice(family: SetFamily):
+    """What the deletion and reduct/exclusion checks take: the deletion reads
+    of the family's transversal matroid and the lattice enumerated through
+    them."""
+    reads = DeletionReads(TransversalMatroid(family))
+    return reads, enumerate_lattice(reads)
 
 
 def density_covering(rng: random.Random, n: int, m: int) -> Covering:

@@ -42,7 +42,7 @@ from conftest import (
     MIXED5,
     NESTED3,
     cov,
-    relation_inputs,
+    report_inputs,
     subsets,
     table_and_verdicts,
 )
@@ -246,7 +246,7 @@ def test_criterion_10_structure_relation_suites():
         targeted += [partition_with_union_block(rng, 6)[0] for _ in range(10)]
         applicable_gated = 0
         for covering in coverings + targeted:
-            report = full_relation_report(*relation_inputs(covering))
+            report = full_relation_report(*report_inputs(covering))
             assert report.failures() == [], report.failures()[0]
             applicable_gated += sum(
                 1
@@ -257,7 +257,7 @@ def test_criterion_10_structure_relation_suites():
             )
         assert applicable_gated > 0, "gated claims never applied"
         for partition in partitions:
-            report = full_relation_report(*relation_inputs(partition))
+            report = full_relation_report(*report_inputs(partition))
             assert report.failures() == []
             coincide = [
                 r for r in report.records if r.claim == "partition-structures-coincide"

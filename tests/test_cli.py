@@ -120,6 +120,17 @@ class TestCheck:
         assert "xh: singleton images partition: True; closure operator: True" in out
         assert "K1" in out.split("immured blocks:")[1]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_lattice_over_the_guard_is_reported_and_exits_zero(self, fmt, capsys):
+        path = str(DATA / "mixed_pairs.cov")
+        assert main(["check", path, "--max-lattice-size", "2", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        refusal = "flat lattice exceeds the guard of 2 flats (at least 3 exist)"
+        if fmt == "json":
+            assert json.loads(out)["lattice"] == {"skipped": refusal}
+        else:
+            assert out.splitlines()[-1] == f"lattice: {refusal}"
+
     def test_partition_file_gets_all_three_verdicts(self, capsys):
         assert main(["check", str(DATA / "partition_small.cov"), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -207,6 +218,20 @@ class TestMatroid:
         assert captured.out == ""
         assert "guard must be a positive integer" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_enumeration_over_the_guard_is_skipped_and_exits_zero(self, fmt, capsys):
+        path = str(DATA / "mixed_pairs.cov")
+        assert main(["matroid", path, "--guard", "2", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        refusal = "universe size 5 exceeds enumeration guard 2"
+        if fmt == "json":
+            data = json.loads(out)
+            assert (data["base_count"], data["circuits"]) == (None, None)
+            assert data["enumeration_skipped"] == refusal
+        else:
+            assert f"\nenumeration skipped: {refusal}\n" in out
+            assert "bases:" not in out and "circuits:" not in out
+
     def test_enumeration_guard_defaults_to_the_library_guard(self):
         args = cli.build_parser().parse_args(["matroid", "x.cov"])
         assert args.guard == ENUMERATION_GUARD == 20
@@ -263,6 +288,16 @@ class TestLattice:
         monkeypatch.setenv("COVLAT_MAX_LATTICE_SIZE", "5")
         assert main(["lattice", mixed5_file]) == 1
         assert "5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "compare", "verify"])
+    def test_env_var_guard_that_is_no_integer_is_an_input_error(
+        self, command, mixed5_file, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("COVLAT_MAX_LATTICE_SIZE", "abc")
+        assert main([command, mixed5_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: COVLAT_MAX_LATTICE_SIZE must be a positive integer\n"
 
 
 class TestClosure:
@@ -472,6 +507,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "PASS independence agrees with oracle" in out
+
+    def test_family_file_gets_the_family_suites(self, capsys):
+        # partial_family.cov covers no universe: the oracle, lattice and
+        # round-trip suites run, the covering suites do not
+        assert main(["verify", str(DATA / "partial_family.cov")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert all(line.startswith("PASS ") for line in lines)
 
     def test_random_campaign(self, capsys):
         assert main(["verify", "--random", "24", "--seed", "42", "--max-n", "5"]) == 0

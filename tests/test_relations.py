@@ -28,7 +28,7 @@ from covlat import (
     full_relation_report,
 )
 from covlat import reduction, relations
-from covlat.relations import DeletionReads, _outcomes_without
+from covlat.relations import DeletionReads
 from covlat.generators import (
     partition_with_nested_block,
     partition_with_union_block,
@@ -39,7 +39,9 @@ from conftest import (
     cov,
     density_covering,
     fam,
+    reads_and_lattice,
     relation_inputs,
+    report_inputs,
     subsets,
     table_and_verdicts,
     transversal_and_lattice,
@@ -47,6 +49,7 @@ from conftest import (
 from strategies import coverings, families, partitions, reducible_coverings
 
 INPUTS = Path(__file__).resolve().parent / "inputs"
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def by_claim(report):
@@ -54,7 +57,7 @@ def by_claim(report):
 
 
 def deletion(family):
-    return check_deletion_monotonicity(*transversal_and_lattice(family))
+    return check_deletion_monotonicity(*reads_and_lattice(family))
 
 
 class TestContainments:
@@ -337,12 +340,13 @@ class TestDeletionMonotonicity:
         # deletion, reduct and exclusion checks report what they report on
         # fresh matroids of the families the deletions leave
         def reports(whole, lattice):
-            records = check_deletion_monotonicity(whole, lattice).records
-            return records + check_reduct_exclusion_containments(whole, lattice).records
+            reads = DeletionReads(whole).walk(lattice)
+            records = check_deletion_monotonicity(reads, lattice).records
+            return records + check_reduct_exclusion_containments(reads, lattice).records
 
-        def fresh(report, whole, lattice, deletions, outcomes=None):
+        def fresh(report, reads, lattice, deletions):
             for claims, deleted, note in deletions:
-                smaller = TransversalMatroid(whole.family.without(deleted))
+                smaller = TransversalMatroid(reads.whole.family.without(deleted))
                 relations._record_on_flats(report, claims, smaller, lattice, note)
 
         rng = random.Random(41)
@@ -384,7 +388,7 @@ class TestDeletionMonotonicity:
 class TestReductExclusionContainments:
     @given(coverings(max_n=5))
     def test_hold_on_random_coverings(self, covering):
-        report = check_reduct_exclusion_containments(*transversal_and_lattice(covering))
+        report = check_reduct_exclusion_containments(*reads_and_lattice(covering))
         assert report.failures() == []
 
 
@@ -471,21 +475,25 @@ class TestReductionPreservation:
 
 
 class TestDeletionReads:
-    """The outcomes folded while L is enumerated against ``_outcomes_without``,
-    the walk over the same L."""
+    """The outcomes folded while L is enumerated against ``walk``, the pass
+    over the same L, and the refusal of a pass that has read no L."""
+
+    # its exclusion drops K1, K3 and K5 and keeps 34 closures that are
+    # neither their flat nor one of its covers
+    KEEPS = (
+        "universe: 1 2 3 4 5 6\n"
+        "block: 1\nblock: 3 4 5 6\nblock: 6\nblock: 1 2\nblock: 3\nblock: 1 4"
+    )
 
     @given(st.one_of(coverings(max_n=7, max_m=6), reducible_coverings()))
     def test_fused_outcomes_equal_the_walk_over_the_enumerated_lattice(self, covering):
+        # reducible_coverings drop two or more blocks in the reduct: the
+        # surgery path
         whole = TransversalMatroid(covering)
         reads = DeletionReads(whole)
         lattice = enumerate_lattice(reads)
         assert lattice.flats == enumerate_lattice(whole).flats
-        assert reads.outcomes(lattice) == _outcomes_without(whole, lattice, reads.masks)
-        # every mask of two or more blocks takes the surgery path
-        several = [d for d in range(1 << covering.m) if d & d - 1]
-        fused = DeletionReads(whole, several)
-        lattice = enumerate_lattice(fused)
-        assert fused.outcomes(lattice) == _outcomes_without(whole, lattice, several)
+        assert reads.outcomes(lattice) == DeletionReads(whole).walk(lattice).outcomes(lattice)
 
     @given(reducible_coverings())
     def test_the_reduct_of_a_covering_with_two_unions_drops_two_blocks(self, covering):
@@ -495,28 +503,28 @@ class TestDeletionReads:
         lattice = enumerate_lattice(reads)
         assert reads.outcomes(lattice)[reduct_mask] == (False, None)
 
-    def test_unclosed_closures_are_kept_until_the_lattice_is_known(self, mixed5):
-        # deleting every block leaves no matroid rank: each flat closes to E,
-        # a flat of L, so nothing is unclosed however many closures were kept
-        whole = TransversalMatroid(mixed5)
-        everything = (1 << mixed5.m) - 1
-        reads = DeletionReads(whole, [everything])
-        lattice = enumerate_lattice(reads)
-        assert reads.kept[0]
-        assert reads.outcomes(lattice) == {everything: (False, None)}
-        assert _outcomes_without(whole, lattice, [everything]) == reads.outcomes(lattice)
+    def test_unclosed_closures_are_kept_until_the_lattice_is_known(self):
+        # the exclusion is a quotient of M: every closure it keeps is a flat
+        # of L, so nothing is unclosed however many closures were kept
+        covering = cov(self.KEEPS)
+        reads, lattice = reads_and_lattice(covering)
+        assert reads.masks[-1] == 0b10101
+        assert len(reads.kept[-1]) == 34
+        assert reads.outcomes(lattice)[0b10101] == (False, None)
+        walked = DeletionReads(reads.whole).walk(lattice)
+        assert walked.outcomes(lattice) == reads.outcomes(lattice)
 
     def test_the_first_unclosed_closure_is_chosen_in_the_lattice_order(self, mixed5):
         # a flat of M \\ D is always one of M, so fold sets that are not: the
         # answer is the kept closure of the first flat in L's order, whatever
         # order the flats were folded in
-        whole = TransversalMatroid(mixed5)
-        lattice = enumerate_lattice(whole)
+        whole, lattice = transversal_and_lattice(mixed5)
         outside = [x for x in range(1 << mixed5.universe.n) if x not in lattice._index]
-        reads = DeletionReads(whole, [0b11])
+        reads = DeletionReads(whole)
         for flat, closed in reversed(list(zip(lattice.flats, outside))):
             reads.fold(flat.mask, mixed5.universe.n, [(0, closed)], [])
-        assert reads.outcomes(lattice) == {0b11: (False, ElementSet(mixed5.universe, outside[0]))}
+        first = ElementSet(mixed5.universe, outside[0])
+        assert reads.outcomes(lattice)[reads.masks[0]] == (False, first)
 
     def test_a_guard_trip_gives_the_skip_rows_of_no_lattice(self, monkeypatch):
         monkeypatch.setenv("COVLAT_MAX_LATTICE_SIZE", "8")
@@ -526,24 +534,62 @@ class TestDeletionReads:
         reads = DeletionReads(whole)
         with pytest.raises(GuardExceeded):
             enumerate_lattice(reads)
-        fused = full_relation_report(table, verdicts, whole, None, reads)
-        walked = full_relation_report(table, verdicts, whole, None)
-        assert fused.records == walked.records
+        tripped = full_relation_report(table, verdicts, reads, None)
+        unread = full_relation_report(table, verdicts, DeletionReads(whole), None)
+        assert tripped.records == unread.records
         guard = "flat lattice exceeds the guard of 8 flats (at least 9 exist)"
         # the deletion pairs, the reduct and exclusion pairs, and the three
         # containment claims that read L
-        assert sum(r.precondition == guard for r in fused.records) == 2 * covering.m + 4 + 3
+        assert sum(r.precondition == guard for r in tripped.records) == 2 * covering.m + 4 + 3
+
+    def test_a_pass_that_has_read_no_lattice_is_refused(self, mixed5):
+        # handed L, the report and each deletion check refuse a pass that
+        # never read it, or stopped at a guard, rather than pass every claim
+        table, verdicts = table_and_verdicts(mixed5)
+        whole, lattice = transversal_and_lattice(mixed5)
+        tripped = DeletionReads(whole)
+        with pytest.raises(GuardExceeded):
+            enumerate_lattice(tripped, 3)
+        for reads in (DeletionReads(whole), tripped):
+            for check in (
+                lambda reads, lattice: full_relation_report(table, verdicts, reads, lattice),
+                check_deletion_monotonicity,
+                check_reduct_exclusion_containments,
+            ):
+                with pytest.raises(InternalConsistencyError, match="have not read the top flat"):
+                    check(reads, lattice)
+
+    def test_the_walk_over_a_foreign_lattice_finds_its_failures(self):
+        # the lattice of mixed_pairs.cov less K1, handed in for the whole
+        # covering's: its walk fails the K4 deletion, the reduct and the
+        # exclusion, where an unread pass is refused
+        covering = cov((DATA / "mixed_pairs.cov").read_text())
+        table, verdicts = table_and_verdicts(covering)
+        whole = TransversalMatroid(covering)
+        foreign = enumerate_lattice(TransversalMatroid(covering.without(1)))
+        walked = DeletionReads(whole).walk(foreign)
+        report = full_relation_report(table, verdicts, walked, foreign)
+        assert [(r.claim, r.witness) for r in report.failures()] == [
+            ("deletion-shrinks-independents[K4]", "{1 2 3} separates the families"),
+            ("deletion-shrinks-flats[K4]", "{1 2 4 5} is not closed in the larger structure"),
+            ("reduct-independents-within-original", "{1 2 3} separates the families"),
+            ("reduct-flats-within-original", "{1 2} is not closed in the larger structure"),
+            ("exclusion-independents-within-original", "{1 2 3} separates the families"),
+            ("exclusion-flats-within-original", "{1 2} is not closed in the larger structure"),
+        ]
+        with pytest.raises(InternalConsistencyError):
+            full_relation_report(table, verdicts, DeletionReads(whole), foreign)
 
 
 class TestFullReport:
     def test_builds_no_lattice(self, monkeypatch):
         # every claim reads the lattice it is handed
         rng = random.Random(31)
-        inputs = [relation_inputs(cov((INPUTS / "density_14.cov").read_text()))]
+        inputs = [report_inputs(cov((INPUTS / "density_14.cov").read_text()))]
         for n in range(4, 11):
-            inputs.append(relation_inputs(density_covering(rng, n, rng.randint(2, n))))
+            inputs.append(report_inputs(density_covering(rng, n, rng.randint(2, n))))
             partition = random_partition(rng, max_n=n, min_classes=2)
-            inputs.append(relation_inputs(as_covering(partition)))
+            inputs.append(report_inputs(as_covering(partition)))
         constructed = []
         construct = FlatLattice.__init__
 
@@ -559,50 +605,31 @@ class TestFullReport:
         assert constructed == []
 
     def test_matches_each_flat_once_for_every_deleted_family(self, monkeypatch):
-        # one pass over L matches each flat once for every block deletion,
-        # the reduct and the exclusion; the two checks only record its
-        # outcomes and match nothing themselves
+        # the enumeration through the deletion reads matches each flat once
+        # for every block deletion, the reduct and the exclusion, so the
+        # report matches nothing and builds no deleted family; a walk over
+        # the same L matches each flat once and reads the same outcomes
         covering = cov((INPUTS / "density_14.cov").read_text())
-        args = relation_inputs(covering)
-        lattice = args[-1]
-        matched: dict[str, Counter] = {}
-        current = [None]
+        args = report_inputs(covering)
+        reads, lattice = args[-2:]
+        matched = Counter()
         match = TransversalMatroid._maximum_matching
 
         def counted_match(matroid, mask):
-            if current[0] is not None:
-                matched[current[0]][mask] += 1
+            matched[mask] += 1
             return match(matroid, mask)
 
-        def counted(name, check):
-            def run(*args):
-                assert name not in matched
-                matched[name] = Counter()
-                current[0] = name
-                try:
-                    return check(*args)
-                finally:
-                    current[0] = None
-
-            return run
-
-        names = (
-            "_outcomes_without",
-            "check_deletion_monotonicity",
-            "check_reduct_exclusion_containments",
-        )
         monkeypatch.setattr(TransversalMatroid, "_maximum_matching", counted_match)
-        for name in names:
-            monkeypatch.setattr(relations, name, counted(name, getattr(relations, name)))
         built = []
         monkeypatch.setattr(relations, "TransversalMatroid", built.append)
         report = full_relation_report(*args)
         assert report.failures() == []
         assert sum("deletion-shrinks" in r.claim for r in report.records) == 2 * covering.m
         assert sum("-within-original" in r.claim for r in report.records) == 4
-        assert built == []
-        once = Counter(flat.mask for flat in lattice.flats)
-        assert matched == {names[0]: once, names[1]: Counter(), names[2]: Counter()}
+        assert built == [] and matched == Counter()
+        walked = DeletionReads(reads.whole).walk(lattice)
+        assert matched == Counter(flat.mask for flat in lattice.flats)
+        assert walked.outcomes(lattice) == reads.outcomes(lattice)
 
     def test_finds_the_reducible_and_immured_blocks_once(self, monkeypatch, nested3):
         # the deletion notes, the reduct and exclusion rows and the
@@ -620,17 +647,17 @@ class TestFullReport:
                 monkeypatch.setattr(module, name, counted, raising=False)
         for covering in (cov((INPUTS / "density_14.cov").read_text()), nested3):
             calls.clear()
-            report = full_relation_report(*relation_inputs(covering))
+            report = full_relation_report(*report_inputs(covering))
             assert report.failures() == []
             assert calls == {"reducible_block_indices": 1, "immured_block_indices": 1}
 
     def test_mixed5_clean(self, mixed5):
-        report = full_relation_report(*relation_inputs(mixed5))
+        report = full_relation_report(*report_inputs(mixed5))
         assert report.failures() == []
         assert any("[K" in r.claim for r in report.records)
 
     def test_report_round_trips_to_dict(self, mixed5):
-        report = full_relation_report(*relation_inputs(mixed5))
+        report = full_relation_report(*report_inputs(mixed5))
         data = report.to_dict()
         assert len(data["claims"]) == len(report.records)
         for row, record in zip(data["claims"], report.records):
@@ -639,7 +666,7 @@ class TestFullReport:
 
     @given(partitions(max_n=5))
     def test_partitions_are_fully_clean(self, partition):
-        report = full_relation_report(*relation_inputs(partition))
+        report = full_relation_report(*report_inputs(partition))
         assert report.failures() == []
         claims = by_claim(report)
         assert claims["partition-structures-coincide"].holds

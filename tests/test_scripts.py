@@ -1,4 +1,5 @@
-"""Smoke tests for the scripts under scripts/, run as a user runs them."""
+"""Smoke tests for the drivers the README shows: the scripts under scripts/,
+run as a user runs them, and the DOT loop over `covlat lattice`."""
 
 import json
 import os
@@ -7,6 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from covlat import parse_family
+from covlat.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,15 +27,23 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_render_lattices_writes_every_lattice(tmp_path):
-    result = run_script("render_lattices.py", "--data", str(ROOT / "data"), "--out", str(tmp_path))
-    assert result.returncode == 0, result.stderr
-    # the seven sample files: one is not a covering and is skipped; the other
-    # six give their transversal lattice plus one per closure operator
-    dots = sorted(tmp_path.glob("*.dot"))
-    assert len(dots) == 19
-    assert f"wrote 19 DOT files to {tmp_path}/" in result.stdout
-    assert all(path.read_text().startswith("digraph ") for path in dots)
+def test_render_lattices_writes_every_lattice(capsys):
+    # the README's DOT loop over `covlat lattice FILE --kind K --format dot`:
+    # the six sample coverings give their transversal lattice plus one per
+    # closure operator; another kind exits 1, and partial_family.cov, which
+    # covers no universe, is left out
+    rendered = []
+    for path in sorted((ROOT / "data").glob("*.cov")):
+        if not parse_family(path.read_text(encoding="utf-8")).covers_universe():
+            continue
+        for kind in ("transversal", "sh", "xh", "vh"):
+            code = main(["lattice", str(path), "--kind", kind, "--format", "dot"])
+            out = capsys.readouterr().out
+            assert code in (0, 1)
+            if code == 0:
+                assert out.startswith("digraph flats {\n") and out.endswith("}\n")
+                rendered.append((path.stem, kind))
+    assert len(rendered) == 19
 
 
 def test_ladder_reports_one_rung():

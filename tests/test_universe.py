@@ -77,6 +77,10 @@ class TestParsing:
             ("universe: 1 1\nblock: 1", "duplicate element"),
             ("universe: 1 2\n", "no block lines"),
             ("# nothing\n", "no universe"),
+            ("universe: 1 2\nblocks: 1 2", "malformed block line 'blocks: 1 2'"),
+            ("universe 1 2\nblock: 1", "malformed universe line"),
+            ("universe:\nblock: 1", "empty universe"),
+            ("universe: 1\nblock 1", "missing ':'"),
         ],
     )
     def test_errors(self, text, fragment):

@@ -11,7 +11,9 @@ of a flat uses ``covers_by_closure``, one closure per cover.
 A ``FlatLattice`` holds its Hasse diagram in compressed sparse row form: one
 array of row offsets and one array of upper ends, a sorted row per flat in
 canonical order.  No Python object is kept per edge; ``hasse_edges`` is a
-read-only view that yields the (lower, upper) pairs on demand.
+read-only view that yields the (lower, upper) pairs on demand.  An
+enumerated lattice's heights are its checked ranks, and its rows are sorted
+on first read.
 """
 
 from __future__ import annotations
@@ -196,11 +198,54 @@ def _rows_of(pairs: Iterable[tuple[int, int]], size: int) -> HasseEdges:
     """(lower, upper) pairs in any order as one row per lower end < size."""
     rows: list[list[int]] = [[] for _ in range(size)]
     for lower, upper in pairs:
-        if not 0 <= lower < size:
+        if not (0 <= lower < size and 0 <= upper < size):
             raise ValidationError("hasse edge names no flat")
         rows[lower].append(upper)
-    offsets = array("l", accumulate(map(len, rows), initial=0))
-    return HasseEdges(offsets, array("l", chain.from_iterable(rows)))
+    offsets = array("i", accumulate(map(len, rows), initial=0))
+    return HasseEdges(offsets, array("i", chain.from_iterable(rows)))
+
+
+class _RankedRows(HasseEdges):
+    """Rows ``enumerate_lattice`` checked, each edge strictly upward and one
+    rank up, with the flats' ranks, which are then their heights."""
+
+    __slots__ = ("ranks",)
+
+    def __init__(self, offsets: array, uppers: array, ranks: array):
+        super().__init__(offsets, uppers)
+        self.ranks = ranks
+
+
+def _canonical_rows(
+    edges: HasseEdges, order: Sequence[int], masks: list[int] | None = None
+) -> tuple[HasseEdges, tuple[int, ...] | None]:
+    """The rows of ``edges`` in canonical ``order`` (the position in
+    ``edges`` of each flat), each remapped, sorted and deduplicated.  Given
+    the flats' masks in the order of ``edges``, also check that every edge
+    goes strictly upward and give the longest-chain heights."""
+    remap = array("i", [0]) * len(order)
+    for new, old in enumerate(order):
+        remap[old] = new
+    offsets, rows = array("i", [0]), array("i")
+    heights = None if masks is None else [0] * len(order)
+    # edges point to later flats, so lower-index order is topological
+    for lower, old in enumerate(order):
+        ends = edges.row(old)
+        if ends:
+            # a flat lies in each flat of the row iff it lies in their meet
+            if masks is not None and (
+                old in ends or masks[old] & ~reduce(and_, map(masks.__getitem__, ends))
+            ):
+                raise ValidationError("hasse edge does not go strictly upward")
+            row = sorted(set(map(remap.__getitem__, ends)))
+            rows.extend(row)
+            if heights is not None:
+                height = heights[lower] + 1
+                for upper in row:
+                    if heights[upper] < height:
+                        heights[upper] = height
+        offsets.append(len(rows))
+    return HasseEdges(offsets, rows), None if heights is None else tuple(heights)
 
 
 class FlatLattice:
@@ -209,9 +254,12 @@ class FlatLattice:
     Flats are stored in canonical order (cardinality, then index sequence);
     heights are longest-chain distances from the bottom over the stored
     Hasse edges.  Construction builds only what every caller reads: the
-    flats, their index, the heights and the Hasse edges as one sorted row of
-    upper ends per flat in two arrays, which ``covers`` searches by
-    bisection and ``upper_covers`` slices.  Joins use a
+    flats, their index and the heights.  The Hasse edges are one sorted row
+    of upper ends per flat in two arrays (4 bytes an entry), which
+    ``covers`` searches by bisection and ``upper_covers`` slices.  Edges
+    handed in from outside are validated and sorted at once.  Rows from
+    ``enumerate_lattice``, whose heights are its ranks, stay in discovery
+    order until anything reads an edge, and then go.  Joins use a
     ``containment_index`` (the flats over a union are the AND of its
     elements' bitsets; the join is the lowest, the first in size order); it
     and the mask of all flats are built by the first ``join`` or
@@ -228,9 +276,6 @@ class FlatLattice:
         masks = [f.mask for f in flats]
         size = len(flats)
         order = sorted(range(size), key=list(map(universe.sort_key, masks)).__getitem__)
-        remap = array("l", [0]) * size
-        for new, old in enumerate(order):
-            remap[old] = new
         self.universe = universe
         self.flats: tuple[ElementSet, ...] = tuple([flats[i] for i in order])
         self._index: dict[int, int] = {f.mask: i for i, f in enumerate(self.flats)}
@@ -243,25 +288,12 @@ class FlatLattice:
             raise ValidationError("hasse edges need one row per flat")
         if uppers and not (0 <= min(uppers) and max(uppers) < size):
             raise ValidationError("hasse edge names no flat")
-        # rows in canonical order, each remapped, sorted and deduplicated;
-        # edges point to later flats, so lower-index order is topological
-        offsets, rows = array("l", [0]), array("l")
-        heights = [0] * size
-        for lower, old in enumerate(order):
-            ends = edges.row(old)
-            if ends:
-                # a flat lies in each flat of the row iff it lies in their meet
-                if old in ends or masks[old] & ~reduce(and_, map(masks.__getitem__, ends)):
-                    raise ValidationError("hasse edge does not go strictly upward")
-                row = sorted(set(map(remap.__getitem__, ends)))
-                rows.extend(row)
-                height = heights[lower] + 1
-                for upper in row:
-                    if heights[upper] < height:
-                        heights[upper] = height
-            offsets.append(len(rows))
-        self._hasse = HasseEdges(offsets, rows)
-        self.heights: tuple[int, ...] = tuple(heights)
+        if isinstance(edges, _RankedRows):
+            # the canonical rows wait for their first read (``_rows``)
+            self._hasse: HasseEdges | tuple = (edges, array("i", order))
+            self.heights: tuple[int, ...] = tuple(map(edges.ranks.__getitem__, order))
+        else:
+            self._hasse, self.heights = _canonical_rows(edges, order, masks)
         self.bottom = self.flats[0]
         self.top = self.flats[-1]
         if reduce(and_, masks) != self.bottom.mask or reduce(or_, masks) != self.top.mask:
@@ -269,10 +301,17 @@ class FlatLattice:
         self._containing: list[int] | None = None
         self._everything = 0
 
+    def _rows(self) -> HasseEdges:
+        """The canonical rows, built on first read; the rows handed in go."""
+        rows = self._hasse
+        if isinstance(rows, tuple):
+            rows = self._hasse = _canonical_rows(*rows)[0]
+        return rows
+
     @property
     def hasse_edges(self) -> HasseEdges:
         """The Hasse edges as (lower, upper) positions, sorted; a view."""
-        return self._hasse
+        return self._rows()
 
     def _containment(self) -> list[int]:
         """The containment index of the flats, built on first use."""
@@ -326,17 +365,18 @@ class FlatLattice:
     def covers(self, lower: ElementSet, upper: ElementSet) -> bool:
         """True iff (lower, upper) is a Hasse edge of the lattice."""
         i, j = self.index_of(lower), self.index_of(upper)
-        offsets, uppers = self._hasse._offsets, self._hasse._uppers
+        rows = self._rows()
+        offsets, uppers = rows._offsets, rows._uppers
         stop = offsets[i + 1]
         k = bisect_left(uppers, j, offsets[i], stop)
         return k < stop and uppers[k] == j
 
     def upper_covers(self, flat: ElementSet) -> tuple[ElementSet, ...]:
-        return tuple(map(self.flats.__getitem__, self._hasse.row(self.index_of(flat))))
+        return tuple(map(self.flats.__getitem__, self._rows().row(self.index_of(flat))))
 
     def lower_covers(self, flat: ElementSet) -> tuple[ElementSet, ...]:
         i = self.index_of(flat)
-        return tuple(self.flats[l] for l, u in self._hasse if u == i)
+        return tuple(self.flats[l] for l, u in self._rows() if u == i)
 
     def _true_covers(self) -> Iterator[list[int]]:
         """Each flat's upper covers in order, ascending, recomputed from
@@ -367,8 +407,9 @@ class FlatLattice:
         the first flat that is no join of atoms: the flats below it come
         before it, and two distinct lower covers join to the flat they share.
         """
+        hasse = self._rows()
         for lower, true_row in enumerate(self._true_covers()):
-            row = self._hasse.row(lower).tolist()
+            row = hasse.row(lower).tolist()
             if row != true_row:
                 upper = min(set(row).symmetric_difference(true_row))
                 return GeometricityCheck(
@@ -376,7 +417,7 @@ class FlatLattice:
                     f"hasse edges disagree with the cover relation near "
                     f"{self.flats[lower]!r} -> {self.flats[upper]!r}",
                 )
-        for lower, upper in self._hasse:
+        for lower, upper in hasse:
             if self.heights[upper] != self.heights[lower] + 1:
                 return GeometricityCheck(
                     False,
@@ -386,7 +427,7 @@ class FlatLattice:
         violation = first_pair_violation(self.flats, self.heights, self._containment())
         if violation is not None:
             return GeometricityCheck(False, violation)
-        lower_covers = Counter(self._hasse._uppers)
+        lower_covers = Counter(hasse._uppers)
         for k, flat in enumerate(self.flats):
             if lower_covers[k] == 1 and self.heights[k] >= 2:
                 return GeometricityCheck(False, f"{flat!r} is not a join of atoms")
@@ -436,25 +477,38 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
     other oracle may close one extension per cover (``covers_by_closure``).
     An ``ElementSet`` is built only for a flat seen for the first time.  The
     covers of each flat are collected as one row of two arrays and handed to
-    ``FlatLattice`` as a ``HasseEdges`` view, so no edge tuple is built.
+    ``FlatLattice`` with the ranks, so no edge tuple is built.
 
-    Heights are asserted equal to the reported ranks; a mismatch means the
-    oracle is not a matroid and raises ``InternalConsistencyError``.  A
-    guard below one flat is refused with ``ValidationError``, as it is from
-    the environment.
+    Each edge is checked as it is recorded: the cover strictly contains F
+    (else ``ValidationError``, as ``FlatLattice`` refuses), and its rank is
+    F's plus one when it is first found, when a later edge reaches it and
+    when its own ``covers_of`` reports.  The bottom has rank 0 and every
+    other flat is reached by an edge, so every chain from the bottom to F
+    has rank(F) edges: the heights are the ranks.  A failed step means the
+    oracle is not a matroid: the flats are graded by longest chains, and a
+    height that disagrees with a rank, or else a cover more than one rank
+    up, raises ``InternalConsistencyError``.  A guard below one flat is
+    refused with ``ValidationError``, as it is from the environment.
     """
     limit = default_max_flats() if max_flats is None else _positive_guard("max_flats", max_flats)
     universe = matroid.universe
     bottom = matroid.closure(universe.empty())
     discovered: dict[int, int] = {bottom.mask: 0}
     order: list[ElementSet] = [bottom]
-    ranks = array("b")
+    # the rank each flat must report: 0 for the bottom, its finder's plus one
+    ranks = array("b", [0])
+    stepped = True  # every edge so far goes one rank up
     # the covers of each flat, one row per flat in discovery order
-    offsets, uppers = array("l", [0]), array("l")
+    offsets, uppers = array("i", [0]), array("i")
     # order doubles as the breadth-first queue: it grows while it is walked
-    for flat in order:
+    for i, flat in enumerate(order):
         rank, covers = matroid.covers_of(flat)
-        ranks.append(rank)
+        if rank != ranks[i]:
+            ranks[i], stepped = rank, False
+        # a flat lies in each of its covers iff it lies in their meet
+        if covers and (flat.mask in covers or flat.mask & ~reduce(and_, covers)):
+            raise ValidationError("hasse edge does not go strictly upward")
+        step = rank + 1
         for mask in covers:
             upper = discovered.get(mask)
             if upper is None:
@@ -462,16 +516,27 @@ def enumerate_lattice(matroid: MatroidOracle, max_flats: int | None = None) -> F
                     raise lattice_guard_exceeded(limit)
                 upper = discovered[mask] = len(order)
                 order.append(ElementSet(universe, mask))
+                ranks.append(step)
+            elif ranks[upper] != step:
+                stepped = False
             uppers.append(upper)
         offsets.append(len(uppers))
     del discovered  # as large as the lattice's own index: free it first
+    if stepped:
+        return FlatLattice(order, _RankedRows(offsets, uppers, ranks))
+    # a rank step failed: grade by longest chains and name a flat or an edge
     lattice = FlatLattice(order, HasseEdges(offsets, uppers))
     for flat, rank, height in zip(order, ranks, map(lattice.height_of, order)):
         if rank != height:
             raise InternalConsistencyError(
                 f"height {height} of {flat!r} disagrees with rank {rank}"
             )
-    return lattice
+    flats, heights = lattice.flats, lattice.heights
+    lower, upper = next((l, u) for l, u in lattice.hasse_edges if heights[u] != heights[l] + 1)
+    raise InternalConsistencyError(
+        f"rank {heights[upper]} of {flats[upper]!r}, a cover of {flats[lower]!r}, "
+        f"disagrees with rank {heights[lower]} + 1"
+    )
 
 
 def is_modular_pair(

@@ -13,10 +13,11 @@ structure within the transversal matroid is checked on L's flats by the
 weak-map and quotient criteria.  The deletions, the reduct and the exclusion
 are the matroid less some blocks, each named by its block bitmask D.
 ``DeletionReads`` decides them all while L is enumerated through it, from
-the matching that gives each flat's covers; its ``walk`` reads a lattice
-handed in from outside, one matching per flat.  A pass that has not read
-L's top flat is refused.  No family less D is built unless L is not the
-covering's lattice, where the deletion's own matroid decides.
+the matching that gives each flat's covers, where no single-block deletion
+needs a read; its ``walk`` reads a lattice handed in from outside, one
+matching per flat.  A pass that has not read L's top flat is refused.  No
+family less D is built unless L is not the covering's lattice, where the
+deletion's own matroid decides.
 """
 
 from __future__ import annotations
@@ -159,10 +160,21 @@ def _record_on_flats(report, claims, smaller, lattice: FlatLattice, note=None) -
 
 class DeletionReads:
     """An oracle over M = ``whole`` for ``enumerate_lattice`` that folds, as
-    each flat F is found, F's rank and closure in M \\ D for each bitmask D in
-    ``masks`` (each block, then the reduct's and the exclusion's dropped
-    blocks) from the matching that gives F's covers.  A closure that is
-    neither F nor a cover of F is kept until L is known."""
+    each flat F is found, F's rank and closure in M \\ D for the reduct's and
+    the exclusion's dropped blocks D from the matching that gives F's
+    covers.  ``masks`` holds each block as a bitmask, then those two D;
+    ``walk`` reads them all.  A closure that is neither F nor a cover of F
+    is kept until L is known.
+
+    The enumeration needs no read of a single block b.  Proof: in covers
+    mode every element outside F is reached, or ``_search`` refuses F, so
+    cl_M(F) = F.  The read of b (``ranks_and_closures_without``) is then
+    r - 1 and F if the search misses b, and otherwise r and F plus the
+    elements under b's child of t and under no other child.  Those are
+    none or one of F's covers less F.  So the rank exceeds no height and the closure is F or a
+    cover of F: ``fold`` records neither (deleting one block is an
+    elementary quotient; Oxley, Matroid Theory, ch. 7).
+    """
 
     def __init__(self, whole: TransversalMatroid):
         self.whole, self.universe, family = whole, whole.universe, whole.family
@@ -176,8 +188,9 @@ class DeletionReads:
         return self.whole.closure(x)
 
     def covers_of(self, flat: ElementSet) -> tuple[int, list[int]]:
-        rank, covers, reads = self.whole._search(flat, self.masks, True)
-        self.fold(flat.mask, rank, reads, covers)
+        singles = self.whole.family.m
+        rank, covers, reads = self.whole._search(flat, self.masks[singles:], True)
+        self.fold(flat.mask, rank, reads, covers, singles)
         return rank, covers
 
     def walk(self, lattice: FlatLattice) -> "DeletionReads":
@@ -188,12 +201,13 @@ class DeletionReads:
             self.fold(flat.mask, height, search(flat, masks, False)[2], index)
         return self
 
-    def fold(self, flat: int, rank: int, reads, known) -> None:
+    def fold(self, flat: int, rank: int, reads, known, first: int = 0) -> None:
         """Note each D that raises F's ``rank``; keep each other closure that
-        is neither F nor in ``known`` (F's covers, or L)."""
+        is neither F nor in ``known`` (F's covers, or L).  ``reads`` are of
+        the masks from position ``first`` on."""
         if flat == self.universe.full_mask:
             self.read_top = True
-        for k, (r, closed) in enumerate(reads):
+        for k, (r, closed) in enumerate(reads, first):
             if r > rank:
                 self.foreign[k] = True
             elif closed != flat and closed not in known:

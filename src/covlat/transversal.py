@@ -2,8 +2,9 @@
 
 Independence of a set X is the existence of a matching that assigns every
 member of X to a distinct block containing it; rank is the maximum matching
-size on the subgraph induced by X.  Matchings are found with plain augmenting
-paths, trying blocks in ascending index order, and are held as two lists:
+size on the subgraph induced by X.  A matching gives each element a free
+block of its own where it has one, then finds plain augmenting paths for the
+rest, trying blocks in ascending index order; it is held as two lists:
 block -> element and element -> block, with -1 for unmatched.
 
 Closure needs one matching, not one per element: with a maximum matching of
@@ -71,14 +72,39 @@ class TransversalMatroid:
 
     def _maximum_matching(self, mask: int) -> tuple[list[int], list[int]]:
         """A maximum matching of the members of mask, as the lists
-        block -> element and element -> block (-1: unmatched)."""
+        block -> element and element -> block (-1: unmatched).
+
+        Each member takes a free block of its own where it has one; then each
+        other member gets one augmenting search while a block is free, past
+        the blocks every failed search so far visited (``seen``).  Those are
+        matched, and hold every block of the members matched to them, so no
+        alternating path leaves them for a free block: no augmenting path
+        enters them, and a search that skips them fails exactly when the
+        full one would (Berge; Kuhn 1955)."""
+        blocks_of, augment = self._blocks_of, self._augment
         block_to = [-1] * len(self._block_masks)
         element_to = [-1] * self.universe.n
-        augment = self._augment
+        free, waiting, dead = (1 << len(block_to)) - 1, [], 0
         while mask:
             low = mask & -mask
             mask ^= low
-            augment(low.bit_length() - 1, block_to, element_to, 0)
+            element = low.bit_length() - 1
+            if own := blocks_of[element] & free:
+                low = own & -own
+                free ^= low
+                block = low.bit_length() - 1
+                block_to[block] = element
+                element_to[element] = block
+            else:
+                waiting.append(element)
+        for element in waiting:
+            if not free:
+                break
+            end = augment(element, block_to, element_to, dead)
+            if end < 0:
+                dead = ~end
+            else:
+                free ^= 1 << end
         return block_to, element_to
 
     def _augment(self, element: int, block_to: list[int], element_to: list[int], seen: int) -> int:
@@ -175,9 +201,22 @@ class TransversalMatroid:
         self._check(x)
         mask, full = x.mask, self.universe.full_mask
         m_block_to, m_element_to = self._maximum_matching(mask)
-        free = [block for block, element in enumerate(m_block_to) if element < 0]
+        # closure's backward search (``_reach``), keeping the matched blocks
+        block_masks, covered, free, matched = self._block_masks, 0, [], []
+        for block, element in enumerate(m_block_to):
+            if element < 0:
+                free.append(block)
+                covered |= block_masks[block]
         r = len(m_block_to) - len(free)
-        covered, matched = self._reach(mask, m_element_to, free)
+        pending = covered & mask
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            block = m_element_to[low.bit_length() - 1]
+            matched.append(block)
+            grown = block_masks[block] & ~covered
+            covered |= grown
+            pending |= grown & mask
         post = found = None
         if covers:
             outside = full & ~mask
@@ -218,7 +257,7 @@ class TransversalMatroid:
                 ends = [self._augment(element, block_to, element_to, deleted) for element in freed]
                 rank -= sum(end < 0 for end in ends)
                 left = [b for b in free if not deleted >> b & 1 and b not in ends]
-                closed = mask | full & ~self._reach(mask, element_to, left)[0]
+                closed = mask | full & ~self._reach(mask, element_to, left)
             reads.append((rank, closed))
         return r, found, reads
 
@@ -309,28 +348,26 @@ class TransversalMatroid:
             for rank, closed in self._search(x, deletions, False)[2]
         ]
 
-    def _reach(self, mask: int, element_to: list[int], roots: list[int]) -> tuple[int, list[int]]:
+    def _reach(self, mask: int, element_to: list[int], roots: list[int]) -> int:
         """Closure's backward search, from the element -> block list of a
         maximum matching of mask and the unmatched blocks it starts at: the
         union of the blocks it reaches (cl(mask) is mask plus every element
-        outside it) and the matched blocks it reaches, in order.  A member of
-        mask in a reached block is matched, or it would start an augmenting
-        path, so the search follows members only."""
+        outside it).  A member of mask in a reached block is matched, or it
+        would start an augmenting path, so the search follows members only.
+        ``_search`` runs the same search inline, keeping the matched blocks
+        it reaches in order."""
         block_masks = self._block_masks
         reached = 0
         for block in roots:
             reached |= block_masks[block]
-        found = []
         pending = reached & mask
         while pending:
             low = pending & -pending
             pending ^= low
-            block = element_to[low.bit_length() - 1]
-            found.append(block)
-            grown = block_masks[block] & ~reached
+            grown = block_masks[element_to[low.bit_length() - 1]] & ~reached
             reached |= grown
             pending |= grown & mask
-        return reached, found
+        return reached
 
     def _enumeration_size(self, guard: int) -> int:
         """The universe size, refused over the guard; a guard below 1 is an

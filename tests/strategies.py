@@ -55,6 +55,16 @@ def _named(draw, family: SetFamily) -> SetFamily:
 
 
 @st.composite
+def loopy_families(draw, max_n: int = 6, max_m: int = 4) -> SetFamily:
+    """Families whose blocks may repeat and may leave elements in no block."""
+    universe = draw(universes(max_n))
+    masks = draw(st.lists(st.integers(1, universe.full_mask), min_size=1, max_size=max_m))
+    repeats = draw(st.lists(st.sampled_from(masks), max_size=2))
+    blocks = [ElementSet(universe, mask) for mask in masks + repeats]
+    return SetFamily(universe, draw(st.permutations(blocks)))
+
+
+@st.composite
 def coverings(draw, max_n: int = 6, max_m: int = 5) -> Covering:
     return as_covering(_covered(draw, draw(families(max_n, max_m))))
 

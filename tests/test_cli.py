@@ -96,7 +96,7 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == f"error: block name {name} names two blocks\n"
 
-    def test_dropped_duplicate_that_shifts_a_name_is_an_input_error(self, tmp_path, capsys):
+    def test_dropped_duplicate_that_would_shift_a_name_is_accepted(self, tmp_path, capsys):
         # K2, X, K3 parse; dropping X, a repeat of K2, leaves K2 and K3 named
         # as parsed: no name shifts, so nothing is refused
         path = tmp_path / "shifted.cov"
@@ -439,6 +439,27 @@ class TestCompare:
         assert main(["compare", str(INPUTS / "density_12.cov")]) == 0
         assert "PASS" in capsys.readouterr().out
         assert built == []
+
+
+@pytest.mark.parametrize(
+    ("command", "builds"), [("check", 0), ("compare", 0), ("lattice", 1)]
+)
+def test_only_lattice_builds_the_canonical_hasse_rows(command, builds, monkeypatch, capsys):
+    # density_14.cov: 1,805 flats.  check and compare read flats and heights
+    # only, so the rows enumerate_lattice found wait unbuilt; lattice prints
+    # the edges and builds them once
+    built = []
+    canonical_rows = lattice_module._canonical_rows
+
+    def counted(*args):
+        built.append(command)
+        return canonical_rows(*args)
+
+    monkeypatch.delenv("COVLAT_MAX_LATTICE_SIZE", raising=False)
+    monkeypatch.setattr(lattice_module, "_canonical_rows", counted)
+    assert main([command, str(INPUTS / "density_14.cov")]) == 0
+    assert capsys.readouterr().out
+    assert len(built) == builds
 
 
 class TestReduce:

@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import threading
 import tracemalloc
 from array import array
 from itertools import permutations
@@ -14,6 +15,7 @@ from covlat import (
     ElementSet,
     FlatLattice,
     InternalConsistencyError,
+    NeighborhoodTable,
     NotAFlatError,
     PartitionMatroid,
     SetFamily,
@@ -22,6 +24,7 @@ from covlat import (
     UpperOperator,
     ValidationError,
     ab_decomposition,
+    closure_operator_verdict,
     enumerate_lattice,
     induced_partition_matroid,
     is_modular_element,
@@ -39,8 +42,9 @@ from covlat.lattice import (
     covers_by_closure,
     modular_pairs,
 )
+from covlat.relations import DeletionReads
 from conftest import DOUBLED9, MIXED5, cov, density_covering
-from strategies import coverings, families, partitions, universes
+from strategies import coverings, families, loopy_families, partitions
 
 MIXED5_FLATS = [
     [],
@@ -186,16 +190,6 @@ def covers_by_rank(matroid, x: ElementSet) -> set[int]:
         for e in range(universe.n)
         if not x.has_index(e)
     }
-
-
-@st.composite
-def loopy_families(draw, max_n: int = 6, max_m: int = 4) -> SetFamily:
-    """Families whose blocks may repeat and may leave elements in no block."""
-    universe = draw(universes(max_n))
-    masks = draw(st.lists(st.integers(1, universe.full_mask), min_size=1, max_size=max_m))
-    repeats = draw(st.lists(st.sampled_from(masks), max_size=2))
-    blocks = [ElementSet(universe, mask) for mask in masks + repeats]
-    return SetFamily(universe, draw(st.permutations(blocks)))
 
 
 def assert_covers_match_every_extension(matroid: TransversalMatroid) -> None:
@@ -391,6 +385,164 @@ def test_rank_check_reads_a_fresh_matching_of_each_flat(seed):
         block_to, _ = fresh._maximum_matching(flat.mask)
         assert read[flat.mask] == sum(element >= 0 for element in block_to) == height
     assert len(matchings) == len(lattice) + 1
+
+
+def eager_build(matroid, lattice: FlatLattice) -> FlatLattice:
+    """The lattice built from outside, from the covers the oracle reports of
+    each flat: validated, remapped and graded by longest chains at once."""
+    position = {f.mask: i for i, f in enumerate(lattice.flats)}
+    edges = [(i, position[c]) for i, f in enumerate(lattice.flats) for c in matroid.covers_of(f)[1]]
+    # handed in reversed, so the canonical order is found again
+    last = len(lattice) - 1
+    return FlatLattice(lattice.flats[::-1], [(last - l, last - u) for l, u in edges])
+
+
+def every_oracle(family, covering, partition):
+    """The transversal matroid, the deletion reads over one, the induced
+    partition matroids of the operators that are closures, a partition
+    matroid and a lattice-induced matroid."""
+    yield TransversalMatroid(family)
+    yield DeletionReads(TransversalMatroid(covering))
+    table = NeighborhoodTable.build(covering)
+    for kind in UpperOperator:
+        if closure_operator_verdict(table, kind).is_closure:
+            yield induced_partition_matroid(covering, kind)
+    yield PartitionMatroid(partition.universe, partition.blocks)
+    system = SubmodularSystem.from_flat_lattice(enumerate_lattice(TransversalMatroid(covering)))
+    yield LatticeInducedMatroid(system)
+
+
+@given(loopy_families(max_n=5), coverings(max_n=5, max_m=4), partitions(max_n=5))
+def test_enumerated_lattices_equal_the_eager_build_of_their_covers(family, covering, partition):
+    # heights read off the checked ranks and rows built on first read give
+    # the flats, heights, edges and cover answers of the eager build
+    for matroid in every_oracle(family, covering, partition):
+        lattice = enumerate_lattice(matroid)
+        eager = eager_build(matroid, lattice)
+        assert lattice.flats == eager.flats
+        assert lattice.heights == eager.heights
+        assert lattice.hasse_edges == eager.hasse_edges
+        assert [lattice.covers(x, y) for x in lattice.flats for y in lattice.flats] == [
+            eager.covers(x, y) for x in eager.flats for y in eager.flats
+        ]
+
+
+ROW_READS = {
+    "hasse_edges": lambda lattice: lattice.hasse_edges,
+    "covers": lambda lattice: lattice.covers(lattice.bottom, lattice.top),
+    "upper_covers": lambda lattice: lattice.upper_covers(lattice.bottom),
+    "lower_covers": lambda lattice: lattice.lower_covers(lattice.top),
+    "is_geometric": lambda lattice: lattice.is_geometric(),
+    "to_dot": lambda lattice: lattice.to_dot(),
+    "to_json_dict": lambda lattice: lattice.to_json_dict(),
+}
+
+
+@pytest.mark.parametrize("first", list(ROW_READS))
+def test_enumerated_rows_are_built_once_on_their_first_read(doubled9, monkeypatch, first):
+    built = []
+    canonical_rows = lattice_module._canonical_rows
+
+    def counted(*args):
+        built.append(len(args))
+        return canonical_rows(*args)
+
+    monkeypatch.setattr(lattice_module, "_canonical_rows", counted)
+    lattice = enumerate_lattice(TransversalMatroid(doubled9))
+    lattice.join(lattice.bottom, lattice.top)
+    lattice.meet(lattice.top, lattice.bottom)
+    assert (lattice.atoms(), lattice.heights, len(lattice)) and built == []
+    ROW_READS[first](lattice)
+    assert built == [2]  # the handed rows and the order: no masks, no heights
+    for read in ROW_READS.values():
+        read(lattice)
+    assert built == [2]
+    # a lattice built from outside builds its rows at once, with the masks
+    FlatLattice(lattice.flats, lattice.hasse_edges)
+    assert built == [2, 3]
+
+
+def test_threads_that_race_on_the_first_read_see_the_same_rows(doubled9):
+    # the rows fill on first read with no lock: threads that race may each
+    # sort them, and every one reads the rows of the eager build
+    matroid = TransversalMatroid(doubled9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            lattice = enumerate_lattice(matroid)
+            seen = []
+            threads = [
+                threading.Thread(target=lambda: seen.append(tuple(lattice.hasse_edges)))
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == [tuple(eager_build(matroid, lattice).hasse_edges)] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class ExtraCover:
+    """A transversal oracle that reports one more cover of one flat."""
+
+    def __init__(self, matroid: TransversalMatroid, at: ElementSet, extra: ElementSet):
+        self.universe, self.matroid, self.at, self.extra = matroid.universe, matroid, at, extra
+
+    def closure(self, x):
+        return self.matroid.closure(x)
+
+    def covers_of(self, flat):
+        rank, covers = self.matroid.covers_of(flat)
+        return rank, covers + [self.extra.mask] * (flat == self.at)
+
+
+@pytest.mark.parametrize(
+    ("at", "extra"), [(["1"], ["2", "3"]), (["1", "2"], ["1", "2"])], ids=["incomparable", "itself"]
+)
+def test_enumeration_refuses_a_cover_that_does_not_contain_its_flat(mixed5, at, extra):
+    universe = mixed5.universe
+    oracle = ExtraCover(TransversalMatroid(mixed5), universe.subset(at), universe.subset(extra))
+    with pytest.raises(ValidationError, match="strictly upward"):
+        enumerate_lattice(oracle)
+
+
+@pytest.mark.parametrize(
+    ("at", "extra"),
+    [([], ["1", "2"]), ([], ["1", "2", "3", "4", "5"]), (["4", "5"], ["1", "2", "4", "5"])],
+    ids=["line-over-bottom", "top-over-bottom", "plane-over-point"],
+)
+def test_enumeration_refuses_a_cover_two_ranks_up(mixed5, at, extra):
+    # every flat is still graded by its rank along the longest chains, so
+    # only the rank step of the extra edge shows the lie
+    universe = mixed5.universe
+    oracle = ExtraCover(TransversalMatroid(mixed5), universe.subset(at), universe.subset(extra))
+    with pytest.raises(InternalConsistencyError, match="disagrees with rank"):
+        enumerate_lattice(oracle)
+
+
+class CoverTable:
+    """An oracle that reports a fixed rank and covers per flat mask."""
+
+    def __init__(self, universe: Universe, table: dict[int, tuple[int, list[int]]]):
+        self.universe, self.table = universe, table
+
+    def closure(self, x):
+        return ElementSet(self.universe, 0)
+
+    def covers_of(self, flat):
+        return self.table[flat.mask]
+
+
+def test_enumeration_refuses_an_edge_into_a_found_flat_that_is_no_rank_step():
+    # {a b} is found from the bottom as a rank-1 flat and reports rank 1;
+    # only the later edge {a} -> {a b} shows that it is no rank step
+    oracle = CoverTable(Universe(("a", "b")), {0: (0, [1, 3]), 1: (1, [3]), 3: (1, [])})
+    with pytest.raises(InternalConsistencyError, match="height 2 of {a b} disagrees with rank 1"):
+        enumerate_lattice(oracle)
 
 
 class TestConstruction:

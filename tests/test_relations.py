@@ -46,7 +46,7 @@ from conftest import (
     table_and_verdicts,
     transversal_and_lattice,
 )
-from strategies import coverings, families, partitions, reducible_coverings
+from strategies import coverings, families, loopy_families, partitions, reducible_coverings
 
 INPUTS = Path(__file__).resolve().parent / "inputs"
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -494,6 +494,39 @@ class TestDeletionReads:
         lattice = enumerate_lattice(reads)
         assert lattice.flats == enumerate_lattice(whole).flats
         assert reads.outcomes(lattice) == DeletionReads(whole).walk(lattice).outcomes(lattice)
+
+    @staticmethod
+    def assert_single_block_reads_are_never_recorded(family):
+        # the enumeration pass reads no single block: each such read of a
+        # flat F of rank r is F at rank r or r - 1, or a cover of F at rank
+        # r, which fold never records; and the outcomes it folds without
+        # them are those of the walk that reads every mask
+        whole = TransversalMatroid(family)
+        reads = DeletionReads(whole)
+        lattice = enumerate_lattice(reads)
+        singles = [1 << i for i in range(family.m)]
+        for flat, height in zip(lattice.flats, lattice.heights):
+            rank, covers, single_reads = whole._search(flat, singles, True)
+            assert rank == height
+            for r, closed in single_reads:
+                if closed == flat.mask:
+                    assert r in (rank, rank - 1)
+                else:
+                    assert closed in covers and r == rank
+        walked = DeletionReads(whole).walk(lattice).outcomes(lattice)
+        assert reads.outcomes(lattice) == walked
+        assert list(walked) == list(dict.fromkeys(reads.masks))
+
+    @given(loopy_families())
+    def test_single_block_reads_are_never_recorded_on_families(self, family):
+        # blocks may repeat and leave elements in no block
+        self.assert_single_block_reads_are_never_recorded(family)
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_single_block_reads_are_never_recorded_on_density_coverings(self, n):
+        self.assert_single_block_reads_are_never_recorded(
+            density_covering(random.Random(n), n, n // 2 + 1)
+        )
 
     @given(reducible_coverings())
     def test_the_reduct_of_a_covering_with_two_unions_drops_two_blocks(self, covering):

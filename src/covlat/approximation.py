@@ -22,7 +22,6 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import CriterionNotSatisfied, InternalConsistencyError, ValidationError
-from .lattice import closure_from_rank
 from .universe import Covering, ElementSet, Partition, Universe, bits_of
 
 
@@ -218,27 +217,32 @@ Verdicts = dict[UpperOperator, ClosureVerdict]
 
 
 def _search_witness(table: NeighborhoodTable, kind: UpperOperator) -> AxiomWitness:
-    """Find the first idempotence violation on at most two elements, subsets
-    in size order, else an exchange violation at the empty set.
+    """The first idempotence violation on at most two elements, subsets in
+    size order, else an exchange violation at the empty set.
 
-    Called only when the singleton images do not form a partition, and then
-    one of the two scans always finds a witness:
+    Called only when the singleton images do not form a partition.  Every
+    operator sends the empty set to itself, so no scan tries it; sh and vh
+    scan the singletons, and xh goes straight to exchange:
 
     * sh and vh preserve unions, and "y in image({x})" is reflexive and
       symmetric.  If image(image({x})) = image({x}) for every x, then
       y in image({x}) gives image({y}) within image({x}) and, by symmetry,
       the reverse, so the images are the classes of an equivalence: a
       partition.  A failing sh or vh therefore fails idempotence on a
-      singleton.
+      singleton, and the first singleton that fails is the first subset.
+    * xh is idempotent on every set X.  x in N(x) puts X within xh(X), so
+      xh(X) lies within xh(xh(X)).  Conversely, if N(z) meets xh(X) at y,
+      then y lies in every block holding z, so N(y) lies within N(z), and
+      N(y) meets X: z is in xh(X).
     * For xh, "x in N(y)" means N(x) lies within N(y), a preorder, and it
       is symmetric exactly when the N(y) form a partition.  Exchange at the
       empty set asks for that symmetry (y in xh({x}) forces x in xh({y})),
       so a failing xh always has an exchange witness at the empty set.
     """
     universe = table.covering.universe
-    for size in range(3):
-        for combo in combinations(range(universe.n), size):
-            x = ElementSet(universe, sum(1 << e for e in combo))
+    if kind is not UpperOperator.XH:
+        for e in range(universe.n):
+            x = universe.singleton(e)
             once = table.apply(kind, x)
             if table.apply(kind, once) != once:
                 return AxiomWitness("idempotence", x)
@@ -266,10 +270,10 @@ def closure_operator_verdict(table: NeighborhoodTable, kind: UpperOperator) -> C
 class PartitionMatroid:
     """Matroid of a partition: independent sets meet each class at most once.
 
-    ``closure`` is computed from the rank function, so tests can compare it
-    against the partition upper approximation through an independent route.
-    ``covers_of`` uses the closed form instead: a flat is a union of
-    classes, and its covers add one class each.
+    ``closure`` and ``covers_of`` use closed forms: a flat is a union of
+    classes, and its covers add one class each.  ``closure_from_rank`` of
+    the matroid is the independent route that ``verify`` compares with the
+    partition upper approximation.
     """
 
     def __init__(self, universe: Universe, classes: Sequence[ElementSet]):
@@ -302,7 +306,15 @@ class PartitionMatroid:
         return sum(1 for cls in self.classes if cls.mask & x.mask)
 
     def closure(self, x: ElementSet) -> ElementSet:
-        return closure_from_rank(self, x)
+        """The union of the classes x meets (Oxley, Matroid Theory, 1.3): r(X)
+        is the number of classes X meets, so adding e leaves it unchanged
+        iff e's class already meets X."""
+        self._check(x)
+        mask = 0
+        for cls in self.classes:
+            if cls.mask & x.mask:
+                mask |= cls.mask
+        return x if mask == x.mask else ElementSet(self.universe, mask)
 
     def covers_of(self, flat: ElementSet) -> tuple[int, list[int]]:
         """The rank of a flat and the masks flat + c over the classes c

@@ -22,7 +22,7 @@ deletion's own matroid decides.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cache
 
 from .approximation import (
@@ -49,7 +49,8 @@ class ClaimRecord:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """``dataclasses.asdict`` less its deep copy: each field is a str, bool or None."""
+        return dict(vars(self))
 
 
 @dataclass

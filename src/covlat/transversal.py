@@ -266,7 +266,13 @@ class TransversalMatroid:
         its matching (block -> element), unmatched blocks and reached matched
         blocks, as block bitsets: each reached block's post-dominators (its
         child of t is the one child among them), the children of t, the
-        reached blocks, the elements under each child and those under two."""
+        reached blocks, the elements under each child and those under two.
+
+        post[b] is b plus what post[c] shares over b's arcs b -> c: passes
+        over the matched blocks in discovery order, from every reached block,
+        until one changes nothing.  If no arc points forward, to a block
+        reached later, discovery order is a topological order of an acyclic
+        graph, whose one solution the first pass finds: none follows it."""
         block_masks = self._block_masks
         roots = reached = 0
         for block in matched:
@@ -278,8 +284,12 @@ class TransversalMatroid:
         post = [reached] * len(block_masks)
         for block in free:
             post[block] = 1 << block
-        blocks_of = self._blocks_of
-        arcs = [(block, blocks_of[block_to[block]] & reached & ~(1 << block)) for block in matched]
+        blocks_of, arcs, done, forward = self._blocks_of, [], roots, 0
+        for block in matched:
+            after = blocks_of[block_to[block]] & reached & ~(1 << block)
+            arcs.append((block, after))
+            forward |= after & ~done  # arcs to blocks a pass sets later
+            done |= 1 << block
         changed = len(free) > 1  # else the one unmatched block is the only child of t
         while changed:
             changed = False
@@ -292,7 +302,7 @@ class TransversalMatroid:
                 common |= 1 << block
                 if common != post[block]:
                     post[block] = common
-                    changed = True
+                    changed = forward  # with no forward arc one pass solves it
         for block in matched:
             if post[block] == 1 << block:
                 roots |= 1 << block

@@ -35,6 +35,7 @@ from .generators import (
 from .lattice import (
     FlatLattice,
     MatroidOracle,
+    closure_from_rank,
     enumerate_lattice,
     modular_pairs,
 )
@@ -209,7 +210,7 @@ def verify_induced_matroids(
         if key not in scans:
             # each singleton (a == b) and each unordered pair is closed once
             closed = {
-                1 << a | 1 << b: matroid.closure(ElementSet(universe, 1 << a | 1 << b))
+                1 << a | 1 << b: closure_from_rank(matroid, ElementSet(universe, 1 << a | 1 << b))
                 for a, b in combinations_with_replacement(range(universe.n), 2)
             }
             # every pair is read: a closure that is not a flat raises wherever it is
@@ -231,7 +232,7 @@ def verify_induced_matroids(
             _agree_on_subsets(
                 "partition matroid closure equals the upper approximation",
                 universe,
-                matroid.closure,
+                lambda x: closure_from_rank(matroid, x),
                 lambda x: partition_upper(partition, x),
             )
         )

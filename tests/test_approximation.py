@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 
@@ -19,7 +22,10 @@ from covlat import (
     partition_upper,
     tra_condition,
 )
-from conftest import cov, subsets
+from covlat.approximation import AxiomWitness, _search_witness
+from covlat.lattice import closure_from_rank
+from covlat.universe import bits_of
+from conftest import cov, density_covering, subsets
 from strategies import covering_and_subset, covering_and_two_subsets, coverings, partitions
 
 ALL_KINDS = (UpperOperator.SH, UpperOperator.XH, UpperOperator.VH)
@@ -108,12 +114,12 @@ class TestOperators:
             if x <= y:
                 assert image <= table.apply(kind, y)
 
-    @given(covering_and_subset())
-    def test_xh_always_idempotent(self, data):
-        covering, x = data
+    @given(coverings())
+    def test_xh_always_idempotent(self, covering):
         table = NeighborhoodTable.build(covering)
-        once = table.xh(x)
-        assert table.xh(once) == once
+        for x in subsets(covering.universe):
+            once = table.xh(x)
+            assert table.xh(once) == once
 
     @given(coverings())
     def test_singleton_symmetry(self, covering):
@@ -248,10 +254,10 @@ class TestClosureCriterion:
                 continue
             witness = verdict.witness
             assert witness is not None
-            # sh and vh always fail idempotence on a singleton; xh fails it
-            # on at most two elements or fails exchange at the empty set.
+            # sh and vh always fail idempotence on a singleton; xh, which is
+            # idempotent everywhere, fails exchange at the empty set
             if kind is UpperOperator.XH:
-                assert len(witness.subset) <= 2
+                assert witness.law == "exchange" and not witness.subset
             else:
                 assert witness.law == "idempotence" and len(witness.subset) == 1
             if witness.law == "idempotence":
@@ -265,6 +271,47 @@ class TestClosureCriterion:
                 grown = table.apply(kind, witness.subset.with_index(x))
                 assert grown.has_index(y) and not base.has_index(y)
                 assert not table.apply(kind, witness.subset.with_index(y)).has_index(x)
+
+
+    @staticmethod
+    def _scanned_witness(table, kind):
+        # every subset of at most two elements in size order for an
+        # idempotence failure, then exchange at the empty set
+        universe = table.covering.universe
+        for size in range(3):
+            for combo in combinations(range(universe.n), size):
+                x = ElementSet(universe, sum(1 << e for e in combo))
+                once = table.apply(kind, x)
+                if table.apply(kind, once) != once:
+                    return AxiomWitness("idempotence", x)
+        empty = universe.empty()
+        for x in range(universe.n):
+            for y in bits_of(table.apply(kind, universe.singleton(x)).mask):
+                if not table.apply(kind, universe.singleton(y)).has_index(x):
+                    return AxiomWitness("exchange", empty, universe.labels[x], universe.labels[y])
+        return None
+
+    def _assert_witnesses_are_the_scans(self, covering) -> int:
+        table = NeighborhoodTable.build(covering)
+        failing = 0
+        for kind in ALL_KINDS:
+            if not forms_partition(table.singleton_images(kind)):
+                failing += 1
+                assert _search_witness(table, kind) == self._scanned_witness(table, kind)
+        return failing
+
+    @given(coverings(max_n=10))
+    def test_witness_equals_the_scan_of_subsets_up_to_two_elements(self, covering):
+        self._assert_witnesses_are_the_scans(covering)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_witness_equals_the_scan_on_density_coverings(self, n):
+        rng = random.Random(700 + n)
+        failing = sum(
+            self._assert_witnesses_are_the_scans(density_covering(rng, n, rng.randint(2, n)))
+            for _ in range(40)
+        )
+        assert failing
 
 
 class TestIdempotenceAndExchangeEquivalences:
@@ -372,9 +419,21 @@ class TestPartitionMatroid:
 
     @given(partitions(max_n=5))
     def test_closure_equals_upper_approximation(self, partition):
+        # the closed form and the route through the rank function alike
         matroid = PartitionMatroid(partition.universe, partition.blocks)
         for x in subsets(partition.universe):
-            assert matroid.closure(x) == partition_upper(partition, x)
+            upper = partition_upper(partition, x)
+            assert matroid.closure(x) == closure_from_rank(matroid, x) == upper
+
+    @given(coverings(max_n=6))
+    def test_induced_closures_equal_closure_from_rank(self, covering):
+        table = NeighborhoodTable.build(covering)
+        for kind in ALL_KINDS:
+            verdict = closure_operator_verdict(table, kind)
+            if verdict.is_closure:
+                matroid = verdict.partition_matroid(covering.universe)
+                for x in subsets(covering.universe):
+                    assert matroid.closure(x) == closure_from_rank(matroid, x)
 
     @given(coverings(max_n=5))
     def test_pair_closure_covers_iff_classes_differ(self, covering):

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -28,7 +28,7 @@ from covlat import (
     full_relation_report,
 )
 from covlat import reduction, relations
-from covlat.relations import DeletionReads
+from covlat.relations import ClaimRecord, DeletionReads
 from covlat.generators import (
     partition_with_nested_block,
     partition_with_union_block,
@@ -696,6 +696,14 @@ class TestFullReport:
         for row, record in zip(data["claims"], report.records):
             assert row["claim"] == record.claim
             assert row["holds"] == record.holds
+
+    def test_record_dicts_are_their_asdict(self, mixed5, doubled9):
+        # the same keys in the same order, with the same values
+        records = [ClaimRecord("claim", True, "precondition", False, "witness", "note")]
+        for covering in (mixed5, doubled9):
+            records += full_relation_report(*report_inputs(covering)).records
+        for record in records:
+            assert list(record.to_dict().items()) == list(asdict(record).items())
 
     @given(partitions(max_n=5))
     def test_partitions_are_fully_clean(self, partition):

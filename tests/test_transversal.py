@@ -19,9 +19,10 @@ from covlat import (
     is_partition,
     reduct,
 )
-from covlat.lattice import closure_from_rank
+from covlat.lattice import closure_from_rank, covers_by_closure
+from covlat.universe import bits_of
 from conftest import cov, density_covering, fam, subsets
-from strategies import coverings, families, family_and_two_subsets
+from strategies import coverings, families, family_and_two_subsets, loopy_families
 
 
 class TestIndependence:
@@ -235,6 +236,104 @@ class TestRankAndClosureWithout:
         matroid = TransversalMatroid(doubled9)
         with pytest.raises(ValidationError, match="names no block"):
             matroid.ranks_and_closures_without(doubled9.universe.empty(), [0, deleted])
+
+
+class TestParallelParts:
+    """``_parallel_parts`` against post-dominator sets iterated to their
+    fixpoint on Python sets, on every call ``covers_of`` and the
+    single-block deletion reads make."""
+
+    @staticmethod
+    def _recorded(matroid: TransversalMatroid) -> list:
+        calls, method = [], matroid._parallel_parts
+
+        def record(block_to, free, matched):
+            result = method(block_to, free, matched)
+            calls.append((list(block_to), list(free), list(matched), result))
+            return result
+
+        matroid._parallel_parts = record
+        return calls
+
+    def _assert_parts_by_iteration(self, family: SetFamily, call) -> bool:
+        """Check one recorded call; say whether an arc points forward, to a
+        block reached later."""
+        block_to, free, matched, (post, roots, reached, under, twice) = call
+        blocks = set(free) | set(matched)
+        arcs = {
+            b: {c for c in blocks if c != b and family.blocks[c].has_index(block_to[b])}
+            for b in matched
+        }
+        doms = {b: {b} for b in free}
+        doms.update((b, set(blocks)) for b in matched)
+        changed = True
+        while changed:
+            changed = False
+            for b in matched:
+                common = {b} | set.intersection(*(doms[c] for c in arcs[b]))
+                if common != doms[b]:
+                    doms[b], changed = common, True
+        children = {b for b in doms if doms[b] == {b}}
+        assert roots == sum(1 << b for b in children)
+        assert reached == sum(1 << b for b in doms)
+        elements: dict[int, set[int]] = {}
+        for b in doms:
+            (child,) = doms[b] & children
+            assert post[b] & roots == 1 << child
+            elements.setdefault(child, set()).update(bits_of(family.blocks[b].mask))
+        assert under == {1 << c: sum(1 << e for e in members) for c, members in elements.items()}
+        counts = [sum(e in members for members in elements.values()) for e in range(family.universe.n)]
+        assert twice == sum(1 << e for e, k in enumerate(counts) if k > 1)
+        return any(c in matched[k + 1:] for k, b in enumerate(matched) for c in arcs[b])
+
+    def _forward_calls(self, family: SetFamily, sets) -> list[bool]:
+        matroid = TransversalMatroid(family)
+        calls = self._recorded(matroid)
+        enumerate_lattice(matroid)
+        for x in sets:
+            matroid.ranks_and_closures_without(x, [1 << j for j in range(family.m)])
+        return [self._assert_parts_by_iteration(family, call) for call in calls]
+
+    def test_a_forward_arc_gets_further_passes(self):
+        # F = {p, q} matches p to B1 and q to B2 and leaves U1 and U2
+        # unmatched.  B1 is reached from U1, which holds p; p also lies in
+        # B2, reached later from U2, so the arc B1 -> B2 points forward.  A
+        # single pass would leave B1 under U1 and put t with r
+        family = fam(
+            "universe: p q r s t w\n"
+            "block B1: p t\nblock B2: p q w\nblock U1: p r\nblock U2: q s"
+        )
+        matroid = TransversalMatroid(family)
+        universe = family.universe
+        flat = universe.subset(["p", "q"])
+        assert matroid._maximum_matching(flat.mask)[0] == [0, 1, -1, -1]
+        calls = self._recorded(matroid)
+        rank, covers = matroid.covers_of(flat)
+        assert calls[0][1:3] == ([2, 3], [0, 1])
+        assert self._assert_parts_by_iteration(family, calls[0])
+        assert rank == 2
+        assert sorted(covers) == sorted(covers_by_closure(matroid, flat)[1])
+        assert sorted(covers) == sorted(
+            universe.subset(["p", "q", *extra]).mask for extra in (["r"], ["t"], ["s", "w"])
+        )
+
+    @given(loopy_families(), st.lists(st.integers(0, 63), max_size=4))
+    def test_equals_the_fixpoint_on_families(self, family, masks):
+        universe = family.universe
+        sets = [universe.empty(), universe.full()]
+        sets += [ElementSet(universe, mask & universe.full_mask) for mask in masks]
+        self._forward_calls(family, sets)
+
+    @pytest.mark.parametrize("n", (8, 10, 12))
+    def test_equals_the_fixpoint_on_density_coverings(self, n):
+        rng = random.Random(900 + n)
+        forward = []
+        for _ in range(3):
+            covering = density_covering(rng, n, n // 2 + 1)
+            sets = [ElementSet(covering.universe, rng.randrange(1 << n)) for _ in range(20)]
+            forward += self._forward_calls(covering, sets)
+        # calls with and without a forward arc both occur
+        assert any(forward) and not all(forward)
 
 
 class TestEnumeration:

@@ -14,10 +14,8 @@ weak-map and quotient criteria.  The deletions, the reduct and the exclusion
 are the matroid less some blocks, each named by its block bitmask D.
 ``DeletionReads`` decides them all while L is enumerated through it, from
 the matching that gives each flat's covers, where no single-block deletion
-needs a read; its ``walk`` reads a lattice handed in from outside, one
-matching per flat.  A pass that has not read L's top flat is refused.  No
-family less D is built unless L is not the covering's lattice, where the
-deletion's own matroid decides.
+needs a read.  A pass that has not folded as many flats as L holds is
+refused, and no family less D is built.
 """
 
 from __future__ import annotations
@@ -161,82 +159,62 @@ def _record_on_flats(report, claims, smaller, lattice: FlatLattice, note=None) -
 
 class DeletionReads:
     """An oracle over M = ``whole`` for ``enumerate_lattice`` that folds, as
-    each flat F is found, F's rank and closure in M \\ D for the reduct's and
-    the exclusion's dropped blocks D from the matching that gives F's
-    covers.  ``masks`` holds each block as a bitmask, then those two D;
-    ``walk`` reads them all.  A closure that is neither F nor a cover of F
-    is kept until L is known.
+    each flat F is found, F's rank and closure in M \\ D from the matching
+    that gives F's covers, for the reduct's and the exclusion's dropped
+    blocks D (``masks``).  M \\ D is a quotient of M (Oxley, Matroid Theory,
+    ch. 7): a rank above F's is refused, and a closure that is neither F nor
+    a cover of F is kept until L is known.
 
     The enumeration needs no read of a single block b.  Proof: in covers
     mode every element outside F is reached, or ``_search`` refuses F, so
     cl_M(F) = F.  The read of b (``ranks_and_closures_without``) is then
     r - 1 and F if the search misses b, and otherwise r and F plus the
     elements under b's child of t and under no other child.  Those are
-    none or one of F's covers less F.  So the rank exceeds no height and the closure is F or a
-    cover of F: ``fold`` records neither (deleting one block is an
-    elementary quotient; Oxley, Matroid Theory, ch. 7).
+    none or one of F's covers less F.  So the rank exceeds no height and the
+    closure is F or a cover of F, which ``fold`` would not keep.
     """
 
     def __init__(self, whole: TransversalMatroid):
-        self.whole, self.universe, family = whole, whole.universe, whole.family
-        self.reductions = reduction_report(family)
-        dropped = astuple(self.reductions)
-        masks = [1 << i for i in range(family.m)] + [sum(1 << i for i in d) for d in dropped]
-        self.masks, self.foreign, self.kept = masks, [False] * len(masks), [[] for _ in masks]
-        self.read_top = False
-
-    def closure(self, x: ElementSet) -> ElementSet:
-        return self.whole.closure(x)
+        self.whole, self.universe, self.closure = whole, whole.universe, whole.closure
+        self.reductions = reduction_report(whole.family)
+        self.masks = [sum(1 << i for i in d) for d in astuple(self.reductions)]
+        self.kept, self.folded = [[] for _ in self.masks], 0
 
     def covers_of(self, flat: ElementSet) -> tuple[int, list[int]]:
-        singles = self.whole.family.m
-        rank, covers, reads = self.whole._search(flat, self.masks[singles:], True)
-        self.fold(flat.mask, rank, reads, covers, singles)
+        rank, covers, reads = self.whole._search(flat, self.masks, True)
+        self.fold(flat.mask, rank, reads, covers)
         return rank, covers
 
-    def walk(self, lattice: FlatLattice) -> "DeletionReads":
-        """Read a lattice handed in from outside through the same fold: one
-        matching per flat, in L's order, which ends at the top."""
-        search, masks, index = self.whole._search, self.masks, lattice._index
-        for flat, height in zip(lattice.flats, lattice.heights):
-            self.fold(flat.mask, height, search(flat, masks, False)[2], index)
-        return self
-
-    def fold(self, flat: int, rank: int, reads, known, first: int = 0) -> None:
-        """Note each D that raises F's ``rank``; keep each other closure that
-        is neither F nor in ``known`` (F's covers, or L).  ``reads`` are of
-        the masks from position ``first`` on."""
-        if flat == self.universe.full_mask:
-            self.read_top = True
-        for k, (r, closed) in enumerate(reads, first):
+    def fold(self, flat: int, rank: int, reads, covers) -> None:
+        """Count F; keep each closure read that is neither F nor in F's ``covers``."""
+        self.folded += 1
+        for kept, deleted, (r, closed) in zip(self.kept, self.masks, reads):
             if r > rank:
-                self.foreign[k] = True
-            elif closed != flat and closed not in known:
-                self.kept[k].append((flat, closed))
+                raise InternalConsistencyError(
+                    f"{ElementSet(self.universe, flat)!r} has rank {r} > {rank} less {deleted:#b}"
+                )
+            if closed != flat and closed not in covers:
+                kept.append((flat, closed))
 
     def outcomes(self, lattice: FlatLattice) -> dict:
-        """Each D -> (r_{M \\ D}(F) exceeds the height of some flat F read,
-        the first kept closure not in L, in L's order, or None).  Refused
-        unless the top flat E, which both orders read last, has been read."""
-        if not self.read_top:
+        """Each D -> the first kept closure not in L, in L's order, or None.
+        Refused unless this pass has folded as many flats as L holds."""
+        if self.folded != len(lattice):
             raise InternalConsistencyError(
-                "deletion reads have not read the top flat: enumerate L through them or walk it"
+                f"deletion reads folded {self.folded} flats, not the {len(lattice)} of L"
             )
         index, unclosed = lattice._index, []
         for kept in self.kept:
             first = min(((index[f], c) for f, c in kept if c not in index), default=None)
             unclosed.append(first and ElementSet(self.universe, first[1]))
-        return dict(zip(self.masks, zip(self.foreign, unclosed)))
+        return dict(zip(self.masks, unclosed))
 
 
 def _record_without(report, reads: DeletionReads, lattice: FlatLattice | None, deletions) -> None:
     """Record the claim pair of each (claims, D, note) in ``deletions`` for
-    M \\ D, the matroid of the family of M = ``reads.whole`` less the blocks
-    in the bitmask D, from the outcomes of ``reads``.  Without L, skip them.
-    M \\ D is a weak-map image of M, so the rank exceeds no height if L is
-    M's lattice; if it does, that pair is recorded on a fresh matroid of the
-    family less D, the only one built.
-    """
+    M \\ D, M = ``reads.whole`` less the blocks in the bitmask D, from the
+    outcomes of ``reads`` (none for an unread single block).  Without L, skip
+    them.  M \\ D is a quotient of M, so each first claim holds."""
     gate = _lattice_gate(lattice)
     if gate is not None:
         for claims, _, _ in deletions:
@@ -244,12 +222,7 @@ def _record_without(report, reads: DeletionReads, lattice: FlatLattice | None, d
         return
     outcomes = reads.outcomes(lattice)
     for claims, deleted, note in deletions:
-        over, closed = outcomes[deleted]
-        if over:
-            smaller = TransversalMatroid(reads.whole.family.without(deleted))
-            _record_on_flats(report, claims, smaller, lattice, note)
-        else:
-            _record_within(report, claims, None, closed, note)
+        _record_within(report, claims, None, outcomes.get(deleted), note)
 
 
 def check_containments(
@@ -351,11 +324,11 @@ def check_reduct_exclusion_containments(
 ) -> RelationReport:
     """Reducts and exclusions only shrink the structures of the original.
     Each is decided as the matroid less the blocks that ``reduct`` or
-    ``exclusion`` would drop, the last two masks of ``reads``, without
-    building either."""
+    ``exclusion`` would drop, the two masks of ``reads``, without building
+    either."""
     report = RelationReport()
     deletions = []
-    for mode, dropped in zip(("reduct", "exclusion"), reads.masks[-2:]):
+    for mode, dropped in zip(("reduct", "exclusion"), reads.masks):
         claims = (f"{mode}-independents-within-original", f"{mode}-flats-within-original")
         deletions.append((claims, dropped, None))
     _record_without(report, reads, lattice, deletions)
@@ -444,7 +417,7 @@ def full_relation_report(
     """Everything: containments, per-block deletion, reducts, preservation,
     from one ``reduction_report``.  Every deletion is read from ``reads``, the
     ``DeletionReads`` of the transversal matroid that L was enumerated
-    through (or that walked L)."""
+    through."""
     report = check_containments(table, verdicts, reads.whole, lattice)
     if table.covering.m > 1:
         report.extend(check_deletion_monotonicity(reads, lattice))

@@ -25,10 +25,9 @@ elements: no per-cover augmenting path, list copy or closure.
 less a set D of blocks, from one matching of X.  Deleting one block b is
 contracting a new element of b alone, read off the same post-dominator tree;
 a larger D costs one augmenting path per element that lost its block.  Both
-read one search (``_search``): ``relations.DeletionReads`` takes a flat's
-covers and its deletion reads from it together while the lattice is
-enumerated through it, and the deletion reads alone when it walks a lattice
-handed in from outside.
+read one search (``_search``), from which ``relations.DeletionReads`` takes
+a flat's covers and its deletion reads together as the lattice is
+enumerated through it.
 """
 
 from __future__ import annotations

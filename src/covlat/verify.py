@@ -392,22 +392,22 @@ def verify_relations(
     ]
 
 
-def _transversal_suites(family: SetFamily) -> tuple[list[CheckResult], DeletionReads, FlatLattice]:
-    """The suites every family gets, with the lattice they share and the
-    ``DeletionReads`` of the matroid it was enumerated through.  The oracle
-    comes first, so its budget refuses before any enumeration."""
+def _transversal_suites(matroid: TransversalMatroid, via) -> tuple[list[CheckResult], FlatLattice]:
+    """The suites every family gets and the lattice they share, enumerated
+    via the matroid or the ``DeletionReads`` of it that the relations read.
+    The oracle comes first, so its budget refuses before any enumeration."""
+    family = matroid.family
     oracle = BruteForce(family)
-    matroid = TransversalMatroid(family)
-    reads = DeletionReads(matroid)
-    lattice = enumerate_lattice(reads)
+    lattice = enumerate_lattice(via)
     results = verify_oracle_equivalence(family, oracle, matroid, lattice)
     results += verify_lattice_structure(family, matroid, lattice)
     results += verify_round_trip(family, matroid, lattice)
-    return results, reads, lattice
+    return results, lattice
 
 
 def verify_family(family: SetFamily) -> list[CheckResult]:
-    return _transversal_suites(family)[0]
+    matroid = TransversalMatroid(family)
+    return _transversal_suites(matroid, matroid)[0]
 
 
 def verify_covering(covering: Covering) -> list[CheckResult]:
@@ -415,7 +415,8 @@ def verify_covering(covering: Covering) -> list[CheckResult]:
     and one partition matroid and lattice per distinct class partition:
     closure operators with equal classes share them, and so share their
     pair-closure scan and modularity tables.  Each still gets its own rows."""
-    results, reads, lattice = _transversal_suites(covering)
+    reads = DeletionReads(TransversalMatroid(covering))
+    results, lattice = _transversal_suites(reads.whole, reads)
     table = NeighborhoodTable.build(covering)
     verdicts = {kind: closure_operator_verdict(table, kind) for kind in ALL_OPERATORS}
     shared: dict[tuple[ElementSet, ...], tuple[PartitionMatroid, FlatLattice]] = {}

@@ -28,7 +28,7 @@ from covlat import (
     full_relation_report,
 )
 from covlat import reduction, relations
-from covlat.relations import ClaimRecord, DeletionReads
+from covlat.relations import ClaimRecord, DeletionReads, RelationReport
 from covlat.generators import (
     partition_with_nested_block,
     partition_with_union_block,
@@ -58,6 +58,39 @@ def by_claim(report):
 
 def deletion(family):
     return check_deletion_monotonicity(*reads_and_lattice(family))
+
+
+PAIR = ("independents", "flats")
+
+
+def deleted_masks(reads):
+    """The block bitmasks the checks read: each single block if there are
+    two or more, then the reduct's and the exclusion's dropped blocks."""
+    m = reads.whole.family.m
+    return [1 << i for i in range(m) if m > 1] + reads.masks
+
+
+def fresh_records(family, lattice, masks):
+    """The reference for the deletion reads: the claim pair of each block
+    bitmask D in masks, decided on L's flats by a fresh matroid of the
+    family less D.  A D of every block (the exclusion of repeated blocks)
+    leaves no family: every element is a loop and E, L's top, the one flat,
+    so both claims hold."""
+    report = RelationReport()
+    for deleted in masks:
+        if deleted == (1 << family.m) - 1:
+            relations._record_within(report, PAIR, None, None)
+            continue
+        smaller = TransversalMatroid(family.without(deleted))
+        relations._record_on_flats(report, PAIR, smaller, lattice)
+    return report.records
+
+
+def derived_records(reads, lattice, masks):
+    """The same claim pairs as the deletion reads record them."""
+    report = RelationReport()
+    relations._record_without(report, reads, lattice, [(PAIR, d, None) for d in masks])
+    return report.records
 
 
 class TestContainments:
@@ -333,22 +366,11 @@ class TestDeletionMonotonicity:
         assert notes["deletion-shrinks-flats[K1]"] == "block K1 is immured"
         assert notes["deletion-shrinks-flats[K3]"] == "block K3 is reducible"
 
-    def test_another_lattice_fails_as_fresh_matroids_of_the_deleted_families_do(
-        self, monkeypatch
-    ):
-        # handed the lattice of a subfamily or of another covering, the
-        # deletion, reduct and exclusion checks report what they report on
-        # fresh matroids of the families the deletions leave
-        def reports(whole, lattice):
-            reads = DeletionReads(whole).walk(lattice)
-            records = check_deletion_monotonicity(reads, lattice).records
-            return records + check_reduct_exclusion_containments(reads, lattice).records
-
-        def fresh(report, reads, lattice, deletions):
-            for claims, deleted, note in deletions:
-                smaller = TransversalMatroid(reads.whole.family.without(deleted))
-                relations._record_on_flats(report, claims, smaller, lattice, note)
-
+    def test_another_lattice_fails_as_fresh_matroids_of_the_deleted_families_do(self):
+        # a family's own pass records on its own lattice what fresh matroids
+        # of the families its deletions leave record.  Handed the lattice of
+        # a subfamily or of another covering, where those fresh matroids
+        # fail claims, the deletion, reduct and exclusion checks refuse it
         rng = random.Random(41)
         cases = failing = 0
         # failing flats claims, keyed by whether the independents claim holds
@@ -356,20 +378,23 @@ class TestDeletionMonotonicity:
         for _ in range(30):
             n = rng.randint(3, 8)
             covering = density_covering(rng, n, rng.randint(3, n + 1))
-            whole, lattice = transversal_and_lattice(covering)
+            reads, lattice = reads_and_lattice(covering)
             sub = covering.without(1 << rng.randrange(covering.m))
             other = density_covering(rng, n, rng.randint(2, n + 1))
             for family in (sub, other):
-                foreign = transversal_and_lattice(family)[1]
+                own_reads, foreign = reads_and_lattice(family)
+                own_masks = deleted_masks(own_reads)
+                own = derived_records(own_reads, foreign, own_masks)
+                assert own == fresh_records(family, foreign, own_masks)
                 if foreign.flats == lattice.flats:
                     continue
-                derived = reports(whole, foreign)
-                with monkeypatch.context() as patch:
-                    patch.setattr(relations, "_record_without", fresh)
-                    assert derived == reports(whole, foreign)
+                for check in (check_deletion_monotonicity, check_reduct_exclusion_containments):
+                    with pytest.raises(InternalConsistencyError, match="deletion reads folded"):
+                        check(reads, foreign)
+                fresh = fresh_records(covering, foreign, deleted_masks(reads))
                 cases += 1
-                failing += any(record.holds is False for record in derived)
-                for independents, flats in zip(derived[::2], derived[1::2]):
+                failing += any(record.holds is False for record in fresh)
+                for independents, flats in zip(fresh[::2], fresh[1::2]):
                     if flats.holds is False:
                         flats_failures[independents.holds] += 1
         # a foreign lattice need not break every claim (38 of 42 cases do)
@@ -475,8 +500,9 @@ class TestReductionPreservation:
 
 
 class TestDeletionReads:
-    """The outcomes folded while L is enumerated against ``walk``, the pass
-    over the same L, and the refusal of a pass that has read no L."""
+    """The outcomes folded while L is enumerated against fresh matroids of
+    the deleted families, and the refusal of a pass that has not read L or
+    a read that raises a rank."""
 
     # its exclusion drops K1, K3 and K5 and keeps 34 closures that are
     # neither their flat nor one of its covers
@@ -486,21 +512,22 @@ class TestDeletionReads:
     )
 
     @given(st.one_of(coverings(max_n=7, max_m=6), reducible_coverings()))
-    def test_fused_outcomes_equal_the_walk_over_the_enumerated_lattice(self, covering):
+    def test_fused_outcomes_equal_fresh_matroids_over_the_lattice(self, covering):
         # reducible_coverings drop two or more blocks in the reduct: the
         # surgery path
         whole = TransversalMatroid(covering)
         reads = DeletionReads(whole)
         lattice = enumerate_lattice(reads)
         assert lattice.flats == enumerate_lattice(whole).flats
-        assert reads.outcomes(lattice) == DeletionReads(whole).walk(lattice).outcomes(lattice)
+        masks = deleted_masks(reads)
+        assert derived_records(reads, lattice, masks) == fresh_records(covering, lattice, masks)
 
     @staticmethod
     def assert_single_block_reads_are_never_recorded(family):
         # the enumeration pass reads no single block: each such read of a
         # flat F of rank r is F at rank r or r - 1, or a cover of F at rank
-        # r, which fold never records; and the outcomes it folds without
-        # them are those of the walk that reads every mask
+        # r, which fold would not keep; and the pairs it records without
+        # them are those of fresh matroids of the deleted families
         whole = TransversalMatroid(family)
         reads = DeletionReads(whole)
         lattice = enumerate_lattice(reads)
@@ -513,9 +540,9 @@ class TestDeletionReads:
                     assert r in (rank, rank - 1)
                 else:
                     assert closed in covers and r == rank
-        walked = DeletionReads(whole).walk(lattice).outcomes(lattice)
-        assert reads.outcomes(lattice) == walked
-        assert list(walked) == list(dict.fromkeys(reads.masks))
+        assert len(reads.masks) == 2
+        masks = deleted_masks(reads)
+        assert derived_records(reads, lattice, masks) == fresh_records(family, lattice, masks)
 
     @given(loopy_families())
     def test_single_block_reads_are_never_recorded_on_families(self, family):
@@ -531,10 +558,10 @@ class TestDeletionReads:
     @given(reducible_coverings())
     def test_the_reduct_of_a_covering_with_two_unions_drops_two_blocks(self, covering):
         reads = DeletionReads(TransversalMatroid(covering))
-        reduct_mask = reads.masks[covering.m]
+        reduct_mask = reads.masks[0]
         assert reduct_mask & reduct_mask - 1
         lattice = enumerate_lattice(reads)
-        assert reads.outcomes(lattice)[reduct_mask] == (False, None)
+        assert reads.outcomes(lattice)[reduct_mask] is None
 
     def test_unclosed_closures_are_kept_until_the_lattice_is_known(self):
         # the exclusion is a quotient of M: every closure it keeps is a flat
@@ -543,9 +570,9 @@ class TestDeletionReads:
         reads, lattice = reads_and_lattice(covering)
         assert reads.masks[-1] == 0b10101
         assert len(reads.kept[-1]) == 34
-        assert reads.outcomes(lattice)[0b10101] == (False, None)
-        walked = DeletionReads(reads.whole).walk(lattice)
-        assert walked.outcomes(lattice) == reads.outcomes(lattice)
+        assert reads.outcomes(lattice)[0b10101] is None
+        masks = deleted_masks(reads)
+        assert derived_records(reads, lattice, masks) == fresh_records(covering, lattice, masks)
 
     def test_the_first_unclosed_closure_is_chosen_in_the_lattice_order(self, mixed5):
         # a flat of M \\ D is always one of M, so fold sets that are not: the
@@ -553,11 +580,20 @@ class TestDeletionReads:
         # order the flats were folded in
         whole, lattice = transversal_and_lattice(mixed5)
         outside = [x for x in range(1 << mixed5.universe.n) if x not in lattice._index]
+        assert len(outside) == len(lattice)
         reads = DeletionReads(whole)
         for flat, closed in reversed(list(zip(lattice.flats, outside))):
-            reads.fold(flat.mask, mixed5.universe.n, [(0, closed)], [])
+            reads.fold(flat.mask, mixed5.universe.n, [(0, closed)] * 2, [])
         first = ElementSet(mixed5.universe, outside[0])
-        assert reads.outcomes(lattice)[reads.masks[0]] == (False, first)
+        assert reads.outcomes(lattice)[reads.masks[0]] == first
+
+    def test_a_read_above_its_flat_rank_raises(self, mixed5):
+        # M \\ D is a quotient of M: no deletion raises a flat's rank
+        whole, lattice = transversal_and_lattice(mixed5)
+        reads = DeletionReads(whole)
+        flat = lattice.flats[1]
+        with pytest.raises(InternalConsistencyError, match="has rank 2 > 1"):
+            reads.fold(flat.mask, 1, [(1, flat.mask), (2, flat.mask)], [])
 
     def test_a_guard_trip_gives_the_skip_rows_of_no_lattice(self, monkeypatch):
         monkeypatch.setenv("COVLAT_MAX_LATTICE_SIZE", "8")
@@ -583,35 +619,40 @@ class TestDeletionReads:
         tripped = DeletionReads(whole)
         with pytest.raises(GuardExceeded):
             enumerate_lattice(tripped, 3)
-        for reads in (DeletionReads(whole), tripped):
+        for reads, folded in ((DeletionReads(whole), 0), (tripped, tripped.folded)):
+            assert folded < len(lattice) == 16
             for check in (
                 lambda reads, lattice: full_relation_report(table, verdicts, reads, lattice),
                 check_deletion_monotonicity,
                 check_reduct_exclusion_containments,
             ):
-                with pytest.raises(InternalConsistencyError, match="have not read the top flat"):
+                with pytest.raises(
+                    InternalConsistencyError, match=f"folded {folded} flats, not the 16 of L"
+                ):
                     check(reads, lattice)
 
-    def test_the_walk_over_a_foreign_lattice_finds_its_failures(self):
-        # the lattice of mixed_pairs.cov less K1, handed in for the whole
-        # covering's: its walk fails the K4 deletion, the reduct and the
-        # exclusion, where an unread pass is refused
+    def test_a_foreign_lattice_is_refused(self):
+        # the lattice of mixed_pairs.cov less K1, handed in with the whole
+        # covering's pass: fresh matroids of the families less K4, the
+        # reduct's and the exclusion's blocks fail there, and the pass,
+        # which enumerated the whole covering's lattice, refuses it
         covering = cov((DATA / "mixed_pairs.cov").read_text())
         table, verdicts = table_and_verdicts(covering)
-        whole = TransversalMatroid(covering)
+        reads, lattice = reads_and_lattice(covering)
         foreign = enumerate_lattice(TransversalMatroid(covering.without(1)))
-        walked = DeletionReads(whole).walk(foreign)
-        report = full_relation_report(table, verdicts, walked, foreign)
-        assert [(r.claim, r.witness) for r in report.failures()] == [
-            ("deletion-shrinks-independents[K4]", "{1 2 3} separates the families"),
-            ("deletion-shrinks-flats[K4]", "{1 2 4 5} is not closed in the larger structure"),
-            ("reduct-independents-within-original", "{1 2 3} separates the families"),
-            ("reduct-flats-within-original", "{1 2} is not closed in the larger structure"),
-            ("exclusion-independents-within-original", "{1 2 3} separates the families"),
-            ("exclusion-flats-within-original", "{1 2} is not closed in the larger structure"),
+        fresh = fresh_records(covering, foreign, deleted_masks(reads))
+        assert [r.witness for r in fresh if r.holds is False] == [
+            "{1 2 3} separates the families",
+            "{1 2 4 5} is not closed in the larger structure",
+            "{1 2 3} separates the families",
+            "{1 2} is not closed in the larger structure",
+            "{1 2 3} separates the families",
+            "{1 2} is not closed in the larger structure",
         ]
-        with pytest.raises(InternalConsistencyError):
-            full_relation_report(table, verdicts, DeletionReads(whole), foreign)
+        assert len(foreign) != len(lattice)
+        for reads in (reads, DeletionReads(reads.whole)):
+            with pytest.raises(InternalConsistencyError, match="deletion reads folded"):
+                full_relation_report(table, verdicts, reads, foreign)
 
 
 class TestFullReport:
@@ -640,8 +681,8 @@ class TestFullReport:
     def test_matches_each_flat_once_for_every_deleted_family(self, monkeypatch):
         # the enumeration through the deletion reads matches each flat once
         # for every block deletion, the reduct and the exclusion, so the
-        # report matches nothing and builds no deleted family; a walk over
-        # the same L matches each flat once and reads the same outcomes
+        # report matches nothing and builds no deleted family; fresh
+        # matroids of the deleted families record the same pairs on L
         covering = cov((INPUTS / "density_14.cov").read_text())
         args = report_inputs(covering)
         reads, lattice = args[-2:]
@@ -660,9 +701,9 @@ class TestFullReport:
         assert sum("deletion-shrinks" in r.claim for r in report.records) == 2 * covering.m
         assert sum("-within-original" in r.claim for r in report.records) == 4
         assert built == [] and matched == Counter()
-        walked = DeletionReads(reads.whole).walk(lattice)
-        assert matched == Counter(flat.mask for flat in lattice.flats)
-        assert walked.outcomes(lattice) == reads.outcomes(lattice)
+        monkeypatch.undo()
+        masks = deleted_masks(reads)
+        assert derived_records(reads, lattice, masks) == fresh_records(covering, lattice, masks)
 
     def test_finds_the_reducible_and_immured_blocks_once(self, monkeypatch, nested3):
         # the deletion notes, the reduct and exclusion rows and the

@@ -132,8 +132,8 @@ def test_verify_covering_builds_each_structure_once(monkeypatch):
     assert len(calls["verdicts"]) == 3
     # no block is reducible or immured, so no shrunk covering gets a table
     assert len(calls["tables"]) == 1
-    # relations reuse the covering's matroid; their own builds are of other
-    # families (one block deleted, the reduct, the exclusion)
+    # the covering's matroid is built once: the relations read every
+    # deletion, the reduct and the exclusion from it
     assert sum(1 for _, family in calls["families"] if family is partition) == 1
 
 
